@@ -343,7 +343,7 @@ def run_corollary_consistency_check(
         total += part1
     if not 1 - total < sampler.TAIL_MASS_BOUND * 2 ** (a_max + 4):
         return VerificationReport(
-            "cor1-part1",
+            "cor1-part2",
             params,
             "fail",
             detail=f"marginal masses up to a={a_max} sum to {float(total)}",
@@ -414,7 +414,7 @@ def run_all(config: VerifierConfig) -> list[VerificationReport]:
         reports.append(run_eq1_check(q, config.n_max, config.order, config.budget)[0])
         reports.append(run_eq2_check(q, config.n_max, config.order, config.budget)[0])
         reports.append(run_irreducible_product_check(q, min(config.order, 6)))
-        for n in range(1, 4):
+        for n in range(1, config.n_max + 1):
             reports.append(run_lemma2_check(n, q, config.budget))
             reports.append(run_lemma3_check(n, q, config.budget))
             reports.append(run_jordan_type_count_check(n, q, config.budget))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from clpartitions import oracle, verify
 from clpartitions.oracle import (
     BudgetExceededError,
     PrimeFieldMatrix,
@@ -14,6 +15,8 @@ from clpartitions.oracle import (
     count_nilpotent_pairs,
     count_pairs,
     enumerate_matrices,
+    find_lemma2_counterexample,
+    find_lemma3_counterexample,
     jordan_zero_data,
     rank,
 )
@@ -22,6 +25,24 @@ from clpartitions.partitions import Partition
 
 def M(n, p, *rows):
     return PrimeFieldMatrix(n, p, tuple(x for row in rows for x in row))
+
+
+def is_nilpotent_reference(A):
+    """A^n == 0 by repeated reference multiplication."""
+    power = PrimeFieldMatrix.identity(A.n, A.p)
+    for _ in range(A.n):
+        power = power @ A
+    return power.is_zero()
+
+
+@pytest.fixture
+def fresh_census():
+    """Empty the oracle memos before and after a test that perturbs them."""
+    oracle._census.cache_clear()
+    oracle._nilpotent_annihilators.cache_clear()
+    yield
+    oracle._census.cache_clear()
+    oracle._nilpotent_annihilators.cache_clear()
 
 
 class TestRank:
@@ -126,6 +147,25 @@ class TestCounts:
         )
         assert brute == 40
 
+    def test_full_enumeration_cross_check_mod_three(self):
+        pairs = nilpotent_pairs = 0
+        nilpotent = {A for A in enumerate_matrices(2, 3) if is_nilpotent_reference(A)}
+        for A in enumerate_matrices(2, 3):
+            for B in enumerate_matrices(2, 3):
+                if (A @ B).is_zero() and (B @ A).is_zero():
+                    pairs += 1
+                    nilpotent_pairs += A in nilpotent and B in nilpotent
+        assert (pairs, nilpotent_pairs) == (225, 33)
+        assert count_pairs(2, 3) == pairs
+        assert count_nilpotent_pairs(2, 3) == nilpotent_pairs
+
+    def test_mod_five(self):
+        assert find_lemma2_counterexample(2, 5) is None
+        assert find_lemma3_counterexample(2, 5) is None
+        counts = count_nilpotent_by_type(2, 5)
+        assert counts == {Partition((2,)): 24, Partition((1, 1)): 1}
+        assert sum(counts.values()) == 5**2
+
     def test_nilpotent_pairs(self):
         assert count_nilpotent_pairs(1, 2) == 1
         assert count_nilpotent_pairs(2, 2) == 10
@@ -146,6 +186,36 @@ class TestCounts:
             count_pairs(3, 3, budget=100)
         assert exc.value.required == 3**9
 
+    def test_outer_budget_refused_on_cache_hit(self):
+        assert count_pairs(2, 3) == 225  # the census for (2, 3) is now cached
+        for call in (
+            count_pairs,
+            count_nilpotent_pairs,
+            count_nilpotent_by_type,
+            find_lemma2_counterexample,
+            find_lemma3_counterexample,
+        ):
+            with pytest.raises(BudgetExceededError) as exc:
+                call(2, 3, budget=80)
+            assert exc.value.required == 81
+
+    def test_inner_budget_refused_before_enumeration(self, monkeypatch):
+        def never(n, p):
+            raise AssertionError("solution spaces enumerated despite refusal")
+
+        monkeypatch.setattr(oracle, "_nilpotent_annihilators", never)
+        for call in (count_nilpotent_pairs, find_lemma3_counterexample):
+            with pytest.raises(BudgetExceededError) as exc:
+                call(3, 3, inner_budget=29_978)
+            assert (exc.value.required, exc.value.budget) == (29_979, 29_978)
+
+    def test_inner_budget_refused_on_cache_hit(self):
+        assert count_nilpotent_pairs(2, 3) == 33  # both passes now cached
+        with pytest.raises(BudgetExceededError) as exc:
+            count_nilpotent_pairs(2, 3, inner_budget=10)
+        assert exc.value.required == oracle._census(2, 3).inner
+        assert count_nilpotent_pairs(2, 3, inner_budget=exc.value.required) == 33
+
     def test_enumeration_is_lexicographic(self):
         seen = [A.entries for A in itertools.islice(enumerate_matrices(2, 2), 4)]
         assert seen == [
@@ -154,3 +224,27 @@ class TestCounts:
             (0, 0, 1, 0),
             (0, 0, 1, 1),
         ]
+
+
+class TestFaultInjection:
+    def test_lemma2_names_first_perturbed_matrix(self, monkeypatch, fresh_census):
+        first, later = M(2, 3, (0, 0), (2, 1)), M(2, 3, (0, 1), (2, 0))
+        targets = {oracle._row_codes(first), oracle._row_codes(later)}
+        real = oracle._annihilator_nullity
+
+        def perturbed(codes, packing):
+            return real(codes, packing) + (codes in targets)
+
+        monkeypatch.setattr(oracle, "_annihilator_nullity", perturbed)
+        report = verify.run_lemma2_check(2, 3)
+        assert not report.passed
+        want = (2 - rank(first)) ** 2
+        assert report.detail == f"A={first.entries}: dimension {want + 1} != {want}"
+
+    def test_lemma3_names_first_nilpotent_matrix(self, monkeypatch, fresh_census):
+        real = oracle._is_nilpotent
+        # miss B = 0, which lies in every annihilator
+        monkeypatch.setattr(oracle, "_is_nilpotent", lambda v, pk: bool(v) and real(v, pk))
+        report = verify.run_lemma3_check(2, 2)
+        assert not report.passed
+        assert report.detail == "A=(0, 0, 0, 0): count 3 != 4"  # 2^(m^2 - d), m = d = 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clpartitions import cli, partitions, verify
+from clpartitions import cli, partitions, sampler, verify
 from clpartitions.partitions import Partition
 from clpartitions.verify import (
     VerificationReport,
@@ -84,6 +84,20 @@ class TestFaultInjection:
         assert not report.passed
         assert "u^3" in report.detail
 
+    def test_corollary_total_mass_failure_keeps_check_id(self, monkeypatch):
+        assert verify.run_corollary_consistency_check(2, Fraction(1, 2)).check_name == (
+            "cor1-part2"
+        )
+        real = sampler.u_over_q_infinite_value
+        # halving (u/q)_inf halves every law consistently, so only the mass is off
+        monkeypatch.setattr(
+            sampler, "u_over_q_infinite_value", lambda q, u: real(q, u) / 2
+        )
+        report = verify.run_corollary_consistency_check(2, Fraction(1, 2))
+        assert not report.passed
+        assert report.check_name == "cor1-part2"
+        assert report.detail.startswith("marginal masses up to a=10 sum to")
+
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
         real = partitions.aut_order
         monkeypatch.setattr(
@@ -124,6 +138,22 @@ class TestCli:
     def test_usage_exit_code(self, capsys):
         assert cli.main(["oracle", "count-pairs", "--n", "2", "--p", "7"]) == cli.EXIT_USAGE
         assert cli.main(["series", "eq1-rhs", "--q", "x", "--order", "2"]) == cli.EXIT_USAGE
+
+    def test_verify_all_honours_n_max(self, capsys):
+        args = ["--json", "verify", "all", "--n-max", "2", "--trials", "2000"]
+        assert cli.main(args) == 0
+        reports = json.loads(capsys.readouterr().out)
+        lemma_ns = {
+            (r["check"], r["parameters"]["p"], r["parameters"]["n"])
+            for r in reports
+            if r["check"] in ("lemma2", "lemma3", "counter-nilpotent")
+        }
+        assert lemma_ns == {
+            (check, p, n)
+            for check in ("lemma2", "lemma3", "counter-nilpotent")
+            for p in ("2", "3")
+            for n in ("1", "2")
+        }
 
     def test_sample_deterministic(self, capsys):
         args = ["sample", "--q", "2", "--u", "1/2", "--seed", "9", "--trials", "20"]
