@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
-        "suite", choices=["eq1", "eq2", "lemmas", "sampler", "all"]
+        "suite",
+        choices=[name for name in verify.SUITES if not name.startswith("_")] + ["all"],
     )
     p_verify.add_argument("--order", type=int, default=8, help="series truncation order")
     p_verify.add_argument("--n-max", type=int, default=3, help="largest oracle dimension")
@@ -104,40 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        config = VerifierConfig(
-            u=args.u,
-            order=args.order,
-            n_max=args.n_max,
-            trials=args.trials,
-            seed=args.seed,
-            budget=args.budget,
-            include_n4=args.include_n4,
-        )
-        return _emit_reports(verify.run_all(config), args.json)
-    reports: list[VerificationReport] = []
-    if args.suite == "eq1":
-        for q in (2, 3):
-            reports.append(
-                verify.run_eq1_check(q, args.n_max, args.order, args.budget)[0]
-            )
-    elif args.suite == "eq2":
-        for q in (2, 3):
-            reports.append(
-                verify.run_eq2_check(q, args.n_max, args.order, args.budget)[0]
-            )
-    elif args.suite == "lemmas":
-        for p in (2, 3):
-            for n in range(1, 4):
-                reports.append(verify.run_lemma2_check(n, p, args.budget))
-                reports.append(verify.run_lemma3_check(n, p, args.budget))
-                reports.append(verify.run_jordan_type_count_check(n, p, args.budget))
-    elif args.suite == "sampler":
-        cfg = SamplerConfig(q=2, u=args.u, seed=args.seed, trials=args.trials)
-        reports.append(verify.run_kernel_row_check(2, args.u))
-        reports.append(verify.run_corollary_consistency_check(2, args.u))
-        reports.append(verify.run_sampler_check(cfg)[0])
-    return _emit_reports(reports, args.json)
+    config = VerifierConfig(
+        u=args.u,
+        order=args.order,
+        n_max=args.n_max,
+        trials=args.trials,
+        seed=args.seed,
+        budget=args.budget,
+        include_n4=args.include_n4,
+    )
+    return _emit_reports(verify.run_all(config, args.suite), args.json)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:

@@ -57,12 +57,6 @@ class Partition:
         )
         return Partition(cols)
 
-    def conjugate_part(self, i: int) -> int:
-        """lambda'_i = number of parts >= i (0 for i beyond the largest part)."""
-        if i < 1:
-            raise ValueError("index must be >= 1")
-        return sum(1 for p in self.parts if p >= i)
-
     def multiplicity(self, i: int) -> int:
         """m_i(lambda) = number of parts equal to i."""
         if i < 1:
@@ -106,25 +100,6 @@ def aut_order(p: Partition, q: Rational) -> Fraction:
         if m:
             result *= pochhammer_scalar(1 / q, m, q)
     return result
-
-
-def aut_order_qpower(p: Partition, q: Rational, d: int) -> Fraction:
-    """|Aut(lambda)| with q replaced by q^d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    return aut_order(p, Fraction(q) ** d)
-
-
-def cl_weight(p: Partition, u: Rational, q: Rational) -> Fraction:
-    """Unnormalized Cohen-Lenstra weight u^{|lambda|} / |Aut(lambda)|.
-
-    The normalizing constant (u/q)_inf is applied by callers; the partition
-    sums below use the raw weight directly.
-    """
-    u = Fraction(u)
-    if not 0 < u < 1:
-        raise ValueError("requires 0 < u < 1")
-    return u**p.size / aut_order(p, q)
 
 
 def _raw_weight(p: Partition, q: Fraction) -> Fraction:

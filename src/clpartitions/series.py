@@ -172,9 +172,6 @@ class PowerSeries:
             out[k] = -s / a0
         return PowerSeries(tuple(out))
 
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
     def __repr__(self) -> str:
         return f"PowerSeries({[str(c) for c in self.coeffs]})"
 

@@ -11,6 +11,7 @@ two headline identities are verified three ways where feasible:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -64,15 +65,6 @@ class VerificationReport:
         }
 
 
-@dataclass
-class EqTriple:
-    """The three coefficient routes for one identity at one q."""
-
-    lhs_coeffs: list[Fraction]  # oracle counts / |GL(n, q)|, indexed by n
-    middle_coeffs: list[Fraction]
-    rhs_coeffs: list[Fraction]
-
-
 def eq1_rhs_series(q: Rational, order: int) -> PowerSeries:
     """(1/(1-u)) * sum_{a>=0} u^a / ((1/q)_a (u/q)_a), truncated.
 
@@ -124,72 +116,49 @@ def _compare_series(
     return VerificationReport(check_name=name, parameters=params, status="pass")
 
 
-def run_eq1_check(
+def _eq_routes(name: str):
+    """(middle series, rhs series, oracle count) of identity *name*.
+
+    The table is built per call so that each route is the function bound
+    in its module when the check runs.
+    """
+    return {
+        "eq1": (eq1_middle_series, eq1_rhs_series, oracle.count_pairs),
+        "eq2": (eq2_middle_series, eq2_rhs_series, oracle.count_nilpotent_pairs),
+    }[name]
+
+
+def run_eq_check(
+    name: str,
     q: int,
     n_max: int,
     order: int,
     budget: int = oracle.DEFAULT_OUTER_BUDGET,
-) -> tuple[VerificationReport, EqTriple]:
-    """Three-way check of the mutually-annihilating-pair identity at prime q."""
+) -> VerificationReport:
+    """Three-way check of identity *name* ("eq1" or "eq2") at prime q.
+
+    The oracle gives the coefficients of u^0..u^{n_max}, the middle and
+    rhs routes those of u^0..u^{order}; each is computed on its own.  On
+    failure the detail names the first u^k at which any two routes differ
+    and gives every route's value there.
+    """
     if order < n_max:
         raise ValueError("order must be >= n_max")
-    middle = eq1_middle_series(q, order)
-    rhs = eq1_rhs_series(q, order)
-    lhs = [
-        Fraction(oracle.count_pairs(n, q, budget)) / gl_order(n, q)
-        for n in range(n_max + 1)
-    ]
-    triple = EqTriple(lhs, list(middle.coeffs), list(rhs.coeffs))
+    middle_series, rhs_series, count = _eq_routes(name)
+    lhs = [Fraction(count(n, q, budget)) / gl_order(n, q) for n in range(n_max + 1)]
+    middle = middle_series(q, order).coeffs
+    rhs = rhs_series(q, order).coeffs
     params = {"q": q, "n_max": n_max, "N": order}
-    report = _compare_series("eq1", params, middle, rhs)
-    if report.passed:
-        for n, val in enumerate(lhs):
-            if val != rhs.coeffs[n]:
-                report = VerificationReport(
-                    check_name="eq1",
-                    parameters=params,
-                    status="fail",
-                    detail=(
-                        f"oracle coefficient of u^{n}: {fmt_rat(val)} "
-                        f"!= q-series {fmt_rat(rhs.coeffs[n])}"
-                    ),
-                )
-                break
-    return report, triple
-
-
-def run_eq2_check(
-    q: int,
-    n_max: int,
-    order: int,
-    budget: int = oracle.DEFAULT_OUTER_BUDGET,
-) -> tuple[VerificationReport, EqTriple]:
-    """Three-way check of the nilpotent-pair identity at prime q."""
-    if order < n_max:
-        raise ValueError("order must be >= n_max")
-    middle = eq2_middle_series(q, order)
-    rhs = eq2_rhs_series(q, order)
-    lhs = [
-        Fraction(oracle.count_nilpotent_pairs(n, q, budget)) / gl_order(n, q)
-        for n in range(n_max + 1)
-    ]
-    triple = EqTriple(lhs, list(middle.coeffs), list(rhs.coeffs))
-    params = {"q": q, "n_max": n_max, "N": order}
-    report = _compare_series("eq2", params, middle, rhs)
-    if report.passed:
-        for n, val in enumerate(lhs):
-            if val != rhs.coeffs[n]:
-                report = VerificationReport(
-                    check_name="eq2",
-                    parameters=params,
-                    status="fail",
-                    detail=(
-                        f"oracle coefficient of u^{n}: {fmt_rat(val)} "
-                        f"!= q-series {fmt_rat(rhs.coeffs[n])}"
-                    ),
-                )
-                break
-    return report, triple
+    for k in range(order + 1):
+        values = {"middle": middle[k], "rhs": rhs[k]}
+        if k <= n_max:
+            values = {"oracle": lhs[k], **values}
+        if len(set(values.values())) > 1:
+            shown = ", ".join(f"{route} {fmt_rat(v)}" for route, v in values.items())
+            return VerificationReport(
+                name, params, "fail", detail=f"coefficient of u^{k}: {shown}"
+            )
+    return VerificationReport(name, params, "pass")
 
 
 def run_rational_q_check(q: Rational, order: int) -> list[VerificationReport]:
@@ -341,7 +310,7 @@ def run_corollary_consistency_check(
                 ),
             )
         total += part1
-    if not 1 - total < sampler.TAIL_MASS_BOUND * 2 ** (a_max + 4):
+    if not abs(1 - total) < sampler.TAIL_MASS_BOUND * 2 ** (a_max + 4):
         return VerificationReport(
             "cor1-part2",
             params,
@@ -351,7 +320,7 @@ def run_corollary_consistency_check(
     return VerificationReport("cor1-part2", params, "pass")
 
 
-def run_sampler_check(cfg: SamplerConfig) -> tuple[VerificationReport, "sampler.SamplerComparison"]:
+def run_sampler_check(cfg: SamplerConfig) -> VerificationReport:
     """Monte Carlo: empirical bucket frequencies within 4 standard errors.
 
     Gates only on buckets with exact probability >= 1e-3; with that many
@@ -366,38 +335,31 @@ def run_sampler_check(cfg: SamplerConfig) -> tuple[VerificationReport, "sampler.
         "trials": cfg.trials,
     }
     if comparison.passed:
-        report = VerificationReport(
+        return VerificationReport(
             "cor1-part1", params, "pass", kind="statistical",
             detail=f"max z-score {comparison.max_zscore:.3f} over gated buckets",
         )
-    else:
-        worst = max(
-            comparison.marginal + comparison.joint, key=lambda c: c.zscore
-        )
-        report = VerificationReport(
-            "cor1-part1",
-            params,
-            "fail",
-            kind="statistical",
-            detail=(
-                f"bucket {worst.label}: observed {worst.observed}/{cfg.trials}, "
-                f"exact {fmt_rat(worst.exact)}, z={worst.zscore:.2f}"
-            ),
-        )
-    return report, comparison
+    worst = max(comparison.marginal + comparison.joint, key=lambda c: c.zscore)
+    return VerificationReport(
+        "cor1-part1",
+        params,
+        "fail",
+        kind="statistical",
+        detail=(
+            f"bucket {worst.label}: observed {worst.observed}/{cfg.trials}, "
+            f"exact {fmt_rat(worst.exact)}, z={worst.zscore:.2f}"
+        ),
+    )
+
+
+PRIMES = (2, 3)  # fields of the oracle checks, and q of the sampler checks
+RATIONAL_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(10))
 
 
 @dataclass
 class VerifierConfig:
-    """Parameters for the full default verification suite."""
+    """Parameters of the verification suites; each suite reads every field its checks use."""
 
-    primes: tuple[int, ...] = (2, 3)
-    rational_qs: tuple[Fraction, ...] = (
-        Fraction(2),
-        Fraction(3),
-        Fraction(5, 2),
-        Fraction(10),
-    )
     u: Fraction = Fraction(1, 2)
     order: int = 8
     n_max: int = 3
@@ -407,31 +369,69 @@ class VerifierConfig:
     include_n4: bool = False
 
 
-def run_all(config: VerifierConfig) -> list[VerificationReport]:
-    """Run every check in the suite; results ordered by check name."""
-    reports: list[VerificationReport] = []
-    for q in config.primes:
-        reports.append(run_eq1_check(q, config.n_max, config.order, config.budget)[0])
-        reports.append(run_eq2_check(q, config.n_max, config.order, config.budget)[0])
-        reports.append(run_irreducible_product_check(q, min(config.order, 6)))
+def _eq_reports(name: str, config: VerifierConfig) -> list[VerificationReport]:
+    cases = [(q, config.n_max) for q in PRIMES]
+    if config.include_n4:
+        cases.append((2, 4))
+    return [
+        run_eq_check(name, q, n_max, config.order, config.budget)
+        for q, n_max in cases
+    ]
+
+
+def _lemma_reports(config: VerifierConfig) -> list[VerificationReport]:
+    reports = []
+    for p in PRIMES:
         for n in range(1, config.n_max + 1):
-            reports.append(run_lemma2_check(n, q, config.budget))
-            reports.append(run_lemma3_check(n, q, config.budget))
-            reports.append(run_jordan_type_count_check(n, q, config.budget))
-        reports.append(run_kernel_row_check(q, config.u))
-        reports.append(run_corollary_consistency_check(q, config.u))
+            reports.append(run_lemma2_check(n, p, config.budget))
+            reports.append(run_lemma3_check(n, p, config.budget))
+            reports.append(run_jordan_type_count_check(n, p, config.budget))
     if config.include_n4:
         reports.append(run_jordan_type_count_check(4, 2, config.budget))
-        reports.append(run_eq1_check(2, 4, config.order, config.budget)[0])
-        reports.append(run_eq2_check(2, 4, config.order, config.budget)[0])
-    for q in config.rational_qs:
+    return reports
+
+
+def _sampler_reports(config: VerifierConfig) -> list[VerificationReport]:
+    reports = []
+    for q in PRIMES:
+        reports.append(run_kernel_row_check(q, config.u))
+        reports.append(run_corollary_consistency_check(q, config.u))
+    cfg = SamplerConfig(
+        q=PRIMES[0], u=config.u, seed=config.seed, trials=config.trials
+    )
+    reports.append(run_sampler_check(cfg))
+    return reports
+
+
+def _series_reports(config: VerifierConfig) -> list[VerificationReport]:
+    reports = [run_irreducible_product_check(q, min(config.order, 6)) for q in PRIMES]
+    for q in RATIONAL_QS:
         reports.extend(run_rational_q_check(q, config.order))
         if q in (Fraction(2), Fraction(3), Fraction(5, 2)):
             reports.append(run_wellknown_identity_check(q, config.order))
         reports.append(run_measure_normalization_check(q, config.order))
-    cfg = SamplerConfig(
-        q=config.primes[0], u=config.u, seed=config.seed, trials=config.trials
-    )
-    reports.append(run_sampler_check(cfg)[0])
+    return reports
+
+
+# suite name -> builder of its reports; "_series" (the checks with no oracle
+# or sampler route) runs only as part of "all"
+SUITES = {
+    "eq1": functools.partial(_eq_reports, "eq1"),
+    "eq2": functools.partial(_eq_reports, "eq2"),
+    "lemmas": _lemma_reports,
+    "sampler": _sampler_reports,
+    "_series": _series_reports,
+}
+
+
+def run_all(config: VerifierConfig, suite: str = "all") -> list[VerificationReport]:
+    """Run one suite of SUITES, or every suite for "all".
+
+    A single suite returns its reports in the order its checks run; "all"
+    orders them by check name, then parameters.
+    """
+    if suite != "all":
+        return SUITES[suite](config)
+    reports = [report for build in SUITES.values() for report in build(config)]
     reports.sort(key=lambda r: (r.check_name, str(sorted(r.parameters.items()))))
     return reports

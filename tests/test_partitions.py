@@ -9,8 +9,6 @@ import pytest
 from clpartitions.partitions import (
     Partition,
     aut_order,
-    aut_order_qpower,
-    cl_weight,
     eq1_middle_series,
     eq2_middle_series,
     partitions_of,
@@ -57,12 +55,11 @@ class TestPartitionType:
         for lam in partitions_of(n):
             top = lam.parts[0] if lam.parts else 0
             assert sum(i * lam.multiplicity(i) for i in range(1, top + 1)) == n
-            assert sum(lam.conjugate().parts) == n
-            assert lam.conjugate_part(1) == lam.length
+            conj = lam.conjugate().parts + (0, 0)  # lambda'_i = 0 past the top part
+            assert sum(conj) == n
+            assert conj[0] == lam.length
             for i in range(1, top + 2):
-                assert lam.multiplicity(i) == (
-                    lam.conjugate_part(i) - lam.conjugate_part(i + 1)
-                )
+                assert lam.multiplicity(i) == conj[i - 1] - conj[i]
 
 
 class TestEnumeration:
@@ -106,25 +103,17 @@ class TestAutOrder:
             val = aut_order(lam, q)
             assert val > 0 and val.denominator == 1
 
-    def test_qpower_reduces_to_plain(self):
-        lam = Partition((2, 1))
-        assert aut_order_qpower(lam, 2, 1) == aut_order(lam, 2)
-
     def test_qpower_values(self):
-        assert aut_order_qpower(Partition((1,)), 2, 2) == 3  # q^d - 1
-        assert aut_order_qpower(Partition((1, 1)), 2, 2) == 180 == gl_order(2, 4)
+        # at q = 2^2 the types (1) and (1,1) are F_4 and F_4^2
+        assert aut_order(Partition((1,)), 4) == 3
+        assert aut_order(Partition((1, 1)), 4) == 180 == gl_order(2, 4)
 
 
 class TestClWeight:
     def test_examples(self):
-        u, q = Fraction(1, 2), 2
-        assert cl_weight(Partition(), u, q) == 1
-        assert cl_weight(Partition((1,)), u, q) == Fraction(1, 2)
-        assert cl_weight(Partition((1, 1)), u, q) == Fraction(1, 24)
-
-    def test_rejects_bad_u(self):
-        with pytest.raises(ValueError):
-            cl_weight(Partition(), Fraction(3, 2), 2)
+        # u^1: 1/|Aut (1)|; u^2: 1/|Aut (2)| + 1/|Aut (1,1)| = 1/2 + 1/6
+        got = unnormalized_weight_series(2, 2)
+        assert list(got.coeffs) == [1, 1, Fraction(2, 3)]
 
     @pytest.mark.parametrize("q", [Fraction(2), Fraction(3), Fraction(5, 2)])
     def test_total_mass(self, q):

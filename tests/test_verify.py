@@ -5,15 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from clpartitions import cli, partitions, sampler, verify
+from clpartitions import cli, oracle, partitions, sampler, verify
 from clpartitions.partitions import Partition
 from clpartitions.verify import (
     VerificationReport,
     eq1_rhs_series,
     eq2_rhs_series,
     fmt_rat,
-    run_eq1_check,
-    run_eq2_check,
+    run_eq_check,
     run_rational_q_check,
     run_wellknown_identity_check,
 )
@@ -51,16 +50,17 @@ class TestRhsSeries:
 
 
 class TestChecks:
-    def test_eq1_passes_and_exposes_triple(self):
-        report, triple = run_eq1_check(2, 2, 6)
-        assert report.passed
-        assert triple.lhs_coeffs == triple.middle_coeffs[:3] == triple.rhs_coeffs[:3]
-        assert triple.lhs_coeffs[2] == Fraction(20, 3)
+    def test_eq1_passes(self):
+        report = run_eq_check("eq1", 2, 2, 6)
+        assert report.passed and report.detail is None
+        assert report.parameters == {"q": 2, "n_max": 2, "N": 6}
 
     def test_eq2_passes(self):
-        report, triple = run_eq2_check(3, 2, 6)
-        assert report.passed
-        assert triple.lhs_coeffs[2] == Fraction(33, 48)
+        assert run_eq_check("eq2", 3, 2, 6).passed
+
+    def test_eq_check_rejects_order_below_n_max(self):
+        with pytest.raises(ValueError):
+            run_eq_check("eq1", 2, 3, 2)
 
     @pytest.mark.parametrize("q", [Fraction(5, 2), Fraction(10)])
     def test_rational_q(self, q):
@@ -80,9 +80,26 @@ class TestFaultInjection:
             return val * Fraction(q) if lam == Partition((2, 1)) else val
 
         monkeypatch.setattr(partitions, "aut_order", perturbed)
-        report, _ = run_eq1_check(2, 2, 6)
+        middle = partitions.eq1_middle_series(2, 6).coeffs[3]
+        rhs = eq1_rhs_series(2, 6).coeffs[3]
+        assert middle != rhs
+        report = run_eq_check("eq1", 2, 2, 6)
         assert not report.passed
-        assert "u^3" in report.detail
+        # u^3 is beyond n_max, so only the two series routes are shown
+        assert report.detail == (
+            f"coefficient of u^3: middle {fmt_rat(middle)}, rhs {fmt_rat(rhs)}"
+        )
+
+    def test_oracle_disagreement_shows_all_three_routes(self, monkeypatch):
+        real = oracle.count_pairs
+        monkeypatch.setattr(
+            oracle, "count_pairs", lambda n, p, budget: real(n, p, budget) + (n == 2)
+        )
+        report = run_eq_check("eq1", 2, 2, 6)
+        assert not report.passed
+        assert report.detail == (
+            "coefficient of u^2: oracle 41/6, middle 20/3, rhs 20/3"
+        )
 
     def test_corollary_total_mass_failure_keeps_check_id(self, monkeypatch):
         assert verify.run_corollary_consistency_check(2, Fraction(1, 2)).check_name == (
@@ -97,6 +114,17 @@ class TestFaultInjection:
         assert not report.passed
         assert report.check_name == "cor1-part2"
         assert report.detail.startswith("marginal masses up to a=10 sum to")
+
+    def test_corollary_total_mass_above_one_fails(self, monkeypatch):
+        real = sampler.u_over_q_infinite_value
+        # doubling (u/q)_inf makes the marginal masses sum to about 2
+        monkeypatch.setattr(
+            sampler, "u_over_q_infinite_value", lambda q, u: real(q, u) * 2
+        )
+        report = verify.run_corollary_consistency_check(2, Fraction(1, 2))
+        assert not report.passed
+        assert report.check_name == "cor1-part2"
+        assert report.detail == "marginal masses up to a=10 sum to 2.0"
 
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
         real = partitions.aut_order
@@ -154,6 +182,27 @@ class TestCli:
             for p in ("2", "3")
             for n in ("1", "2")
         }
+
+    @pytest.mark.parametrize("suite", ["eq1", "eq2", "lemmas", "sampler"])
+    def test_suite_honours_flags(self, suite, capsys):
+        flags = ["--n-max", "2", "--order", "4", "--trials", "2000"]
+        assert cli.main(["--json", "verify", suite, *flags]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert cli.main(["--json", "verify", "all", *flags]) == 0
+        everything = json.loads(capsys.readouterr().out)
+        assert reports and all(r in everything for r in reports)
+        for r in reports:
+            params = r["parameters"]
+            assert params.get("N", "4") == "4" and params.get("n_max", "2") == "2"
+            assert params.get("n", "1") in ("1", "2")
+            assert params.get("trials", "2000") == "2000"
+
+    @pytest.mark.parametrize("suite", ["eq1", "eq2", "lemmas"])
+    def test_include_n4_reaches_sub_suites(self, suite, capsys):
+        # a budget of 2^15 matrices admits n <= 3 but refuses n = 4, p = 2
+        args = ["verify", suite, "--n-max", "1", "--order", "4", "--budget", "32768"]
+        assert cli.main(args) == cli.EXIT_OK
+        assert cli.main([*args, "--include-n4"]) == cli.EXIT_BUDGET
 
     def test_sample_deterministic(self, capsys):
         args = ["sample", "--q", "2", "--u", "1/2", "--seed", "9", "--trials", "20"]
