@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import oracle, partitions, sampler, verify
+from . import oracle, partitions, sampler, series, verify
 from .sampler import PartitionSampler, SamplerConfig
 from .verify import VerificationReport, VerifierConfig, fmt_rat
 
@@ -179,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except series.CrossCheckError as exc:
+        print(f"identity failure: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, sampler.KernelDomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -83,6 +83,7 @@ class PrimeFieldMatrix:
         return PrimeFieldMatrix(n, p, tuple(out))
 
     def is_zero(self) -> bool:
+        """Brute-force reference for tests; the counting code never calls it."""
         return all(e == 0 for e in self.entries)
 
 
@@ -453,7 +454,11 @@ def annihilator_dimension(A: PrimeFieldMatrix) -> int:
 
 
 def annihilator_basis(A: PrimeFieldMatrix) -> list[tuple[int, ...]]:
-    """Basis (as row-major entry vectors) of {B : AB = BA = 0}."""
+    """Basis (as row-major entry vectors) of {B : AB = BA = 0}.
+
+    The single-matrix view of the annihilator kernel that the census runs
+    on every A; tests pin it on hand-picked matrices.
+    """
     pk = _packing(A.n, A.p)
     return [
         tuple((v >> (t * pk.w)) & pk.lane for t in range(A.n * A.n))
@@ -466,7 +471,8 @@ def jordan_zero_data(A: PrimeFieldMatrix) -> JordanZeroData:
 
     The conjugate column sizes of the eigenvalue-0 type are
     lambda'_i = rank(A^{i-1}) - rank(A^i), which stabilize to 0 once the
-    rank sequence does.
+    rank sequence does.  The single-matrix view of the rank-sequence kernel
+    that the census runs on every A; tests pin it on hand-picked matrices.
     """
     pk = _packing(A.n, A.p)
     ranks = _rank_sequence([pk.row[c] for c in _row_codes(A)], pk)
@@ -482,7 +488,11 @@ def jordan_zero_data(A: PrimeFieldMatrix) -> JordanZeroData:
 
 
 def enumerate_matrices(n: int, p: int) -> Iterator[PrimeFieldMatrix]:
-    """All of Mat_n(F_p), lexicographic over row-major entry vectors."""
+    """All of Mat_n(F_p), lexicographic over row-major entry vectors.
+
+    The brute-force reference that tests compare the census against; the
+    counting code walks packed rows instead.
+    """
     _check_prime(p)
     for entries in itertools.product(range(p), repeat=n * n):
         yield PrimeFieldMatrix(n, p, entries)

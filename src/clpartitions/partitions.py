@@ -12,9 +12,11 @@ are rational-function identities in q, so non-prime-power q is allowed).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .series import (
     PowerSeries,
@@ -90,49 +92,45 @@ def aut_order(p: Partition, q: Rational) -> Fraction:
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    if not p.parts:
-        return Fraction(1)
-    conj = p.conjugate().parts
-    exponent = sum(c * c for c in conj)
-    result = q**exponent
-    for i in range(1, p.parts[0] + 1):
-        m = p.multiplicity(i)
-        if m:
-            result *= pochhammer_scalar(1 / q, m, q)
+    result = q ** sum(c * c for c in p.conjugate().parts)
+    for m in Counter(p.parts).values():
+        result *= _inverse_q_pochhammer(m, q)
     return result
 
 
-def _raw_weight(p: Partition, q: Fraction) -> Fraction:
-    """1 / |Aut(lambda)|; the u^{|lambda|} factor is tracked by series degree."""
-    return 1 / aut_order(p, q)
+@lru_cache(maxsize=None)
+def _inverse_q_pochhammer(m: int, q: Fraction) -> Fraction:
+    """(1/q)_m, memoized per (m, q) for aut_order."""
+    return pochhammer_scalar(1 / q, m, q)
 
 
-def eq1_middle_series(q: Rational, order: int) -> PowerSeries:
-    """(1/(1-u)) * sum_lambda q^{(lambda'_1)^2} u^{|lambda|} / |Aut(lambda)|.
+def _partition_sum(
+    q: Rational, order: int, exponent: Callable[[Partition], int]
+) -> list[Fraction]:
+    """Coefficients of sum_lambda q^{exponent(lambda)} u^{|lambda|} / |Aut(lambda)|.
 
     A partition of size s contributes only to the u^s coefficient, so
-    enumerating sizes 0..order is exact.
+    enumerating sizes 0..order is exact.  aut_order is looked up when the
+    sum runs, so a replaced aut_order reaches every middle series.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    cs = [Fraction(0)] * (order + 1)
-    for s in range(order + 1):
-        for lam in partitions_of(s):
-            cs[s] += q ** (lam.length**2) * _raw_weight(lam, q)
+    return [
+        sum(q ** exponent(lam) / aut_order(lam, q) for lam in partitions_of(s))
+        for s in range(order + 1)
+    ]
+
+
+def eq1_middle_series(q: Rational, order: int) -> PowerSeries:
+    """(1/(1-u)) * sum_lambda q^{(lambda'_1)^2} u^{|lambda|} / |Aut(lambda)|."""
+    cs = _partition_sum(q, order, lambda lam: lam.length**2)
     return PowerSeries(tuple(cs)) * geometric_series(order)
 
 
 def eq2_middle_series(q: Rational, order: int) -> PowerSeries:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("requires q > 1")
-    cs = [Fraction(0)] * (order + 1)
-    for s in range(order + 1):
-        for lam in partitions_of(s):
-            exponent = lam.length**2 - lam.multiplicity(1)
-            cs[s] += q**exponent * _raw_weight(lam, q)
+    cs = _partition_sum(q, order, lambda lam: lam.length**2 - lam.multiplicity(1))
     return PowerSeries(tuple(cs))
 
 
@@ -142,14 +140,7 @@ def unnormalized_weight_series(q: Rational, order: int) -> PowerSeries:
     Equals 1/(u/q)_inf coefficientwise; this is the statement that the
     Cohen-Lenstra measure P_u has total mass 1.
     """
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("requires q > 1")
-    cs = [Fraction(0)] * (order + 1)
-    for s in range(order + 1):
-        for lam in partitions_of(s):
-            cs[s] += _raw_weight(lam, q)
-    return PowerSeries(tuple(cs))
+    return PowerSeries(tuple(_partition_sum(q, order, lambda lam: 0)))
 
 
 def product_over_irreducibles_series(q: int, order: int) -> PowerSeries:
@@ -168,15 +159,9 @@ def product_over_irreducibles_series(q: int, order: int) -> PowerSeries:
         raise ValueError("order must be >= 0")
     result = PowerSeries.one(order)
     for d in range(1, order + 1):
-        count = irreducible_count(d, q)
-        if d == 1:
-            count -= 1  # exclude phi = z
-        if count == 0:
-            continue
-        qd = Fraction(q) ** d
+        count = irreducible_count(d, q) - (d == 1)  # exclude phi = z
         cs = [Fraction(0)] * (order + 1)
-        for s in range(order // d + 1):
-            for lam in partitions_of(s):
-                cs[d * s] += 1 / aut_order(lam, qd)
+        for s, c in enumerate(_partition_sum(q**d, order // d, lambda lam: 0)):
+            cs[d * s] = c
         result = result * PowerSeries(tuple(cs)) ** count
     return result

@@ -34,6 +34,10 @@ class DivergenceError(ValueError):
     """Infinite product requested outside its region of convergence."""
 
 
+class CrossCheckError(ArithmeticError):
+    """Two independent computations of the same series disagree."""
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Truncated formal power series with exact rational coefficients."""
@@ -265,7 +269,7 @@ def pochhammer_infinite_u_over_q(q: Rational, order: int) -> PowerSeries:
     via_sum = sum_wellknown_identity_lhs(q, order).inverse()
     via_euler = euler_expansion_u_over_q(q, order)
     if via_sum != via_euler:
-        raise ArithmeticError(
+        raise CrossCheckError(
             "internal cross-check failed: series inverse of the b-sum "
             "disagrees with Euler's expansion"
         )

@@ -99,21 +99,21 @@ def eq2_rhs_series(q: Rational, order: int) -> PowerSeries:
     return pochhammer_infinite_u_over_q(q, order).inverse() * total
 
 
-def _compare_series(
-    name: str, params: dict, got: PowerSeries, want: PowerSeries
-) -> VerificationReport:
-    for k in range(min(got.order, want.order) + 1):
-        if got.coeffs[k] != want.coeffs[k]:
+def _compare_routes(name: str, params: dict, routes: dict) -> VerificationReport:
+    """Compare the coefficients of every route (route name -> coefficients).
+
+    A route with fewer than k+1 coefficients sits out at u^k.  On failure
+    the detail names the first u^k at which any two routes differ and gives
+    every route's value there.
+    """
+    for k in range(max(len(cs) for cs in routes.values())):
+        values = {route: cs[k] for route, cs in routes.items() if k < len(cs)}
+        if len(set(values.values())) > 1:
+            shown = ", ".join(f"{route} {fmt_rat(v)}" for route, v in values.items())
             return VerificationReport(
-                check_name=name,
-                parameters=params,
-                status="fail",
-                detail=(
-                    f"coefficient of u^{k}: {fmt_rat(got.coeffs[k])} "
-                    f"!= {fmt_rat(want.coeffs[k])}"
-                ),
+                name, params, "fail", detail=f"coefficient of u^{k}: {shown}"
             )
-    return VerificationReport(check_name=name, parameters=params, status="pass")
+    return VerificationReport(name, params, "pass")
 
 
 def _eq_routes(name: str):
@@ -145,34 +145,27 @@ def run_eq_check(
     if order < n_max:
         raise ValueError("order must be >= n_max")
     middle_series, rhs_series, count = _eq_routes(name)
-    lhs = [Fraction(count(n, q, budget)) / gl_order(n, q) for n in range(n_max + 1)]
-    middle = middle_series(q, order).coeffs
-    rhs = rhs_series(q, order).coeffs
-    params = {"q": q, "n_max": n_max, "N": order}
-    for k in range(order + 1):
-        values = {"middle": middle[k], "rhs": rhs[k]}
-        if k <= n_max:
-            values = {"oracle": lhs[k], **values}
-        if len(set(values.values())) > 1:
-            shown = ", ".join(f"{route} {fmt_rat(v)}" for route, v in values.items())
-            return VerificationReport(
-                name, params, "fail", detail=f"coefficient of u^{k}: {shown}"
-            )
-    return VerificationReport(name, params, "pass")
+    oracle_coeffs = [
+        Fraction(count(n, q, budget)) / gl_order(n, q) for n in range(n_max + 1)
+    ]
+    routes = {
+        "oracle": oracle_coeffs,
+        "middle": middle_series(q, order).coeffs,
+        "rhs": rhs_series(q, order).coeffs,
+    }
+    return _compare_routes(name, {"q": q, "n_max": n_max, "N": order}, routes)
 
 
 def run_rational_q_check(q: Rational, order: int) -> list[VerificationReport]:
     """middle == rhs for both identities at arbitrary rational q > 1."""
     q = Fraction(q)
     params = {"q": fmt_rat(q), "N": order}
-    return [
-        _compare_series(
-            "eq1-rational-q", params, eq1_middle_series(q, order), eq1_rhs_series(q, order)
-        ),
-        _compare_series(
-            "eq2-rational-q", params, eq2_middle_series(q, order), eq2_rhs_series(q, order)
-        ),
-    ]
+    reports = []
+    for name in ("eq1", "eq2"):
+        middle, rhs, _ = _eq_routes(name)
+        routes = {"middle": middle(q, order).coeffs, "rhs": rhs(q, order).coeffs}
+        reports.append(_compare_routes(f"{name}-rational-q", params, routes))
+    return reports
 
 
 def run_wellknown_identity_check(q: Rational, order: int) -> VerificationReport:
@@ -181,32 +174,35 @@ def run_wellknown_identity_check(q: Rational, order: int) -> VerificationReport:
     product = sum_wellknown_identity_lhs(q, order) * pochhammer_infinite_u_over_q(
         q, order
     )
-    return _compare_series(
+    return _compare_routes(
         "wellknown-identity",
         {"q": fmt_rat(q), "N": order},
-        product,
-        PowerSeries.one(order),
+        {"lhs": product.coeffs, "rhs": PowerSeries.one(order).coeffs},
     )
 
 
 def run_measure_normalization_check(q: Rational, order: int) -> VerificationReport:
-    """Total-mass check: sum of raw weights == 1/(u/q)_inf coefficientwise."""
+    """Total-mass check: sum of 1/|Aut(lambda)| == 1/(u/q)_inf coefficientwise."""
     q = Fraction(q)
-    return _compare_series(
+    return _compare_routes(
         "measure-normalization",
         {"q": fmt_rat(q), "N": order},
-        unnormalized_weight_series(q, order),
-        pochhammer_infinite_u_over_q(q, order).inverse(),
+        {
+            "middle": unnormalized_weight_series(q, order).coeffs,
+            "rhs": pochhammer_infinite_u_over_q(q, order).inverse().coeffs,
+        },
     )
 
 
 def run_irreducible_product_check(q: int, order: int) -> VerificationReport:
     """Centralizer product over irreducibles != z equals 1/(1-u)."""
-    return _compare_series(
+    return _compare_routes(
         "irreducible-product",
         {"q": q, "N": order},
-        product_over_irreducibles_series(q, order),
-        geometric_series(order),
+        {
+            "middle": product_over_irreducibles_series(q, order).coeffs,
+            "rhs": geometric_series(order).coeffs,
+        },
     )
 
 

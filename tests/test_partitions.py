@@ -15,7 +15,12 @@ from clpartitions.partitions import (
     product_over_irreducibles_series,
     unnormalized_weight_series,
 )
-from clpartitions.series import geometric_series, gl_order, pochhammer_infinite_u_over_q
+from clpartitions.series import (
+    geometric_series,
+    gl_order,
+    pochhammer_infinite_u_over_q,
+    pochhammer_scalar,
+)
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +112,17 @@ class TestAutOrder:
         # at q = 2^2 the types (1) and (1,1) are F_4 and F_4^2
         assert aut_order(Partition((1,)), 4) == 3
         assert aut_order(Partition((1, 1)), 4) == 180 == gl_order(2, 4)
+
+
+    def test_memo_keyed_by_q(self):
+        # (1/q)_m is memoized; interleaving evaluation points must not mix them
+        for q in (Fraction(2), Fraction(5, 2), Fraction(4), Fraction(2)):
+            for n in range(9):
+                for lam in partitions_of(n):
+                    want = q ** sum(c * c for c in lam.conjugate().parts)
+                    for i in set(lam.parts):
+                        want *= pochhammer_scalar(1 / q, lam.multiplicity(i), q)
+                    assert aut_order(lam, q) == want
 
 
 class TestClWeight:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from clpartitions import cli, oracle, partitions, sampler, verify
+from clpartitions import cli, oracle, partitions, sampler, series, verify
 from clpartitions.partitions import Partition
+from clpartitions.series import geometric_series, pochhammer_infinite_u_over_q
 from clpartitions.verify import (
     VerificationReport,
     eq1_rhs_series,
@@ -16,6 +17,20 @@ from clpartitions.verify import (
     run_rational_q_check,
     run_wellknown_identity_check,
 )
+
+# series-only check -> (middle series in partitions, rhs series (q, N) -> series)
+SERIES_ROUTES = {
+    "eq1-rational-q": ("eq1_middle_series", eq1_rhs_series),
+    "eq2-rational-q": ("eq2_middle_series", eq2_rhs_series),
+    "measure-normalization": (
+        "unnormalized_weight_series",
+        lambda q, N: pochhammer_infinite_u_over_q(q, N).inverse(),
+    ),
+    "irreducible-product": (
+        "product_over_irreducibles_series",
+        lambda q, N: geometric_series(N),
+    ),
+}
 
 
 class TestFormatting:
@@ -125,6 +140,39 @@ class TestFaultInjection:
         assert not report.passed
         assert report.check_name == "cor1-part2"
         assert report.detail == "marginal masses up to a=10 sum to 2.0"
+
+    @pytest.mark.parametrize("check", SERIES_ROUTES)
+    def test_series_check_shows_both_routes(self, check, monkeypatch):
+        real = partitions.aut_order
+
+        def perturbed(lam, q):
+            return real(lam, q) * (Fraction(q) if lam == Partition((2, 1)) else 1)
+
+        monkeypatch.setattr(partitions, "aut_order", perturbed)
+        reports = [
+            *run_rational_q_check(2, 6),
+            verify.run_measure_normalization_check(2, 6),
+            verify.run_irreducible_product_check(2, 6),
+        ]
+        (report,) = [r for r in reports if r.check_name == check]
+        assert not report.passed
+        # (2,1) is the only perturbed term and has size 3, so u^0..u^2 agree
+        middle, rhs = SERIES_ROUTES[check]
+        got, want = getattr(partitions, middle)(2, 6).coeffs[3], rhs(2, 6).coeffs[3]
+        assert report.detail == (
+            f"coefficient of u^3: middle {fmt_rat(got)}, rhs {fmt_rat(want)}"
+        )
+
+    def test_internal_cross_check_failure_exits_one(self, monkeypatch, capsys):
+        real = series.euler_expansion_u_over_q
+        monkeypatch.setattr(
+            series, "euler_expansion_u_over_q", lambda q, order: real(q, order) * 2
+        )
+        code = cli.main(["verify", "eq2", "--n-max", "1", "--order", "4"])
+        assert code == cli.EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("identity failure: internal cross-check failed")
 
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
         real = partitions.aut_order
