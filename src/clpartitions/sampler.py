@@ -12,23 +12,27 @@ truncation of the infinite first row (unassigned mass below 2^-60) and
 the near-exact numeric value of (u/q)_inf (directed partial product,
 relative tail below 2^-80 per factor).
 
-Sampling is inverse-CDF against a 64-bit uniform integer interpreted as
-the rational r/2^64, using Python's random.Random (Mersenne Twister), so
-a seed fully determines the sample stream.
+Sampling is inverse-CDF against a 64-bit uniform integer k from Python's
+random.Random (Mersenne Twister), so a seed fully determines the sample
+stream.  Each row's exact cumulative sums c_b are stored as integer
+thresholds T_b = ceil(c_b * 2^64), and a draw returns the first b with
+k < T_b; for an integer k, k/2^64 < c_b if and only if k < T_b, so this is
+the exact inverse CDF at k/2^64.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .partitions import Partition
 from .series import Rational, pochhammer_scalar
 
 TAIL_MASS_BOUND = Fraction(1, 2**60)
 INFINITE_PRODUCT_REL_TOL = Fraction(1, 2**80)
+MIN_PROBABILITY = Fraction(1, 1000)  # Monte Carlo buckets below this are not gated
 
 
 class KernelDomainError(ValueError):
@@ -39,23 +43,22 @@ class KernelDomainError(ValueError):
 class KernelRow:
     """One row of the transition kernel.
 
-    ``source`` is the current conjugate column size a, or None for the
-    initial "infinite" row.  ``probabilities[b]`` is the transition
-    probability to b; a finite row has exactly a+1 entries summing to 1,
-    the infinite row is truncated with ``truncated_mass`` folded into its
+    ``probabilities[b]`` is the transition probability to b; a finite row
+    from column size a has exactly a+1 entries summing to 1, the initial
+    "infinite" row is truncated with ``truncated_mass`` folded into its
     last entry.
     """
 
-    source: Optional[int]
     probabilities: tuple[Fraction, ...]
     truncated_mass: Fraction = Fraction(0)
 
-    def cumulative(self) -> tuple[Fraction, ...]:
+    def thresholds(self) -> tuple[int, ...]:
+        """T_b = ceil(c_b * 2^64) for the exact cumulative sums c_b; T_last = 2^64."""
         total = Fraction(0)
         out = []
         for p in self.probabilities:
             total += p
-            out.append(total)
+            out.append(-((-total.numerator << 64) // total.denominator))
         return tuple(out)
 
 
@@ -98,7 +101,7 @@ def kernel_row(a: int, q: Rational, u: Rational) -> KernelRow:
         raise KernelDomainError(
             f"kernel row a={a} sums to {sum(probs)} != 1 at q={q}, u={u}"
         )
-    return KernelRow(source=a, probabilities=tuple(probs))
+    return KernelRow(tuple(probs))
 
 
 def u_over_q_infinite_value(q: Rational, u: Rational) -> Fraction:
@@ -175,11 +178,7 @@ def kernel_row_infinite(q: Rational, u: Rational) -> KernelRow:
             break
         b += 1
     probs[-1] += residual
-    return KernelRow(
-        source=None,
-        probabilities=tuple(probs),
-        truncated_mass=max(residual, Fraction(0)),
-    )
+    return KernelRow(tuple(probs), truncated_mass=max(residual, Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -207,27 +206,24 @@ class PartitionSampler:
     def __init__(self, cfg: SamplerConfig) -> None:
         self.cfg = cfg
         self._rng = random.Random(cfg.seed)
-        self._initial_cdf = kernel_row_infinite(cfg.q, cfg.u).cumulative()
-        self._row_cdfs: dict[int, tuple[Fraction, ...]] = {}
+        self._initial_thresholds = kernel_row_infinite(cfg.q, cfg.u).thresholds()
+        self._row_thresholds: dict[int, tuple[int, ...]] = {}
 
-    def _row_cdf(self, a: int) -> tuple[Fraction, ...]:
-        if a not in self._row_cdfs:
-            self._row_cdfs[a] = kernel_row(a, self.cfg.q, self.cfg.u).cumulative()
-        return self._row_cdfs[a]
+    def _thresholds(self, a: int) -> tuple[int, ...]:
+        if a not in self._row_thresholds:
+            row = kernel_row(a, self.cfg.q, self.cfg.u)
+            self._row_thresholds[a] = row.thresholds()
+        return self._row_thresholds[a]
 
-    def _draw(self, cdf: tuple[Fraction, ...]) -> int:
-        r = Fraction(self._rng.getrandbits(64), 2**64)
-        for b, cum in enumerate(cdf):
-            if r < cum:
-                return b
-        return len(cdf) - 1
+    def _draw(self, thresholds: tuple[int, ...]) -> int:
+        return bisect.bisect_right(thresholds, self._rng.getrandbits(64))
 
     def sample(self) -> Partition:
         cols = []
-        a = self._draw(self._initial_cdf)
+        a = self._draw(self._initial_thresholds)
         while a > 0:
             cols.append(a)
-            a = self._draw(self._row_cdf(a))
+            a = self._draw(self._thresholds(a))
         if not cols:
             return Partition()
         return Partition(tuple(cols)).conjugate()
@@ -244,38 +240,22 @@ class BucketComparison:
     exact: Fraction
     observed: int
     trials: int
-    stderr: float = field(init=False)
     zscore: float = field(init=False)
 
     def __post_init__(self) -> None:
         pexact = float(self.exact)
         freq = self.observed / self.trials
-        self.stderr = (pexact * (1 - pexact) / self.trials) ** 0.5
-        self.zscore = abs(freq - pexact) / self.stderr if self.stderr > 0 else 0.0
+        stderr = (pexact * (1 - pexact) / self.trials) ** 0.5
+        self.zscore = abs(freq - pexact) / stderr if stderr > 0 else 0.0
 
 
-@dataclass
-class SamplerComparison:
-    """Monte Carlo comparison of sampled statistics against exact values."""
+def empirical_vs_corollary(cfg: SamplerConfig) -> list[BucketComparison]:
+    """Samples cfg.trials partitions and compares the gated bucket frequencies.
 
-    config: SamplerConfig
-    marginal: list[BucketComparison]  # law of the first column size
-    joint: list[BucketComparison]  # joint law of (first column size, m_1)
-    max_zscore: float
-    threshold: float
-    passed: bool
-
-
-def empirical_vs_corollary(
-    cfg: SamplerConfig,
-    z_threshold: float = 4.0,
-    min_probability: Fraction = Fraction(1, 1000),
-) -> SamplerComparison:
-    """Samples cfg.trials partitions and compares bucket frequencies.
-
-    Buckets are pairs (a, b) = (first conjugate column size, number of
-    parts equal to 1) plus the marginal over a.  Buckets with exact
-    probability below *min_probability* are reported but not gated on.
+    Buckets are the values a of the first conjugate column size and the
+    pairs (a, b) of it with the number of parts equal to 1; only buckets
+    with exact probability >= MIN_PROBABILITY are returned.  The a = 0
+    bucket has probability (u/q)_inf > 0.28, so the list is never empty.
     """
     sampler = PartitionSampler(cfg)
     marg_counts: dict[int, int] = {}
@@ -288,38 +268,18 @@ def empirical_vs_corollary(
         joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
 
     uq_inf = u_over_q_infinite_value(cfg.q, cfg.u)
-    a_max = max(marg_counts)
-    marginal = []
-    joint = []
-    gated: list[float] = []
-    for a in range(a_max + 1):
+    buckets = []
+    for a in range(max(marg_counts) + 1):
         exact = cor1_part1(a, cfg.q, cfg.u, uq_inf)
-        cmp = BucketComparison(
-            label=f"a={a}",
-            exact=exact,
-            observed=marg_counts.get(a, 0),
-            trials=cfg.trials,
-        )
-        marginal.append(cmp)
-        if exact >= min_probability:
-            gated.append(cmp.zscore)
+        if exact >= MIN_PROBABILITY:
+            buckets.append(
+                BucketComparison(f"a={a}", exact, marg_counts.get(a, 0), cfg.trials)
+            )
         for b in range(a + 1):
             exact_ab = cor1_part2(a, b, cfg.q, cfg.u, uq_inf)
-            cmp_ab = BucketComparison(
-                label=f"a={a},b={b}",
-                exact=exact_ab,
-                observed=joint_counts.get((a, b), 0),
-                trials=cfg.trials,
-            )
-            joint.append(cmp_ab)
-            if exact_ab >= min_probability:
-                gated.append(cmp_ab.zscore)
-    max_z = max(gated) if gated else 0.0
-    return SamplerComparison(
-        config=cfg,
-        marginal=marginal,
-        joint=joint,
-        max_zscore=max_z,
-        threshold=z_threshold,
-        passed=max_z <= z_threshold,
-    )
+            if exact_ab >= MIN_PROBABILITY:
+                observed = joint_counts.get((a, b), 0)
+                buckets.append(
+                    BucketComparison(f"a={a},b={b}", exact_ab, observed, cfg.trials)
+                )
+    return buckets

@@ -123,8 +123,8 @@ def test_09_kernel_rows_and_corollary_consistency():
 
 def test_10_sampler_statistics(capsys):
     cfg = SamplerConfig(q=2, u=Fraction(1, 2), seed=1, trials=100_000)
-    comparison = empirical_vs_corollary(cfg)
-    assert comparison.passed, f"max z-score {comparison.max_zscore}"
+    buckets = empirical_vs_corollary(cfg)
+    assert max(c.zscore for c in buckets) <= 4.0
     # byte-identical machine-readable report on rerun with the same seed
     args = ["--json", "verify", "sampler", "--seed", "1", "--trials", "20000"]
     assert cli.main(args) == 0

@@ -1,11 +1,18 @@
 """Tests for the exact Markov-kernel partition sampler."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from clpartitions import cli
 from clpartitions.partitions import Partition, aut_order, partitions_of
 from clpartitions.sampler import (
+    MIN_PROBABILITY,
     TAIL_MASS_BOUND,
     KernelDomainError,
     PartitionSampler,
@@ -54,14 +61,88 @@ class TestInfiniteRow:
         assert row.probabilities[0] == u_over_q_infinite_value(2, U_HALF)
 
     def test_partial_sums_monotone(self):
-        row = kernel_row_infinite(2, U_HALF)
-        cdf = row.cumulative()
-        assert all(b < c for b, c in zip(cdf, cdf[1:]))
-        assert cdf[-1] == 1  # residual folded into the last entry
+        thresholds = kernel_row_infinite(2, U_HALF).thresholds()
+        assert all(b <= c for b, c in zip(thresholds, thresholds[1:]))
+        assert thresholds[-1] == 2**64  # residual folded into the last entry
 
     def test_tail_mass_bound(self):
         for q, u in [(2, U_HALF), (3, Fraction(9, 10))]:
             assert kernel_row_infinite(q, u).truncated_mass < TAIL_MASS_BOUND
+
+
+# every finite row a <= 12 at q in {2, 3}, and the initial row at each (q, u)
+THRESHOLD_ROWS = [
+    kernel_row(a, q, u)
+    for q in (2, 3)
+    for u in (U_HALF, Fraction(1, 3), Fraction(9, 10))
+    for a in range(13)
+] + [
+    kernel_row_infinite(q, u)
+    for q in (2, 3)
+    for u in (U_HALF, Fraction(1, 3), Fraction(9, 10))
+]
+
+
+def scan_draw(row, k):
+    """Reference inverse CDF: the first b with k/2^64 < c_b, by a Fraction scan."""
+    r = Fraction(k, 2**64)
+    total = Fraction(0)
+    for b, p in enumerate(row.probabilities):
+        total += p
+        if r < total:
+            return b
+    raise AssertionError("cumulative sums end below 1")
+
+
+class FixedBits:
+    """Stands in for the sampler's generator: every 64-bit draw is k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def getrandbits(self, bits):
+        assert bits == 64
+        return self.k
+
+
+def threshold_draw(row, k):
+    """The sampler's own draw from *row* when its generator yields k."""
+    sampler = PartitionSampler(SamplerConfig(q=2, u=U_HALF, seed=0, trials=1))
+    sampler._rng = FixedBits(k)
+    return sampler._draw(row.thresholds())
+
+
+class TestThresholdDraw:
+    @given(st.sampled_from(THRESHOLD_ROWS), st.integers(0, 2**64 - 1))
+    def test_random_draw_is_inverse_cdf(self, row, k):
+        assert threshold_draw(row, k) == scan_draw(row, k)
+
+    @pytest.mark.parametrize("index", range(len(THRESHOLD_ROWS)))
+    def test_draws_at_every_threshold(self, index):
+        row = THRESHOLD_ROWS[index]
+        for t in row.thresholds():
+            for k in (t - 1, t):
+                if 0 <= k < 2**64:
+                    assert threshold_draw(row, k) == scan_draw(row, k)
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize(
+        "q,u", [(2, U_HALF), (3, Fraction(1, 3)), (Fraction(5, 2), Fraction(9, 10))]
+    )
+    def test_chain_probability_is_cohen_lenstra_weight(self, q, u):
+        # with uq_inf = 1, (u/q)_inf stays a symbolic factor on both sides:
+        # P(lambda) / (u/q)_inf = u^|lambda| / |Aut(lambda)| exactly
+        rows = {}
+        for n in range(11):
+            for lam in partitions_of(n):
+                cols = lam.conjugate().parts + (0,)
+                chain = cor1_part1(cols[0], q, u, 1)
+                for a, b in zip(cols, cols[1:]):
+                    if a not in rows:
+                        rows[a] = kernel_row(a, q, u)
+                    chain *= rows[a].probabilities[b]
+                assert chain == u**n / aut_order(lam, q), lam
 
 
 class TestCorollaryValues:
@@ -118,9 +199,11 @@ def big_run():
 class TestDistribution:
     def test_corollary_agreement(self):
         cfg = SamplerConfig(q=2, u=U_HALF, seed=1, trials=100_000)
-        comparison = empirical_vs_corollary(cfg)
-        assert comparison.passed, f"max z-score {comparison.max_zscore}"
-        assert comparison.max_zscore <= 4.0
+        buckets = empirical_vs_corollary(cfg)
+        assert buckets[0].label == "a=0"
+        assert all(c.exact >= MIN_PROBABILITY for c in buckets)
+        worst = max(buckets, key=lambda c: c.zscore)
+        assert worst.zscore <= 4.0, f"bucket {worst.label}: z={worst.zscore}"
 
     def test_direct_measure_cross_check(self, big_run):
         # every partition of size <= 4: empirical frequency within 4 standard
@@ -140,3 +223,18 @@ class TestDistribution:
                 assert abs(freq - exact) <= 4 * stderr, (
                     f"{lam}: freq {freq}, exact {exact}"
                 )
+
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+
+
+class TestSampleStream:
+    @pytest.mark.parametrize("seed", [1, 9, 16])
+    def test_stream_matches_recorded_digest(self, seed, capsys):
+        args = ["sample", "--q", "2", "--u", "1/2", "--seed", str(seed), "--trials", "20000"]
+        with open(GOLDENS) as fh:
+            recorded = json.load(fh)["stream"][" ".join(args)]
+        assert cli.main(["--json", *args]) == 0
+        stream = json.loads(capsys.readouterr().out)
+        compact = json.dumps(stream, separators=(",", ":"))
+        assert hashlib.sha256(compact.encode()).hexdigest() == recorded

@@ -116,6 +116,21 @@ class TestFaultInjection:
             "coefficient of u^2: oracle 41/6, middle 20/3, rhs 20/3"
         )
 
+    def test_sampler_failure_names_worst_gated_bucket(self, monkeypatch):
+        real = sampler.cor1_part2
+
+        def perturbed(a, b, q, u, uq_inf):
+            val = real(a, b, q, u, uq_inf)
+            return val * Fraction(11, 10) if (a, b) == (0, 0) else val
+
+        monkeypatch.setattr(sampler, "cor1_part2", perturbed)
+        cfg = sampler.SamplerConfig(q=2, u=Fraction(1, 2), seed=9, trials=2000)
+        report = verify.run_sampler_check(cfg)
+        assert not report.passed
+        assert report.check_name == "cor1-part1"
+        # a=3,b=1 has a larger z but exact probability below MIN_PROBABILITY
+        assert report.detail == "bucket a=0,b=0: observed 1168/2000, exact 0.635334, z=4.77"
+
     def test_corollary_total_mass_failure_keeps_check_id(self, monkeypatch):
         assert verify.run_corollary_consistency_check(2, Fraction(1, 2)).check_name == (
             "cor1-part2"
