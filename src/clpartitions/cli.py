@@ -32,6 +32,17 @@ def parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def non_negative_int(text: str) -> int:
+    """Parse an integer >= 0; a negative bound would select no work."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _emit_reports(reports: list[VerificationReport], as_json: bool) -> int:
     if as_json:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
@@ -71,8 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=[name for name in verify.SUITES if not name.startswith("_")] + ["all"],
     )
-    p_verify.add_argument("--order", type=int, default=8, help="series truncation order")
-    p_verify.add_argument("--n-max", type=int, default=3, help="largest oracle dimension")
+    p_verify.add_argument(
+        "--order", type=non_negative_int, default=8, help="series truncation order"
+    )
+    p_verify.add_argument(
+        "--n-max", type=non_negative_int, default=3, help="largest oracle dimension"
+    )
     p_verify.add_argument("--budget", type=int, default=oracle.DEFAULT_OUTER_BUDGET)
     p_verify.add_argument("--u", type=parse_rational, default=Fraction(1, 2))
     p_verify.add_argument("--seed", type=int, default=1)
@@ -86,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which", choices=["eq1-rhs", "eq2-rhs", "eq1-middle", "eq2-middle"]
     )
     p_series.add_argument("--q", type=parse_rational, required=True)
-    p_series.add_argument("--order", type=int, default=8)
+    p_series.add_argument("--order", type=non_negative_int, default=8)
 
     p_oracle = sub.add_parser("oracle", help="brute-force matrix counts")
     p_oracle.add_argument(
@@ -114,7 +129,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         budget=args.budget,
         include_n4=args.include_n4,
     )
-    return _emit_reports(verify.run_all(config, args.suite), args.json)
+    reports = verify.run_all(config, args.suite)
+    if not reports:
+        raise ValueError(f"verify {args.suite} runs no checks with these flags")
+    return _emit_reports(reports, args.json)
 
 
 def _cmd_series(args: argparse.Namespace) -> int:

@@ -12,19 +12,14 @@ are rational-function identities in q, so non-prime-power q is allowed).
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .series import (
-    PowerSeries,
-    Rational,
-    geometric_series,
-    irreducible_count,
-    pochhammer_scalar,
-)
+from .series import PowerSeries, Rational, geometric_series, irreducible_count
 
 
 @dataclass(frozen=True, order=True)
@@ -88,20 +83,48 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 
 def aut_order(p: Partition, q: Rational) -> Fraction:
-    """|Aut(lambda)| at evaluation point q."""
+    """|Aut(lambda)| at evaluation point q, built from integers.
+
+    Write q = a/b in lowest terms, n2 = sum_i (lambda'_i)^2 and, over the
+    multiplicities m of the parts, M = sum m(m+1)/2 and
+    P_m = prod_{k=1..m} (a^k - b^k).  Then
+
+        |Aut(lambda)| = a^(n2 - M) * prod_m P_m / b^n2.
+
+    Derivation:
+
+    * n2 = sum_i (2i - 1) lambda_i: (lambda'_j)^2 counts the ordered pairs
+      of rows that both reach column j, rows i and i' share
+      min(lambda_i, lambda_i') = lambda_max(i,i') columns, and row i is
+      the larger index of 2i - 1 ordered pairs.  So lambda' is not built.
+    * 1 - q^-k = (a^k - b^k) / a^k, so (1/q)_m = P_m / a^(m(m+1)/2), and
+      q^n2 = a^n2 / b^n2.
+    * n2 >= M, since m_i = lambda'_i - lambda'_{i+1} <= lambda'_i and
+      m(m+1)/2 <= m^2, so the power of a is an integer.
+    * The quotient is in lowest terms: a prime dividing b divides neither
+      a nor a^k - b^k.
+    """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    result = q ** sum(c * c for c in p.conjugate().parts)
-    for m in Counter(p.parts).values():
-        result *= _inverse_q_pochhammer(m, q)
-    return result
+    a, b = q.numerator, q.denominator
+    parts = p.parts
+    n2 = sum(map(operator.mul, range(1, 2 * len(parts), 2), parts))
+    numerator, big_m = 1, 0
+    for part in set(parts):
+        m = parts.count(part)
+        numerator *= _pochhammer_numerator(m, a, b)
+        big_m += m * (m + 1) // 2
+    return Fraction(numerator * a ** (n2 - big_m), b**n2)
 
 
 @lru_cache(maxsize=None)
-def _inverse_q_pochhammer(m: int, q: Fraction) -> Fraction:
-    """(1/q)_m, memoized per (m, q) for aut_order."""
-    return pochhammer_scalar(1 / q, m, q)
+def _pochhammer_numerator(m: int, a: int, b: int) -> int:
+    """P_m = prod_{k=1..m} (a^k - b^k) = a^(m(m+1)/2) (1/q)_m at q = a/b."""
+    result = 1
+    for k in range(1, m + 1):
+        result *= a**k - b**k
+    return result
 
 
 def _partition_sum(
@@ -112,14 +135,29 @@ def _partition_sum(
     A partition of size s contributes only to the u^s coefficient, so
     enumerating sizes 0..order is exact.  aut_order is looked up when the
     sum runs, so a replaced aut_order reaches every middle series.
+
+    With q = a/b in lowest terms, the term q^e / w is the integer pair
+    a^e * w.denominator over b^e * w.numerator (e = exponent(lambda) >= 0).
+    The terms of one size are added over the least common multiple of
+    their denominators and reduced once, so no Fraction arithmetic runs
+    per term.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    return [
-        sum(q ** exponent(lam) / aut_order(lam, q) for lam in partitions_of(s))
-        for s in range(order + 1)
-    ]
+    a, b = q.numerator, q.denominator
+    coeffs = []
+    for s in range(order + 1):
+        numerators, denominators = [], []
+        for lam in partitions_of(s):
+            e = exponent(lam)
+            w = aut_order(lam, q)
+            numerators.append(a**e * w.denominator)
+            denominators.append(b**e * w.numerator)
+        common = math.lcm(*denominators)
+        total = sum(n * (common // d) for n, d in zip(numerators, denominators))
+        coeffs.append(Fraction(total, common))
+    return coeffs
 
 
 def eq1_middle_series(q: Rational, order: int) -> PowerSeries:

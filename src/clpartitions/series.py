@@ -6,11 +6,10 @@ single variable u, truncated (inclusively) at a fixed order N, so it
 carries N+1 rational coefficients.  Arithmetic requires matching orders
 and always discards terms of degree > N.
 
-The q-Pochhammer symbol used throughout is the descending one,
+The q-Pochhammer symbol used throughout is the descending one, for a
+rational x,
 
-    (x)_i = (1 - x)(1 - x/q)(1 - x/q^2) ... (1 - x/q^(i-1)),
-
-where x may be a rational scalar or a truncated series.
+    (x)_i = (1 - x)(1 - x/q)(1 - x/q^2) ... (1 - x/q^(i-1)).
 """
 
 from __future__ import annotations
@@ -65,26 +64,12 @@ class PowerSeries:
         return PowerSeries(tuple(cs))
 
     @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries.from_coeffs([], order)
-
-    @staticmethod
     def one(order: int) -> "PowerSeries":
         return PowerSeries.from_coeffs([1], order)
 
     @staticmethod
     def constant(c: Rational, order: int) -> "PowerSeries":
         return PowerSeries.from_coeffs([c], order)
-
-    @staticmethod
-    def monomial(degree: int, order: int, c: Rational = 1) -> "PowerSeries":
-        """c * u^degree, truncated at *order* (vanishes if degree > order)."""
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        cs = [Fraction(0)] * (order + 1)
-        if degree <= order:
-            cs[degree] = Fraction(c)
-        return PowerSeries(tuple(cs))
 
     def coefficient(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -204,20 +189,6 @@ def pochhammer_scalar(x: Rational, i: int, q: Rational) -> Fraction:
     result = Fraction(1)
     for k in range(i):
         result *= 1 - x / q**k
-    return result
-
-
-def pochhammer_finite(x: PowerSeries, i: int, q: Rational) -> PowerSeries:
-    """(x)_i for a series argument, truncated at x's order."""
-    if i < 0:
-        raise ValueError("pochhammer index must be non-negative")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    one = PowerSeries.one(x.order)
-    result = one
-    for k in range(i):
-        result = result * (one - x * (1 / q**k))
     return result
 
 

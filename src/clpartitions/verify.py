@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import oracle, partitions, sampler
 from .partitions import (
@@ -30,9 +30,7 @@ from .series import (
     Rational,
     geometric_series,
     gl_order,
-    pochhammer_finite,
     pochhammer_infinite_u_over_q,
-    pochhammer_scalar,
     sum_wellknown_identity_lhs,
 )
 
@@ -65,22 +63,42 @@ class VerificationReport:
         }
 
 
-def eq1_rhs_series(q: Rational, order: int) -> PowerSeries:
-    """(1/(1-u)) * sum_{a>=0} u^a / ((1/q)_a (u/q)_a), truncated.
+def _sum_over_u_pochhammer(
+    q: Fraction, order: int, step: int, q_exponent: Callable[[int], int]
+) -> list[Fraction]:
+    """Coefficients of sum_{a>=0} u^{step*a} / (q^{q_exponent(a)} (1/q)_a (u/q)_a).
 
-    The u^a prefactor kills all a > order below the truncation, so the sum
-    over a = 0..order is exact; each summand's (u/q)_a is expanded as an
-    exact series and inverted.
+    The u^{step*a} prefactor kills all step*a > order below the
+    truncation, so the sum over a = 0..order // step is exact.  The
+    coefficients of 1/(u/q)_a are one list, advanced in place from those
+    of 1/(u/q)_{a-1}: 1/(u/q)_a = 1/(u/q)_{a-1} * 1/(1 - u/q^a), and
+    dividing by 1 - c*u is the recurrence x_n += c * x_{n-1}.  Only
+    u^0..u^{order - step*a}, the degrees that term a and later terms
+    reach, are kept current.  (1/q)_a is a running product.
     """
+    inverse = [Fraction(1)] + [Fraction(0)] * order  # 1/(u/q)_a
+    scalar = Fraction(1)  # (1/q)_a
+    total = [Fraction(0)] * (order + 1)
+    for a in range(order // step + 1):
+        top = order - step * a
+        if a:
+            c = 1 / q**a
+            scalar *= 1 - c
+            for n in range(1, top + 1):
+                inverse[n] += c * inverse[n - 1]
+        weight = 1 / (q ** q_exponent(a) * scalar)
+        for j in range(top + 1):
+            total[step * a + j] += weight * inverse[j]
+    return total
+
+
+def eq1_rhs_series(q: Rational, order: int) -> PowerSeries:
+    """(1/(1-u)) * sum_{a>=0} u^a / ((1/q)_a (u/q)_a), truncated."""
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    u_over_q = PowerSeries.monomial(1, order, Fraction(1) / q)
-    total = PowerSeries.zero(order)
-    for a in range(order + 1):
-        denom = pochhammer_finite(u_over_q, a, q) * pochhammer_scalar(1 / q, a, q)
-        total = total + PowerSeries.monomial(a, order) * denom.inverse()
-    return geometric_series(order) * total
+    total = _sum_over_u_pochhammer(q, order, 1, lambda a: 0)
+    return geometric_series(order) * PowerSeries(tuple(total))
 
 
 def eq2_rhs_series(q: Rational, order: int) -> PowerSeries:
@@ -88,15 +106,8 @@ def eq2_rhs_series(q: Rational, order: int) -> PowerSeries:
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    u_over_q = PowerSeries.monomial(1, order, Fraction(1) / q)
-    total = PowerSeries.zero(order)
-    for c in range(order // 2 + 1):
-        denom = (
-            pochhammer_finite(u_over_q, c, q)
-            * (q ** (c * c) * pochhammer_scalar(1 / q, c, q))
-        )
-        total = total + PowerSeries.monomial(2 * c, order) * denom.inverse()
-    return pochhammer_infinite_u_over_q(q, order).inverse() * total
+    total = _sum_over_u_pochhammer(q, order, 2, lambda c: c * c)
+    return pochhammer_infinite_u_over_q(q, order).inverse() * PowerSeries(tuple(total))
 
 
 def _compare_routes(name: str, params: dict, routes: dict) -> VerificationReport:

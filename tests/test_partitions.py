@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import pytest
 
+import reference
+from clpartitions import partitions
 from clpartitions.partitions import (
     Partition,
     aut_order,
@@ -113,6 +115,14 @@ class TestAutOrder:
         assert aut_order(Partition((1,)), 4) == 3
         assert aut_order(Partition((1, 1)), 4) == 180 == gl_order(2, 4)
 
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(4), Fraction(5, 2), Fraction(7, 3), Fraction(10)]
+    )
+    def test_integer_form_matches_product_form(self, q):
+        # at 7/3 both the numerator and the denominator of q exceed 1
+        for n in range(13):
+            for lam in partitions_of(n):
+                assert aut_order(lam, q) == reference.aut_order(lam, q)
 
     def test_memo_keyed_by_q(self):
         # (1/q)_m is memoized; interleaving evaluation points must not mix them
@@ -123,6 +133,34 @@ class TestAutOrder:
                     for i in set(lam.parts):
                         want *= pochhammer_scalar(1 / q, lam.multiplicity(i), q)
                     assert aut_order(lam, q) == want
+
+
+EXPONENTS = {
+    "eq1": lambda lam: lam.length**2,
+    "eq2": lambda lam: lam.length**2 - lam.multiplicity(1),
+    "weight": lambda lam: 0,
+}
+
+
+class TestPartitionSum:
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(5, 2), Fraction(7, 3), Fraction(10)]
+    )
+    def test_matches_per_term_fraction_sum(self, q, exponent):
+        got = partitions._partition_sum(q, 12, EXPONENTS[exponent])
+        assert got == reference.partition_sum(q, 12, EXPONENTS[exponent])
+
+    def test_any_replaced_weight_is_summed_exactly(self, monkeypatch):
+        # weights that share no structure with |Aut|, signs included, so
+        # the common-denominator pass cannot rely on aut_order's form
+        def weight(lam, q):
+            return reference.aut_order(lam, q) * Fraction(2 * lam.size - 7, 3 + lam.length)
+
+        monkeypatch.setattr(partitions, "aut_order", weight)
+        for q in (Fraction(3), Fraction(7, 3)):
+            got = partitions._partition_sum(q, 9, EXPONENTS["eq2"])
+            assert got == reference.partition_sum(q, 9, EXPONENTS["eq2"], weight)
 
 
 class TestClWeight:

@@ -1,13 +1,20 @@
 """Tests for the verification harness and its CLI."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reference
 from clpartitions import cli, oracle, partitions, sampler, series, verify
 from clpartitions.partitions import Partition
-from clpartitions.series import geometric_series, pochhammer_infinite_u_over_q
+from clpartitions.series import (
+    PowerSeries,
+    geometric_series,
+    pochhammer_infinite_u_over_q,
+)
 from clpartitions.verify import (
     VerificationReport,
     eq1_rhs_series,
@@ -62,6 +69,15 @@ class TestRhsSeries:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             eq1_rhs_series(Fraction(1, 2), 4)
+
+    @pytest.mark.parametrize(
+        "q",
+        [Fraction(q) for q in (2, 3, 4, Fraction(5, 2), Fraction(7, 2), 10)],
+    )
+    def test_matches_inverted_pochhammer_products(self, q):
+        for order in range(13):
+            assert eq1_rhs_series(q, order) == reference.eq1_rhs_series(q, order)
+            assert eq2_rhs_series(q, order) == reference.eq2_rhs_series(q, order)
 
 
 class TestChecks:
@@ -178,6 +194,23 @@ class TestFaultInjection:
             f"coefficient of u^3: middle {fmt_rat(got)}, rhs {fmt_rat(want)}"
         )
 
+    def test_perturbed_rhs_factor_is_caught(self, monkeypatch):
+        # 1/(1-u) with the u^3 coefficient doubled: a wrong factor of eq1's rhs
+        def perturbed(order):
+            return PowerSeries(tuple(2 if k == 3 else 1 for k in range(order + 1)))
+
+        monkeypatch.setattr(verify, "geometric_series", perturbed)
+        q = Fraction(5, 2)
+        middle = partitions.eq1_middle_series(q, 6).coeffs[3]
+        rhs = eq1_rhs_series(q, 6).coeffs[3]
+        assert middle != rhs
+        eq1, eq2 = run_rational_q_check(q, 6)
+        assert eq2.passed
+        assert not eq1.passed and eq1.check_name == "eq1-rational-q"
+        assert eq1.detail == (
+            f"coefficient of u^3: middle {fmt_rat(middle)}, rhs {fmt_rat(rhs)}"
+        )
+
     def test_internal_cross_check_failure_exits_one(self, monkeypatch, capsys):
         real = series.euler_expansion_u_over_q
         monkeypatch.setattr(
@@ -229,6 +262,29 @@ class TestCli:
     def test_usage_exit_code(self, capsys):
         assert cli.main(["oracle", "count-pairs", "--n", "2", "--p", "7"]) == cli.EXIT_USAGE
         assert cli.main(["series", "eq1-rhs", "--q", "x", "--order", "2"]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "lemmas", "--n-max", "-1"],
+            ["verify", "eq1", "--n-max", "-1"],
+            ["verify", "eq2", "--order", "-1"],
+            ["verify", "all", "--n-max", "-1"],
+            ["series", "eq1-rhs", "--q", "2", "--order", "-1"],
+        ],
+        ids=["lemmas-n-max", "eq1-n-max", "eq2-order", "all-n-max", "series-order"],
+    )
+    def test_negative_bound_is_usage_error(self, args, capsys):
+        assert cli.main(["--json", *args]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >= 0" in captured.err
+
+    def test_suite_without_checks_is_usage_error(self, capsys):
+        # lemmas run n = 1..n_max, so n_max = 0 selects no check
+        assert cli.main(["--json", "verify", "lemmas", "--n-max", "0"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: verify lemmas runs no checks with these flags\n"
 
     def test_verify_all_honours_n_max(self, capsys):
         args = ["--json", "verify", "all", "--n-max", "2", "--trials", "2000"]
@@ -289,3 +345,23 @@ class TestCli:
         for r in reports:
             assert set(r) == {"check", "parameters", "status", "kind", "detail"}
             assert r["status"] == "pass"
+
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+
+
+class TestSeriesGoldens:
+    """The 12 series-deep outputs against the digests of perfbench/goldens.json."""
+
+    @pytest.mark.parametrize("q", ["2", "5/2", "10"])
+    @pytest.mark.parametrize(
+        "which", ["eq1-middle", "eq1-rhs", "eq2-middle", "eq2-rhs"]
+    )
+    def test_series_matches_recorded_digests(self, which, q, capsys):
+        args = ["series", which, "--q", q, "--order", "26"]
+        with open(GOLDENS) as fh:
+            recorded = json.load(fh)["series"][" ".join(args)]
+        assert cli.main(["--json", *args]) == 0
+        coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+        got = [hashlib.sha256(c.encode()).hexdigest()[:16] for c in coefficients]
+        assert got == recorded
