@@ -10,7 +10,6 @@ exact Markov kernel and validates the sampler's statistics.
 
 from .partitions import Partition, partitions_of
 from .sampler import KernelRow, PartitionSampler, SamplerConfig
-from .series import PowerSeries
 from .verify import VerificationReport, VerifierConfig, run_all
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "KernelRow",
     "PartitionSampler",
     "SamplerConfig",
-    "PowerSeries",
     "VerificationReport",
     "VerifierConfig",
     "run_all",

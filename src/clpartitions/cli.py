@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import oracle, partitions, sampler, series, verify
+from . import oracle, partitions, sampler, verify
 from .sampler import PartitionSampler, SamplerConfig
 from .verify import VerificationReport, VerifierConfig, fmt_rat
 
@@ -56,12 +56,12 @@ def _emit_reports(reports: list[VerificationReport], as_json: bool) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def _print_series(name: str, series, as_json: bool) -> None:
-    coeffs = [fmt_rat(c) for c in series.coeffs]
+def _print_series(name: str, coeffs: list[Fraction], as_json: bool) -> None:
+    shown = [fmt_rat(c) for c in coeffs]
     if as_json:
-        print(json.dumps({"series": name, "coefficients": coeffs}, indent=2))
+        print(json.dumps({"series": name, "coefficients": shown}, indent=2))
     else:
-        for k, c in enumerate(coeffs):
+        for k, c in enumerate(shown):
             print(f"u^{k}: {c}")
 
 
@@ -197,9 +197,6 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except series.CrossCheckError as exc:
-        print(f"identity failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except (ValueError, sampler.KernelDomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

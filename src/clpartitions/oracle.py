@@ -365,13 +365,13 @@ def _span(vectors: list[int], pk: _Packing) -> list[int]:
     return out
 
 
-def _matrix_at(index: int, n: int, p: int) -> PrimeFieldMatrix:
-    """The index-th matrix of Mat_n(F_p) in lexicographic order."""
+def _matrix_at(index: int, n: int, p: int) -> tuple[int, ...]:
+    """Row-major entries of the index-th matrix of Mat_n(F_p) in lexicographic order."""
     entries = []
     for _ in range(n * n):
         index, e = divmod(index, p)
         entries.append(e)
-    return PrimeFieldMatrix(n, p, tuple(reversed(entries)))
+    return tuple(reversed(entries))
 
 
 # -- the census ---------------------------------------------------------------
@@ -564,10 +564,11 @@ def count_nilpotent_by_type(
 
 def find_lemma2_counterexample(
     n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET
-) -> Optional[tuple[PrimeFieldMatrix, int, int]]:
+) -> Optional[tuple[tuple[int, ...], int, int]]:
     """First A (if any) with annihilator_dimension(A) != (n - rank(A))^2.
 
-    Returns (A, computed dimension, expected m^2) or None on a clean pass.
+    Returns (row-major entries of A, computed dimension, expected m^2) or
+    None on a clean pass.
     """
     found = _checked_census(n, p, budget).lemma2
     if found is None:
@@ -581,10 +582,11 @@ def find_lemma3_counterexample(
     p: int,
     budget: int = DEFAULT_OUTER_BUDGET,
     inner_budget: int = DEFAULT_INNER_BUDGET,
-) -> Optional[tuple[PrimeFieldMatrix, int, int]]:
+) -> Optional[tuple[tuple[int, ...], int, int]]:
     """First nilpotent A whose nilpotent-annihilator count is not p^{m^2 - d}.
 
-    Returns (A, enumerated count, expected count) or None on a clean pass.
+    Returns (row-major entries of A, enumerated count, expected count) or
+    None on a clean pass.
     """
     _checked_census(n, p, budget, inner_budget)
     found = _nilpotent_annihilators(n, p)[1]

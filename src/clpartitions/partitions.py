@@ -17,9 +17,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
-from .series import PowerSeries, Rational, geometric_series, irreducible_count
+from .series import Rational, irreducible_count, multiply, power
 
 
 @dataclass(frozen=True, order=True)
@@ -64,22 +65,24 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def _partitions_rec(n: int, max_part: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_rec(n - first, first):
-            out.append((first,) + rest)
-    return out
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in reverse-lexicographic order of parts."""
+    """All partitions of n, in reverse-lexicographic order of parts.
+
+    Each largest part f, from n down, is put in front of the memoized
+    partitions of n - f whose parts are all <= f; they are already in
+    reverse-lexicographic order, so the result is too.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(Partition(p) for p in _partitions_rec(n, n))
+    if n == 0:
+        return (Partition(),)
+    return tuple(
+        Partition((first, *rest.parts))
+        for first in range(n, 0, -1)
+        for rest in partitions_of(n - first)
+        if not rest.parts or rest.parts[0] <= first
+    )
 
 
 def aut_order(p: Partition, q: Rational) -> Fraction:
@@ -160,28 +163,29 @@ def _partition_sum(
     return coeffs
 
 
-def eq1_middle_series(q: Rational, order: int) -> PowerSeries:
-    """(1/(1-u)) * sum_lambda q^{(lambda'_1)^2} u^{|lambda|} / |Aut(lambda)|."""
-    cs = _partition_sum(q, order, lambda lam: lam.length**2)
-    return PowerSeries(tuple(cs)) * geometric_series(order)
+def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
+    """(1/(1-u)) * sum_lambda q^{(lambda'_1)^2} u^{|lambda|} / |Aut(lambda)|.
+
+    The factor 1/(1-u) is the prefix sum of the coefficients.
+    """
+    return list(accumulate(_partition_sum(q, order, lambda lam: lam.length**2)))
 
 
-def eq2_middle_series(q: Rational, order: int) -> PowerSeries:
+def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    cs = _partition_sum(q, order, lambda lam: lam.length**2 - lam.multiplicity(1))
-    return PowerSeries(tuple(cs))
+    return _partition_sum(q, order, lambda lam: lam.length**2 - lam.multiplicity(1))
 
 
-def unnormalized_weight_series(q: Rational, order: int) -> PowerSeries:
+def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| truncated at *order*.
 
     Equals 1/(u/q)_inf coefficientwise; this is the statement that the
     Cohen-Lenstra measure P_u has total mass 1.
     """
-    return PowerSeries(tuple(_partition_sum(q, order, lambda lam: 0)))
+    return _partition_sum(q, order, lambda lam: 0)
 
 
-def product_over_irreducibles_series(q: int, order: int) -> PowerSeries:
+def product_over_irreducibles_series(q: int, order: int) -> list[Fraction]:
     """The centralizer product over monic irreducibles phi != z.
 
     prod_{phi != z} sum_lambda u^{d(phi)|lambda|} / |Aut(lambda)|_{q -> q^{d(phi)}}
@@ -195,11 +199,11 @@ def product_over_irreducibles_series(q: int, order: int) -> PowerSeries:
         raise ValueError("requires integer q >= 2")
     if order < 0:
         raise ValueError("order must be >= 0")
-    result = PowerSeries.one(order)
+    result = [Fraction(1)] + [Fraction(0)] * order
     for d in range(1, order + 1):
         count = irreducible_count(d, q) - (d == 1)  # exclude phi = z
         cs = [Fraction(0)] * (order + 1)
         for s, c in enumerate(_partition_sum(q**d, order // d, lambda lam: 0)):
             cs[d * s] = c
-        result = result * PowerSeries(tuple(cs)) ** count
+        result = multiply(result, power(cs, count))
     return result

@@ -192,8 +192,7 @@ class SamplerConfig:
         object.__setattr__(self, "u", Fraction(self.u))
         if not (isinstance(self.q, int) and self.q >= 2):
             raise KernelDomainError("sampling requires integer q >= 2")
-        if not 0 < self.u < 1:
-            raise KernelDomainError("requires 0 < u < 1")
+        _validate(Fraction(self.q), self.u)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 from . import oracle, partitions, sampler
@@ -26,10 +27,10 @@ from .partitions import (
 )
 from .sampler import SamplerConfig, cor1_part1, cor1_part2, kernel_row
 from .series import (
-    PowerSeries,
     Rational,
-    geometric_series,
     gl_order,
+    inverse,
+    multiply,
     pochhammer_infinite_u_over_q,
     sum_wellknown_identity_lhs,
 )
@@ -92,22 +93,27 @@ def _sum_over_u_pochhammer(
     return total
 
 
-def eq1_rhs_series(q: Rational, order: int) -> PowerSeries:
-    """(1/(1-u)) * sum_{a>=0} u^a / ((1/q)_a (u/q)_a), truncated."""
+def eq1_rhs_series(q: Rational, order: int) -> list[Fraction]:
+    """(1/(1-u)) * sum_{a>=0} u^a / ((1/q)_a (u/q)_a), truncated.
+
+    The factor 1/(1-u) is the prefix sum of the coefficients.
+    """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    total = _sum_over_u_pochhammer(q, order, 1, lambda a: 0)
-    return geometric_series(order) * PowerSeries(tuple(total))
+    return list(accumulate(_sum_over_u_pochhammer(q, order, 1, lambda a: 0)))
 
 
-def eq2_rhs_series(q: Rational, order: int) -> PowerSeries:
-    """(1/(u/q)_inf) * sum_{c>=0} u^{2c} / (q^{c^2} (1/q)_c (u/q)_c), truncated."""
+def eq2_rhs_series(q: Rational, order: int) -> list[Fraction]:
+    """(1/(u/q)_inf) * sum_{c>=0} u^{2c} / (q^{c^2} (1/q)_c (u/q)_c), truncated.
+
+    (u/q)_inf is Euler's expansion, inverted once.
+    """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
     total = _sum_over_u_pochhammer(q, order, 2, lambda c: c * c)
-    return pochhammer_infinite_u_over_q(q, order).inverse() * PowerSeries(tuple(total))
+    return multiply(inverse(pochhammer_infinite_u_over_q(q, order)), total)
 
 
 def _compare_routes(name: str, params: dict, routes: dict) -> VerificationReport:
@@ -161,8 +167,8 @@ def run_eq_check(
     ]
     routes = {
         "oracle": oracle_coeffs,
-        "middle": middle_series(q, order).coeffs,
-        "rhs": rhs_series(q, order).coeffs,
+        "middle": middle_series(q, order),
+        "rhs": rhs_series(q, order),
     }
     return _compare_routes(name, {"q": q, "n_max": n_max, "N": order}, routes)
 
@@ -174,21 +180,25 @@ def run_rational_q_check(q: Rational, order: int) -> list[VerificationReport]:
     reports = []
     for name in ("eq1", "eq2"):
         middle, rhs, _ = _eq_routes(name)
-        routes = {"middle": middle(q, order).coeffs, "rhs": rhs(q, order).coeffs}
+        routes = {"middle": middle(q, order), "rhs": rhs(q, order)}
         reports.append(_compare_routes(f"{name}-rational-q", params, routes))
     return reports
 
 
 def run_wellknown_identity_check(q: Rational, order: int) -> VerificationReport:
-    """sum_b u^b/(q^b (1/q)_b) * (u/q)_inf == 1 up to *order*."""
+    """sum_b u^b/(q^b (1/q)_b) times Euler's expansion of (u/q)_inf == 1 up to *order*.
+
+    The b-sum and Euler's expansion are computed on their own, so a wrong
+    coefficient in either shows here as a failed report.
+    """
     q = Fraction(q)
-    product = sum_wellknown_identity_lhs(q, order) * pochhammer_infinite_u_over_q(
-        q, order
+    product = multiply(
+        sum_wellknown_identity_lhs(q, order), pochhammer_infinite_u_over_q(q, order)
     )
     return _compare_routes(
         "wellknown-identity",
         {"q": fmt_rat(q), "N": order},
-        {"lhs": product.coeffs, "rhs": PowerSeries.one(order).coeffs},
+        {"lhs": product, "rhs": [1] + [0] * order},
     )
 
 
@@ -199,8 +209,8 @@ def run_measure_normalization_check(q: Rational, order: int) -> VerificationRepo
         "measure-normalization",
         {"q": fmt_rat(q), "N": order},
         {
-            "middle": unnormalized_weight_series(q, order).coeffs,
-            "rhs": pochhammer_infinite_u_over_q(q, order).inverse().coeffs,
+            "middle": unnormalized_weight_series(q, order),
+            "rhs": inverse(pochhammer_infinite_u_over_q(q, order)),
         },
     )
 
@@ -211,8 +221,8 @@ def run_irreducible_product_check(q: int, order: int) -> VerificationReport:
         "irreducible-product",
         {"q": q, "N": order},
         {
-            "middle": product_over_irreducibles_series(q, order).coeffs,
-            "rhs": geometric_series(order).coeffs,
+            "middle": product_over_irreducibles_series(q, order),
+            "rhs": [1] * (order + 1),
         },
     )
 
@@ -230,7 +240,7 @@ def run_lemma2_check(
         "lemma2",
         params,
         "fail",
-        detail=f"A={A.entries}: dimension {got} != {want}",
+        detail=f"A={A}: dimension {got} != {want}",
     )
 
 
@@ -247,7 +257,7 @@ def run_lemma3_check(
         "lemma3",
         params,
         "fail",
-        detail=f"A={A.entries}: count {got} != {want}",
+        detail=f"A={A}: count {got} != {want}",
     )
 
 
@@ -377,6 +387,10 @@ class VerifierConfig:
     budget: int = oracle.DEFAULT_OUTER_BUDGET
     include_n4: bool = False
 
+    def sampler_config(self) -> SamplerConfig:
+        """The Monte Carlo check's configuration; refuses bad u, seed or trials."""
+        return SamplerConfig(q=PRIMES[0], u=self.u, seed=self.seed, trials=self.trials)
+
 
 def _eq_reports(name: str, config: VerifierConfig) -> list[VerificationReport]:
     cases = [(q, config.n_max) for q in PRIMES]
@@ -405,10 +419,7 @@ def _sampler_reports(config: VerifierConfig) -> list[VerificationReport]:
     for q in PRIMES:
         reports.append(run_kernel_row_check(q, config.u))
         reports.append(run_corollary_consistency_check(q, config.u))
-    cfg = SamplerConfig(
-        q=PRIMES[0], u=config.u, seed=config.seed, trials=config.trials
-    )
-    reports.append(run_sampler_check(cfg))
+    reports.append(run_sampler_check(config.sampler_config()))
     return reports
 
 
@@ -437,8 +448,11 @@ def run_all(config: VerifierConfig, suite: str = "all") -> list[VerificationRepo
     """Run one suite of SUITES, or every suite for "all".
 
     A single suite returns its reports in the order its checks run; "all"
-    orders them by check name, then parameters.
+    orders them by check name, then parameters.  Bad sampler flags are
+    refused before any suite runs.
     """
+    if suite in ("all", "sampler"):
+        config.sampler_config()
     if suite != "all":
         return SUITES[suite](config)
     reports = [report for build in SUITES.values() for report in build(config)]

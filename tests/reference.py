@@ -9,26 +9,32 @@ from fractions import Fraction
 
 from clpartitions.partitions import partitions_of
 from clpartitions.series import (
-    PowerSeries,
-    geometric_series,
+    inverse,
+    multiply,
     pochhammer_infinite_u_over_q,
     pochhammer_scalar,
 )
 
 
+def add(a, b):
+    """The element-wise sum of two series truncated at the same order."""
+    assert len(a) == len(b)
+    return [x + y for x, y in zip(a, b)]
+
+
 def zero(order):
     """The zero series, truncated at *order*."""
-    return PowerSeries.from_coeffs([], order)
+    return [Fraction(0)] * (order + 1)
 
 
 def monomial(degree, order, c=1):
     """c * u^degree, truncated at *order* (vanishes if degree > order)."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    cs = [Fraction(0)] * (order + 1)
+    cs = zero(order)
     if degree <= order:
         cs[degree] = Fraction(c)
-    return PowerSeries(tuple(cs))
+    return cs
 
 
 def pochhammer_finite(x, i, q):
@@ -38,10 +44,10 @@ def pochhammer_finite(x, i, q):
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
-    one = PowerSeries.one(x.order)
+    one = monomial(0, len(x) - 1)
     result = one
     for k in range(i):
-        result = result * (one - x * (1 / q**k))
+        result = multiply(result, add(one, [-c / q**k for c in x]))
     return result
 
 
@@ -71,8 +77,8 @@ def _sum_of_inverted_products(q, order, step, scale):
     u_over_q = monomial(1, order, Fraction(1) / q)
     total = zero(order)
     for a in range(order // step + 1):
-        denom = pochhammer_finite(u_over_q, a, q) * scale(a)
-        total = total + monomial(step * a, order) * denom.inverse()
+        denom = [scale(a) * c for c in pochhammer_finite(u_over_q, a, q)]
+        total = add(total, multiply(monomial(step * a, order), inverse(denom)))
     return total
 
 
@@ -82,7 +88,7 @@ def eq1_rhs_series(q, order):
     total = _sum_of_inverted_products(
         q, order, 1, lambda a: pochhammer_scalar(1 / q, a, q)
     )
-    return geometric_series(order) * total
+    return multiply([Fraction(1)] * (order + 1), total)
 
 
 def eq2_rhs_series(q, order):
@@ -91,4 +97,4 @@ def eq2_rhs_series(q, order):
     total = _sum_of_inverted_products(
         q, order, 2, lambda c: q ** (c * c) * pochhammer_scalar(1 / q, c, q)
     )
-    return pochhammer_infinite_u_over_q(q, order).inverse() * total
+    return multiply(inverse(pochhammer_infinite_u_over_q(q, order)), total)

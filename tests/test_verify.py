@@ -10,11 +10,7 @@ import pytest
 import reference
 from clpartitions import cli, oracle, partitions, sampler, series, verify
 from clpartitions.partitions import Partition
-from clpartitions.series import (
-    PowerSeries,
-    geometric_series,
-    pochhammer_infinite_u_over_q,
-)
+from clpartitions.series import inverse, multiply, pochhammer_infinite_u_over_q
 from clpartitions.verify import (
     VerificationReport,
     eq1_rhs_series,
@@ -31,11 +27,11 @@ SERIES_ROUTES = {
     "eq2-rational-q": ("eq2_middle_series", eq2_rhs_series),
     "measure-normalization": (
         "unnormalized_weight_series",
-        lambda q, N: pochhammer_infinite_u_over_q(q, N).inverse(),
+        lambda q, N: inverse(pochhammer_infinite_u_over_q(q, N)),
     ),
     "irreducible-product": (
         "product_over_irreducibles_series",
-        lambda q, N: geometric_series(N),
+        lambda q, N: [1] * (N + 1),
     ),
 }
 
@@ -56,15 +52,15 @@ class TestFormatting:
 class TestRhsSeries:
     def test_eq1_leading_coefficients(self):
         s = eq1_rhs_series(2, 4)
-        assert s.coeffs[0] == 1
-        assert s.coeffs[1] == 3
-        assert s.coeffs[2] == Fraction(20, 3)
+        assert s[0] == 1
+        assert s[1] == 3
+        assert s[2] == Fraction(20, 3)
 
     def test_eq2_leading_coefficients(self):
         s = eq2_rhs_series(2, 4)
-        assert s.coeffs[0] == 1
-        assert s.coeffs[1] == 1
-        assert s.coeffs[2] == Fraction(5, 3)
+        assert s[0] == 1
+        assert s[1] == 1
+        assert s[2] == Fraction(5, 3)
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
@@ -111,8 +107,8 @@ class TestFaultInjection:
             return val * Fraction(q) if lam == Partition((2, 1)) else val
 
         monkeypatch.setattr(partitions, "aut_order", perturbed)
-        middle = partitions.eq1_middle_series(2, 6).coeffs[3]
-        rhs = eq1_rhs_series(2, 6).coeffs[3]
+        middle = partitions.eq1_middle_series(2, 6)[3]
+        rhs = eq1_rhs_series(2, 6)[3]
         assert middle != rhs
         report = run_eq_check("eq1", 2, 2, 6)
         assert not report.passed
@@ -189,20 +185,21 @@ class TestFaultInjection:
         assert not report.passed
         # (2,1) is the only perturbed term and has size 3, so u^0..u^2 agree
         middle, rhs = SERIES_ROUTES[check]
-        got, want = getattr(partitions, middle)(2, 6).coeffs[3], rhs(2, 6).coeffs[3]
+        got, want = getattr(partitions, middle)(2, 6)[3], rhs(2, 6)[3]
         assert report.detail == (
             f"coefficient of u^3: middle {fmt_rat(got)}, rhs {fmt_rat(want)}"
         )
 
     def test_perturbed_rhs_factor_is_caught(self, monkeypatch):
         # 1/(1-u) with the u^3 coefficient doubled: a wrong factor of eq1's rhs
-        def perturbed(order):
-            return PowerSeries(tuple(2 if k == 3 else 1 for k in range(order + 1)))
+        def perturbed(coeffs):
+            coeffs = list(coeffs)
+            return multiply(coeffs, [2 if k == 3 else 1 for k in range(len(coeffs))])
 
-        monkeypatch.setattr(verify, "geometric_series", perturbed)
+        monkeypatch.setattr(verify, "accumulate", perturbed)
         q = Fraction(5, 2)
-        middle = partitions.eq1_middle_series(q, 6).coeffs[3]
-        rhs = eq1_rhs_series(q, 6).coeffs[3]
+        middle = partitions.eq1_middle_series(q, 6)[3]
+        rhs = eq1_rhs_series(q, 6)[3]
         assert middle != rhs
         eq1, eq2 = run_rational_q_check(q, 6)
         assert eq2.passed
@@ -211,16 +208,66 @@ class TestFaultInjection:
             f"coefficient of u^3: middle {fmt_rat(middle)}, rhs {fmt_rat(rhs)}"
         )
 
-    def test_internal_cross_check_failure_exits_one(self, monkeypatch, capsys):
-        real = series.euler_expansion_u_over_q
+    def test_doubled_infinite_product_fails_its_reports(self, monkeypatch):
+        real = pochhammer_infinite_u_over_q
         monkeypatch.setattr(
-            series, "euler_expansion_u_over_q", lambda q, order: real(q, order) * 2
+            verify,
+            "pochhammer_infinite_u_over_q",
+            lambda q, order: [2 * c for c in real(q, order)],
+        )
+        q = Fraction(5, 2)
+        reports = {
+            r.check_name: r
+            for r in [
+                *run_rational_q_check(q, 6),
+                run_wellknown_identity_check(q, 6),
+                verify.run_measure_normalization_check(q, 6),
+            ]
+        }
+        assert reports["eq1-rational-q"].passed
+        # every coefficient is off by a factor of 2, so u^0 already differs
+        assert reports["wellknown-identity"].detail == "coefficient of u^0: lhs 2, rhs 1"
+        for check in ("eq2-rational-q", "measure-normalization"):
+            assert reports[check].detail == "coefficient of u^0: middle 1, rhs 1/2"
+
+    def test_doubled_infinite_product_exits_one_with_reports(self, monkeypatch, capsys):
+        real = pochhammer_infinite_u_over_q
+        monkeypatch.setattr(
+            verify,
+            "pochhammer_infinite_u_over_q",
+            lambda q, order: [2 * c for c in real(q, order)],
         )
         code = cli.main(["verify", "eq2", "--n-max", "1", "--order", "4"])
         assert code == cli.EXIT_FAIL
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("identity failure: internal cross-check failed")
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("[FAIL] eq2 (exact)")
+            assert line.endswith("-- coefficient of u^0: oracle 1, middle 1, rhs 1/2")
+
+    def test_perturbed_b_sum_fails_only_wellknown_identity(self, monkeypatch):
+        # the b-sum with u^3 doubled, wherever it is bound: no other route
+        # may read it
+        real = series.sum_wellknown_identity_lhs
+
+        def perturbed(q, order):
+            return [2 * c if k == 3 else c for k, c in enumerate(real(q, order))]
+
+        monkeypatch.setattr(series, "sum_wellknown_identity_lhs", perturbed)
+        monkeypatch.setattr(verify, "sum_wellknown_identity_lhs", perturbed)
+        q = Fraction(5, 2)
+        reports = [
+            *run_rational_q_check(q, 6),
+            run_wellknown_identity_check(q, 6),
+            verify.run_measure_normalization_check(q, 6),
+            run_eq_check("eq2", 2, 2, 6),
+        ]
+        failed = [r for r in reports if not r.passed]
+        assert [r.check_name for r in failed] == ["wellknown-identity"]
+        want = real(q, 6)[3]  # S * E = 1, so the extra S_3 * E_0 is all that is left
+        assert failed[0].detail == f"coefficient of u^3: lhs {fmt_rat(want)}, rhs 0"
 
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
         real = partitions.aut_order
@@ -285,6 +332,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: verify lemmas runs no checks with these flags\n"
+
+    @pytest.mark.parametrize(
+        "suite,first_work",
+        [("all", (oracle, "count_pairs")), ("sampler", (verify, "kernel_row"))],
+        ids=["all", "sampler"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        [["--trials", "0"], ["--seed", "-1"], ["--u", "3/2"]],
+        ids=["trials", "seed", "u"],
+    )
+    def test_bad_sampler_flag_refused_before_any_work(
+        self, suite, first_work, flag, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            pytest.fail(f"verify {suite} started work before checking {flag[0]}")
+
+        monkeypatch.setattr(*first_work, refuse)
+        assert cli.main(["--json", "verify", suite, *flag]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
 
     def test_verify_all_honours_n_max(self, capsys):
         args = ["--json", "verify", "all", "--n-max", "2", "--trials", "2000"]
