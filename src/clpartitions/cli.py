@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "which", choices=["count-pairs", "count-nilpotent-pairs", "by-type"]
     )
-    p_oracle.add_argument("--n", type=int, required=True)
+    p_oracle.add_argument("--n", type=non_negative_int, required=True)
     p_oracle.add_argument("--p", type=int, required=True)
     p_oracle.add_argument("--budget", type=int, default=oracle.DEFAULT_OUTER_BUDGET)
 

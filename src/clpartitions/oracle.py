@@ -1,4 +1,4 @@
-"""Brute-force ground truth over prime fields F_p.
+"""Brute-force ground truth over prime fields F_p: the census.
 
 Everything in this module is deliberately naive: counts are obtained by
 enumerating matrices (lexicographically over row-major entry vectors) and
@@ -6,27 +6,31 @@ solving linear systems by Gaussian elimination mod p.  These counts are
 the independent oracle against which the q-series and partition-sum
 computations are checked, so no closed-form shortcuts are taken here.
 
-One memoized census per (n, p) walks Mat_n(F_p) once and records every
-aggregate the public counting functions read; a second memoized pass
+The five public counts read one memoized census per (n, p): pass 1
+walks Mat_n(F_p) once and records every aggregate they need, and pass 2
 enumerates the annihilator solution spaces of the nilpotent matrices
 only.  Both run on packed rows: a row of p-adic entries is one Python
 int, entry t in bits [t*w, (t+1)*w), and a single forward-elimination
 routine (:func:`_eliminate`) serves every rank and nullspace computation.
+n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
+which is nilpotent with an annihilator of dimension 0.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .partitions import Partition
 
 DEFAULT_OUTER_BUDGET = 2**26
-DEFAULT_INNER_BUDGET = 2**30
+INNER_BUDGET = 2**30  # most solution vectors pass 2 may enumerate, read per call
 
 _SMALL_PRIMES = {2, 3, 5}
+
+# (row-major entries of A, computed value, expected value), or None
+_Counterexample = Optional[tuple[tuple[int, ...], int, int]]
 
 
 class BudgetExceededError(RuntimeError):
@@ -36,64 +40,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{message}: needs {required}, budget {budget}")
         self.required = required
         self.budget = budget
-
-
-def _check_prime(p: int) -> None:
-    if p not in _SMALL_PRIMES:
-        raise ValueError(f"p must be a small prime (one of {sorted(_SMALL_PRIMES)})")
-
-
-@dataclass(frozen=True)
-class PrimeFieldMatrix:
-    """n x n matrix over F_p, entries row-major in [0, p)."""
-
-    n: int
-    p: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        if self.n < 0:
-            raise ValueError("dimension must be non-negative")
-        if len(self.entries) != self.n * self.n:
-            raise ValueError("entry count must be n^2")
-        if any(not 0 <= e < self.p for e in self.entries):
-            raise ValueError("entries must be reduced mod p")
-
-    @staticmethod
-    def zero(n: int, p: int) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(n, p, (0,) * (n * n))
-
-    @staticmethod
-    def identity(n: int, p: int) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix(
-            n, p, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        )
-
-    def __matmul__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
-        if (self.n, self.p) != (other.n, other.p):
-            raise ValueError("dimension/modulus mismatch")
-        n, p = self.n, self.p
-        a, b = self.entries, other.entries
-        out = [0] * (n * n)
-        for i in range(n):
-            row = a[i * n : (i + 1) * n]
-            for j in range(n):
-                out[i * n + j] = sum(row[k] * b[k * n + j] for k in range(n)) % p
-        return PrimeFieldMatrix(n, p, tuple(out))
-
-    def is_zero(self) -> bool:
-        """Brute-force reference for tests; the counting code never calls it."""
-        return all(e == 0 for e in self.entries)
-
-
-@dataclass(frozen=True)
-class JordanZeroData:
-    """Eigenvalue-0 Jordan statistics extracted from ranks of powers."""
-
-    m: int  # number of Jordan blocks with eigenvalue 0
-    d: int  # number of those blocks of size 1
-    nilpotent_type: Optional[Partition]  # full type, only when A is nilpotent
 
 
 # -- packed rows ------------------------------------------------------------
@@ -174,18 +120,6 @@ def _packing(n: int, p: int) -> _Packing:
 def _reduce(x: int, pk: _Packing) -> int:
     """Every lane of x mod p, for lane values up to the packing's bound."""
     return x - pk.p * (((x * pk.mul) >> pk.shift) & pk.quotient_mask)
-
-
-def _row_codes(A: PrimeFieldMatrix) -> tuple[int, ...]:
-    """Row codes of A: row i has code sum_k A[i][k] * p^(n-1-k)."""
-    n, p = A.n, A.p
-    codes = []
-    for i in range(n):
-        code = 0
-        for e in A.entries[i * n : (i + 1) * n]:
-            code = code * p + e
-        codes.append(code)
-    return tuple(codes)
 
 
 def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
@@ -381,9 +315,9 @@ class _Census(NamedTuple):
     """Aggregates of one lexicographic pass over Mat_n(F_p)."""
 
     pairs: int  # sum of p^dim over every A
-    lemma2: Optional[tuple[int, int, int]]  # first (index, dim, (n - rank)^2) that differ
+    lemma2: _Counterexample  # first (A, dim, (n - rank)^2) that differ
     types: tuple[tuple[tuple[int, ...], int], ...]  # (conjugate type, count), nilpotent A
-    nilpotent: tuple[int, ...]  # lexicographic indices of the nilpotent A
+    nilpotent: tuple[tuple[int, int], ...]  # (lexicographic index, m^2 - d), nilpotent A
     inner: int  # sum of p^dim over the nilpotent A
 
 
@@ -402,26 +336,27 @@ def _census(n: int, p: int) -> _Census:
         dim = _annihilator_nullity(codes, pk)
         pairs += powers[dim]
         if lemma2 is None and dim != (n - ranks[1]) ** 2:
-            lemma2 = (index, dim, (n - ranks[1]) ** 2)
+            lemma2 = (_matrix_at(index, n, p), dim, (n - ranks[1]) ** 2)
         if not ranks[-1]:
             cols = _zero_columns(ranks)
             types[cols] = types.get(cols, 0) + 1
-            nilpotent.append(index)
+            m, d = _zero_block_counts(cols)
+            nilpotent.append((index, m * m - d))
             inner += powers[dim]
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 
 
 @functools.lru_cache(maxsize=None)
-def _nilpotent_annihilators(n: int, p: int) -> tuple[int, Optional[tuple[int, int, int]]]:
+def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     """Pass 2: enumerate the annihilator of each nilpotent A, count nilpotent B.
 
-    Returns (total count, first (index, count, p^(m^2 - d)) that differ).
+    Returns (total count, first (A, count, p^(m^2 - d)) that differ).
     The solution space is enumerated as the sums of two half spans.
     """
     pk = _packing(n, p)
     total = 0
     lemma3 = None
-    for index in _census(n, p).nilpotent:
+    for index, exponent in _census(n, p).nilpotent:
         codes = tuple((index // p ** (n * (n - 1 - i))) % p**n for i in range(n))
         basis = _annihilator_basis(codes, pk)
         half = len(basis) // 2
@@ -432,70 +367,12 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, Optional[tuple[int, in
                 if _is_nilpotent(x ^ y if p == 2 else _reduce(x + y, pk), pk):
                     found += 1
         total += found
-        if lemma3 is None:
-            ranks = _rank_sequence([pk.row[c] for c in codes], pk)
-            m, d = _zero_block_counts(_zero_columns(ranks))
-            if found != p ** (m * m - d):
-                lemma3 = (index, found, p ** (m * m - d))
+        if lemma3 is None and found != p**exponent:
+            lemma3 = (_matrix_at(index, n, p), found, p**exponent)
     return total, lemma3
 
 
-# -- single matrices ----------------------------------------------------------
-
-
-def rank(A: PrimeFieldMatrix) -> int:
-    pk = _packing(A.n, A.p)
-    return _eliminate([pk.row[c] for c in _row_codes(A)], pk, A.n)[1]
-
-
-def annihilator_dimension(A: PrimeFieldMatrix) -> int:
-    """F_p-dimension of {B : AB = BA = 0}."""
-    return _annihilator_nullity(_row_codes(A), _packing(A.n, A.p))
-
-
-def annihilator_basis(A: PrimeFieldMatrix) -> list[tuple[int, ...]]:
-    """Basis (as row-major entry vectors) of {B : AB = BA = 0}.
-
-    The single-matrix view of the annihilator kernel that the census runs
-    on every A; tests pin it on hand-picked matrices.
-    """
-    pk = _packing(A.n, A.p)
-    return [
-        tuple((v >> (t * pk.w)) & pk.lane for t in range(A.n * A.n))
-        for v in _annihilator_basis(_row_codes(A), pk)
-    ]
-
-
-def jordan_zero_data(A: PrimeFieldMatrix) -> JordanZeroData:
-    """m, d, and (for nilpotent A) the full Jordan type, via ranks of powers.
-
-    The conjugate column sizes of the eigenvalue-0 type are
-    lambda'_i = rank(A^{i-1}) - rank(A^i), which stabilize to 0 once the
-    rank sequence does.  The single-matrix view of the rank-sequence kernel
-    that the census runs on every A; tests pin it on hand-picked matrices.
-    """
-    pk = _packing(A.n, A.p)
-    ranks = _rank_sequence([pk.row[c] for c in _row_codes(A)], pk)
-    cols = _zero_columns(ranks)
-    m, d = _zero_block_counts(cols)
-    nil_type = None
-    if not ranks[-1]:
-        nil_type = Partition(cols).conjugate()
-    return JordanZeroData(m=m, d=d, nilpotent_type=nil_type)
-
-
 # -- counts over Mat_n(F_p) ---------------------------------------------------
-
-
-def enumerate_matrices(n: int, p: int) -> Iterator[PrimeFieldMatrix]:
-    """All of Mat_n(F_p), lexicographic over row-major entry vectors.
-
-    The brute-force reference that tests compare the census against; the
-    counting code walks packed rows instead.
-    """
-    _check_prime(p)
-    for entries in itertools.product(range(p), repeat=n * n):
-        yield PrimeFieldMatrix(n, p, entries)
 
 
 def _check_outer_budget(n: int, p: int, budget: int) -> None:
@@ -504,93 +381,69 @@ def _check_outer_budget(n: int, p: int, budget: int) -> None:
         raise BudgetExceededError("outer enumeration too large", required, budget)
 
 
-def _checked_census(n: int, p: int, budget: int, inner_budget: Optional[int] = None) -> _Census:
-    """The census, after refusing any budget it would exceed.
-
-    The outer budget is checked before the memo is consulted, and the inner
-    budget against the census' total solution-space size before pass 2.
-    """
-    _check_prime(p)
+def _checked_census(n: int, p: int, budget: int) -> _Census:
+    """The census, after refusing p or the outer budget (before the memo is read)."""
+    if p not in _SMALL_PRIMES:
+        raise ValueError(f"p must be a small prime (one of {sorted(_SMALL_PRIMES)})")
     _check_outer_budget(n, p, budget)
-    census = _census(n, p)
-    if inner_budget is not None and census.inner > inner_budget:
+    return _census(n, p)
+
+
+def _checked_pass2(n: int, p: int, budget: int) -> tuple[int, _Counterexample]:
+    """Pass 2, after refusing a census whose solution spaces exceed INNER_BUDGET."""
+    census = _checked_census(n, p, budget)
+    if census.inner > INNER_BUDGET:
         raise BudgetExceededError(
-            "inner solution-space enumeration too large", census.inner, inner_budget
+            "inner solution-space enumeration too large", census.inner, INNER_BUDGET
         )
-    return census
+    return _nilpotent_annihilators(n, p)
 
 
 def count_pairs(n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET) -> int:
     """|{A, B in Mat_n(F_p) : AB = BA = 0}|.
 
-    Sums p^{annihilator_dimension(A)} over all A; the inner B-count is the
-    size of a linear solution space, so no inner enumeration is needed.
+    Sums p^dim over all A, dim the annihilator's dimension; the inner
+    B-count is the size of a linear solution space, so no inner
+    enumeration is needed.
     """
-    _check_prime(p)
-    if n == 0:
-        return 1
     return _checked_census(n, p, budget).pairs
 
 
-def count_nilpotent_pairs(
-    n: int,
-    p: int,
-    budget: int = DEFAULT_OUTER_BUDGET,
-    inner_budget: int = DEFAULT_INNER_BUDGET,
-) -> int:
+def count_nilpotent_pairs(n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET) -> int:
     """|{A, B in Nil_n(F_p) : AB = BA = 0}|.
 
     For each nilpotent A, enumerates the solution space of AB = BA = 0 from
     a nullspace basis and counts the nilpotent members, so the count is
     independent of any closed form for that quantity.
     """
-    _check_prime(p)
-    if n == 0:
-        return 1
-    _checked_census(n, p, budget, inner_budget)
-    return _nilpotent_annihilators(n, p)[0]
+    return _checked_pass2(n, p, budget)[0]
 
 
 def count_nilpotent_by_type(
     n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET
 ) -> dict[Partition, int]:
     """Counts of nilpotent matrices in Mat_n(F_p) by Jordan type."""
-    _check_prime(p)
-    if n == 0:
-        return {Partition(): 1}
     census = _checked_census(n, p, budget)
     return {Partition(cols).conjugate(): count for cols, count in census.types}
 
 
 def find_lemma2_counterexample(
     n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET
-) -> Optional[tuple[tuple[int, ...], int, int]]:
-    """First A (if any) with annihilator_dimension(A) != (n - rank(A))^2.
+) -> _Counterexample:
+    """First A (if any) whose annihilator dimension is not (n - rank(A))^2.
 
     Returns (row-major entries of A, computed dimension, expected m^2) or
     None on a clean pass.
     """
-    found = _checked_census(n, p, budget).lemma2
-    if found is None:
-        return None
-    index, dim, expected = found
-    return (_matrix_at(index, n, p), dim, expected)
+    return _checked_census(n, p, budget).lemma2
 
 
 def find_lemma3_counterexample(
-    n: int,
-    p: int,
-    budget: int = DEFAULT_OUTER_BUDGET,
-    inner_budget: int = DEFAULT_INNER_BUDGET,
-) -> Optional[tuple[tuple[int, ...], int, int]]:
+    n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET
+) -> _Counterexample:
     """First nilpotent A whose nilpotent-annihilator count is not p^{m^2 - d}.
 
     Returns (row-major entries of A, enumerated count, expected count) or
     None on a clean pass.
     """
-    _checked_census(n, p, budget, inner_budget)
-    found = _nilpotent_annihilators(n, p)[1]
-    if found is None:
-        return None
-    index, count, expected = found
-    return (_matrix_at(index, n, p), count, expected)
+    return _checked_pass2(n, p, budget)[1]

@@ -227,38 +227,31 @@ def run_irreducible_product_check(q: int, order: int) -> VerificationReport:
     )
 
 
+def _lemma_report(name: str, noun: str, n: int, p: int, counter) -> VerificationReport:
+    """Report of lemma *name*, given its finder's (A, got, want) or None."""
+    params = {"n": n, "p": p}
+    if counter is None:
+        return VerificationReport(name, params, "pass")
+    A, got, want = counter
+    return VerificationReport(
+        name, params, "fail", detail=f"A={A}: {noun} {got} != {want}"
+    )
+
+
 def run_lemma2_check(
     n: int, p: int, budget: int = oracle.DEFAULT_OUTER_BUDGET
 ) -> VerificationReport:
     """Exhaustive: annihilator dimension equals (n - rank)^2 for all of Mat_n(F_p)."""
-    params = {"n": n, "p": p}
     counter = oracle.find_lemma2_counterexample(n, p, budget)
-    if counter is None:
-        return VerificationReport("lemma2", params, "pass")
-    A, got, want = counter
-    return VerificationReport(
-        "lemma2",
-        params,
-        "fail",
-        detail=f"A={A}: dimension {got} != {want}",
-    )
+    return _lemma_report("lemma2", "dimension", n, p, counter)
 
 
 def run_lemma3_check(
     n: int, p: int, budget: int = oracle.DEFAULT_OUTER_BUDGET
 ) -> VerificationReport:
     """Exhaustive: nilpotent annihilator count equals p^{m^2 - d} for nilpotent A."""
-    params = {"n": n, "p": p}
     counter = oracle.find_lemma3_counterexample(n, p, budget)
-    if counter is None:
-        return VerificationReport("lemma3", params, "pass")
-    A, got, want = counter
-    return VerificationReport(
-        "lemma3",
-        params,
-        "fail",
-        detail=f"A={A}: count {got} != {want}",
-    )
+    return _lemma_report("lemma3", "count", n, p, counter)
 
 
 def run_jordan_type_count_check(
@@ -271,7 +264,7 @@ def run_jordan_type_count_check(
     params = {"n": n, "p": p}
     counts = oracle.count_nilpotent_by_type(n, p, budget)
     for lam in partitions_of(n):
-        expected = gl_order(n, p) / partitions.aut_order(lam, p) if n else Fraction(1)
+        expected = gl_order(n, p) / partitions.aut_order(lam, p)
         got = counts.get(lam, 0)
         if got != expected:
             return VerificationReport(
@@ -392,13 +385,18 @@ class VerifierConfig:
         return SamplerConfig(q=PRIMES[0], u=self.u, seed=self.seed, trials=self.trials)
 
 
-def _eq_reports(name: str, config: VerifierConfig) -> list[VerificationReport]:
-    cases = [(q, config.n_max) for q in PRIMES]
+def _oracle_cases(config: VerifierConfig) -> list[tuple[int, int]]:
+    """(p, largest n) of the censuses the eq and lemma suites read at each p."""
+    cases = [(p, config.n_max) for p in PRIMES]
     if config.include_n4:
         cases.append((2, 4))
+    return cases
+
+
+def _eq_reports(name: str, config: VerifierConfig) -> list[VerificationReport]:
     return [
         run_eq_check(name, q, n_max, config.order, config.budget)
-        for q, n_max in cases
+        for q, n_max in _oracle_cases(config)
     ]
 
 
@@ -448,11 +446,16 @@ def run_all(config: VerifierConfig, suite: str = "all") -> list[VerificationRepo
     """Run one suite of SUITES, or every suite for "all".
 
     A single suite returns its reports in the order its checks run; "all"
-    orders them by check name, then parameters.  Bad sampler flags are
-    refused before any suite runs.
+    orders them by check name, then parameters.  Bad sampler flags, and an
+    outer budget that any census of the oracle suites would exceed, are
+    refused before any suite runs; p^(n^2) grows with n, so the largest n
+    at each p bounds the rest.
     """
     if suite in ("all", "sampler"):
         config.sampler_config()
+    if suite != "sampler":
+        for p, n in _oracle_cases(config):
+            oracle._check_outer_budget(n, p, config.budget)
     if suite != "all":
         return SUITES[suite](config)
     reports = [report for build in SUITES.values() for report in build(config)]

@@ -2,9 +2,12 @@
 
 Nothing in ``src/`` calls these.  Each is the slow, formula-shaped form of
 something the library computes another way: the tests pin the library
-to them by literal ``Fraction`` equality.
+to them by literal ``Fraction`` equality, or, for matrices over F_p, to
+plain entry-by-entry products and the walk over every matrix.
 """
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from clpartitions.partitions import partitions_of
@@ -98,3 +101,62 @@ def eq2_rhs_series(q, order):
         q, order, 2, lambda c: q ** (c * c) * pochhammer_scalar(1 / q, c, q)
     )
     return multiply(inverse(pochhammer_infinite_u_over_q(q, order)), total)
+
+
+@dataclass(frozen=True)
+class PrimeFieldMatrix:
+    """n x n matrix over F_p, entries row-major in [0, p)."""
+
+    n: int
+    p: int
+    entries: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("dimension must be non-negative")
+        if len(self.entries) != self.n * self.n:
+            raise ValueError("entry count must be n^2")
+        if any(not 0 <= e < self.p for e in self.entries):
+            raise ValueError("entries must be reduced mod p")
+
+    @staticmethod
+    def zero(n: int, p: int) -> "PrimeFieldMatrix":
+        return PrimeFieldMatrix(n, p, (0,) * (n * n))
+
+    @staticmethod
+    def identity(n: int, p: int) -> "PrimeFieldMatrix":
+        return PrimeFieldMatrix(
+            n, p, tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+        )
+
+    def __matmul__(self, other: "PrimeFieldMatrix") -> "PrimeFieldMatrix":
+        if (self.n, self.p) != (other.n, other.p):
+            raise ValueError("dimension/modulus mismatch")
+        n, p = self.n, self.p
+        a, b = self.entries, other.entries
+        out = [0] * (n * n)
+        for i in range(n):
+            row = a[i * n : (i + 1) * n]
+            for j in range(n):
+                out[i * n + j] = sum(row[k] * b[k * n + j] for k in range(n)) % p
+        return PrimeFieldMatrix(n, p, tuple(out))
+
+    def is_zero(self) -> bool:
+        return all(e == 0 for e in self.entries)
+
+
+def enumerate_matrices(n, p):
+    """All of Mat_n(F_p), lexicographic over row-major entry vectors."""
+    for entries in itertools.product(range(p), repeat=n * n):
+        yield PrimeFieldMatrix(n, p, entries)
+
+
+def row_codes(A):
+    """The oracle's key for A: row i has code sum_k A[i][k] * p^(n-1-k)."""
+    codes = []
+    for i in range(A.n):
+        code = 0
+        for e in A.entries[i * A.n : (i + 1) * A.n]:
+            code = code * A.p + e
+        codes.append(code)
+    return tuple(codes)

@@ -39,9 +39,12 @@ def report(number, name, passed=True):
     assert passed
 
 
+N_MAX = verify.VerifierConfig().n_max
+
+
 def test_01_eq1_three_way_agreement():
-    for q in (2, 3):
-        rep = verify.run_eq_check("eq1", q, n_max=3, order=8)
+    for q in verify.PRIMES:
+        rep = verify.run_eq_check("eq1", q, n_max=N_MAX, order=8)
         assert rep.passed, rep.detail
     assert oracle.count_pairs(1, 2) == 3
     assert oracle.count_pairs(2, 2) == 40
@@ -51,8 +54,8 @@ def test_01_eq1_three_way_agreement():
 
 
 def test_02_eq2_three_way_agreement():
-    for q in (2, 3):
-        rep = verify.run_eq_check("eq2", q, n_max=3, order=8)
+    for q in verify.PRIMES:
+        rep = verify.run_eq_check("eq2", q, n_max=N_MAX, order=8)
         assert rep.passed, rep.detail
     assert oracle.count_nilpotent_pairs(2, 2) == 10
     assert verify.eq2_rhs_series(2, 8)[2] == Fraction(5, 3)
@@ -69,21 +72,21 @@ def test_03_rational_q_identity_suite():
 
 
 def test_04_lemma2_exhaustive():
-    for p in (2, 3):
-        for n in (1, 2, 3):
+    for p in verify.PRIMES:
+        for n in range(1, N_MAX + 1):
             assert oracle.find_lemma2_counterexample(n, p) is None
     report(4, "annihilator dimension equals (n - rank)^2, exhaustive")
 
 
 def test_05_lemma3_exhaustive():
-    for p in (2, 3):
-        for n in (1, 2, 3):
+    for p in verify.PRIMES:
+        for n in range(1, N_MAX + 1):
             assert oracle.find_lemma3_counterexample(n, p) is None
     report(5, "nilpotent annihilator count equals p^(m^2 - d), exhaustive")
 
 
 def test_06_jordan_type_counts():
-    cases = [(n, p) for p in (2, 3) for n in (1, 2, 3)] + [(4, 2)]
+    cases = [(n, p) for p in verify.PRIMES for n in range(1, N_MAX + 1)] + [(4, 2)]
     for n, p in cases:
         counts = oracle.count_nilpotent_by_type(n, p)
         for lam in partitions_of(n):
@@ -94,7 +97,7 @@ def test_06_jordan_type_counts():
 
 
 def test_07_product_over_irreducibles():
-    for q in (2, 3):
+    for q in verify.PRIMES:
         assert product_over_irreducibles_series(q, 6) == [1] * 7
     report(7, "centralizer product over irreducibles equals 1/(1-u)")
 
@@ -111,7 +114,7 @@ def test_08_wellknown_identity():
 
 def test_09_kernel_rows_and_corollary_consistency():
     u = Fraction(1, 2)
-    for q in (2, 3):
+    for q in verify.PRIMES:
         for a in range(13):
             row = kernel_row(a, q, u)
             assert sum(row.probabilities) == 1

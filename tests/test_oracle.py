@@ -1,4 +1,9 @@
-"""Tests for the brute-force finite-field oracle."""
+"""Tests for the brute-force finite-field oracle.
+
+The census kernels are pinned on hand-picked matrices through their row
+codes; ``reference`` holds the plain matrix type and the walk over
+Mat_n(F_p) that the counts are checked against.
+"""
 
 import itertools
 import random
@@ -8,23 +13,51 @@ import pytest
 from clpartitions import oracle, verify
 from clpartitions.oracle import (
     BudgetExceededError,
-    PrimeFieldMatrix,
-    annihilator_basis,
-    annihilator_dimension,
     count_nilpotent_by_type,
     count_nilpotent_pairs,
     count_pairs,
-    enumerate_matrices,
     find_lemma2_counterexample,
     find_lemma3_counterexample,
-    jordan_zero_data,
-    rank,
 )
 from clpartitions.partitions import Partition
+from reference import PrimeFieldMatrix, enumerate_matrices, row_codes
 
 
 def M(n, p, *rows):
     return PrimeFieldMatrix(n, p, tuple(x for row in rows for x in row))
+
+
+def packed_rows(A):
+    pk = oracle._packing(A.n, A.p)
+    return [pk.row[c] for c in row_codes(A)], pk
+
+
+def rank(A):
+    """rank(A) by the oracle's one elimination routine."""
+    rows, pk = packed_rows(A)
+    return oracle._eliminate(rows, pk, A.n)[1]
+
+
+def annihilator_dimension(A):
+    return oracle._annihilator_nullity(row_codes(A), oracle._packing(A.n, A.p))
+
+
+def annihilator_basis(A):
+    """The back-substituted basis of {B : AB = BA = 0}, as row-major entries."""
+    pk = oracle._packing(A.n, A.p)
+    return [
+        tuple((v >> (t * pk.w)) & pk.lane for t in range(A.n * A.n))
+        for v in oracle._annihilator_basis(row_codes(A), pk)
+    ]
+
+
+def zero_data(A):
+    """(m, d, Jordan type if A is nilpotent else None) from the ranks of A's powers."""
+    rows, pk = packed_rows(A)
+    ranks = oracle._rank_sequence(rows, pk)
+    cols = oracle._zero_columns(ranks)
+    m, d = oracle._zero_block_counts(cols)
+    return m, d, None if ranks[-1] else Partition(cols).conjugate()
 
 
 def is_nilpotent_reference(A):
@@ -110,26 +143,18 @@ class TestAnnihilatorDimension:
 
 class TestJordanZeroData:
     def test_zero_matrix(self):
-        data = jordan_zero_data(PrimeFieldMatrix.zero(3, 2))
-        assert (data.m, data.d) == (3, 3)
-        assert data.nilpotent_type == Partition((1, 1, 1))
+        assert zero_data(PrimeFieldMatrix.zero(3, 2)) == (3, 3, Partition((1, 1, 1)))
 
     def test_single_block(self):
         A = M(3, 2, (0, 1, 0), (0, 0, 1), (0, 0, 0))
-        data = jordan_zero_data(A)
-        assert (data.m, data.d) == (1, 0)
-        assert data.nilpotent_type == Partition((3,))
+        assert zero_data(A) == (1, 0, Partition((3,)))
 
     def test_mixed_blocks(self):
         A = M(3, 2, (0, 1, 0), (0, 0, 0), (0, 0, 0))
-        data = jordan_zero_data(A)
-        assert (data.m, data.d) == (2, 1)
-        assert data.nilpotent_type == Partition((2, 1))
+        assert zero_data(A) == (2, 1, Partition((2, 1)))
 
     def test_invertible_has_no_zero_blocks(self):
-        data = jordan_zero_data(PrimeFieldMatrix.identity(2, 3))
-        assert (data.m, data.d) == (0, 0)
-        assert data.nilpotent_type is None
+        assert zero_data(PrimeFieldMatrix.identity(2, 3)) == (0, 0, None)
 
 
 class TestCounts:
@@ -204,17 +229,33 @@ class TestCounts:
             raise AssertionError("solution spaces enumerated despite refusal")
 
         monkeypatch.setattr(oracle, "_nilpotent_annihilators", never)
+        monkeypatch.setattr(oracle, "INNER_BUDGET", 29_978)
         for call in (count_nilpotent_pairs, find_lemma3_counterexample):
             with pytest.raises(BudgetExceededError) as exc:
-                call(3, 3, inner_budget=29_978)
+                call(3, 3)
             assert (exc.value.required, exc.value.budget) == (29_979, 29_978)
 
-    def test_inner_budget_refused_on_cache_hit(self):
+    def test_inner_budget_refused_on_cache_hit(self, monkeypatch):
         assert count_nilpotent_pairs(2, 3) == 33  # both passes now cached
+        monkeypatch.setattr(oracle, "INNER_BUDGET", 10)
         with pytest.raises(BudgetExceededError) as exc:
-            count_nilpotent_pairs(2, 3, inner_budget=10)
+            count_nilpotent_pairs(2, 3)
         assert exc.value.required == oracle._census(2, 3).inner
-        assert count_nilpotent_pairs(2, 3, inner_budget=exc.value.required) == 33
+        monkeypatch.setattr(oracle, "INNER_BUDGET", exc.value.required)
+        assert count_nilpotent_pairs(2, 3) == 33
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_empty_matrix_through_the_census(self, p):
+        # Mat_0(F_p) holds one matrix: nilpotent, annihilator of dimension 0
+        assert oracle._census(0, p) == (1, None, (((), 1),), ((0, 0),), 1)
+        assert count_pairs(0, p) == 1
+        assert count_nilpotent_pairs(0, p) == 1
+        assert count_nilpotent_by_type(0, p) == {Partition(): 1}
+        assert find_lemma2_counterexample(0, p) is None
+        assert find_lemma3_counterexample(0, p) is None
+        with pytest.raises(BudgetExceededError) as exc:
+            count_pairs(0, p, budget=0)
+        assert exc.value.required == 1
 
     def test_enumeration_is_lexicographic(self):
         seen = [A.entries for A in itertools.islice(enumerate_matrices(2, 2), 4)]
@@ -229,7 +270,7 @@ class TestCounts:
 class TestFaultInjection:
     def test_lemma2_names_first_perturbed_matrix(self, monkeypatch, fresh_census):
         first, later = M(2, 3, (0, 0), (2, 1)), M(2, 3, (0, 1), (2, 0))
-        targets = {oracle._row_codes(first), oracle._row_codes(later)}
+        targets = {row_codes(first), row_codes(later)}
         real = oracle._annihilator_nullity
 
         def perturbed(codes, packing):

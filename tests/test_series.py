@@ -17,7 +17,14 @@ from clpartitions.series import (
     sum_wellknown_identity_lhs,
 )
 
-from reference import add, monomial, pochhammer_finite, zero
+from reference import (
+    PrimeFieldMatrix,
+    add,
+    enumerate_matrices,
+    monomial,
+    pochhammer_finite,
+    zero,
+)
 
 ORDER = 6
 
@@ -177,10 +184,12 @@ class TestGLOrder:
         assert gl_order(2, 3) == 48
 
     def test_n2_q2_by_enumeration(self):
-        # count invertible 2x2 matrices over F_2 with the matrix oracle
-        from clpartitions.oracle import enumerate_matrices, rank
-
-        invertible = sum(1 for A in enumerate_matrices(2, 2) if rank(A) == 2)
+        # count invertible 2x2 matrices over F_2: those with a right inverse
+        one = PrimeFieldMatrix.identity(2, 2)
+        invertible = sum(
+            any(A @ B == one for B in enumerate_matrices(2, 2))
+            for A in enumerate_matrices(2, 2)
+        )
         assert invertible == 6 == gl_order(2, 2)
 
 

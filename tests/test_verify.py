@@ -318,8 +318,14 @@ class TestCli:
             ["verify", "eq2", "--order", "-1"],
             ["verify", "all", "--n-max", "-1"],
             ["series", "eq1-rhs", "--q", "2", "--order", "-1"],
+            ["oracle", "count-pairs", "--n", "-1", "--p", "2"],
+            ["oracle", "count-nilpotent-pairs", "--n", "-1", "--p", "2"],
+            ["oracle", "by-type", "--n", "-2", "--p", "2"],
         ],
-        ids=["lemmas-n-max", "eq1-n-max", "eq2-order", "all-n-max", "series-order"],
+        ids=[
+            "lemmas-n-max", "eq1-n-max", "eq2-order", "all-n-max", "series-order",
+            "oracle-count-pairs-n", "oracle-nilpotent-pairs-n", "oracle-by-type-n",
+        ],
     )
     def test_negative_bound_is_usage_error(self, args, capsys):
         assert cli.main(["--json", *args]) == cli.EXIT_USAGE
@@ -390,6 +396,25 @@ class TestCli:
         args = ["verify", suite, "--n-max", "1", "--order", "4", "--budget", "32768"]
         assert cli.main(args) == cli.EXIT_OK
         assert cli.main([*args, "--include-n4"]) == cli.EXIT_BUDGET
+
+    @pytest.mark.parametrize("suite", ["all", "eq1", "eq2", "lemmas"])
+    def test_outer_budget_refused_before_any_census(self, suite, monkeypatch, capsys):
+        def refuse(n, p):
+            pytest.fail(f"verify {suite} ran the census at n={n}, p={p} before refusing")
+
+        monkeypatch.setattr(oracle, "_census", refuse)
+        args = ["--json", "verify", suite, "--include-n4", "--budget", "32768"]
+        assert cli.main(args) == cli.EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "budget refusal: outer enumeration too large: needs 65536, budget 32768\n"
+        )
+
+    def test_sampler_suite_ignores_outer_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "_census", lambda n, p: pytest.fail("census ran"))
+        args = ["--json", "verify", "sampler", "--budget", "1", "--trials", "2000"]
+        assert cli.main(args) == cli.EXIT_OK
 
     def test_sample_deterministic(self, capsys):
         args = ["sample", "--q", "2", "--u", "1/2", "--seed", "9", "--trials", "20"]
