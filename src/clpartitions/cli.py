@@ -88,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--n-max", type=non_negative_int, default=3, help="largest oracle dimension"
     )
-    p_verify.add_argument("--budget", type=int, default=oracle.DEFAULT_OUTER_BUDGET)
+    p_verify.add_argument(
+        "--budget", type=non_negative_int, default=oracle.DEFAULT_OUTER_BUDGET
+    )
     p_verify.add_argument("--u", type=parse_rational, default=Fraction(1, 2))
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--trials", type=int, default=100_000)
@@ -109,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--n", type=non_negative_int, required=True)
     p_oracle.add_argument("--p", type=int, required=True)
-    p_oracle.add_argument("--budget", type=int, default=oracle.DEFAULT_OUTER_BUDGET)
+    p_oracle.add_argument(
+        "--budget", type=non_negative_int, default=oracle.DEFAULT_OUTER_BUDGET
+    )
 
     p_sample = sub.add_parser("sample", help="draw random partitions")
     p_sample.add_argument("--q", type=int, required=True)

@@ -14,6 +14,15 @@ int, entry t in bits [t*w, (t+1)*w), and a single forward-elimination
 routine (:func:`_eliminate`) serves every rank and nullspace computation.
 n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
 which is nilpotent with an annihilator of dimension 0.
+
+Pass 1 shares work between neighbours.  In lexicographic order A's first
+n - 1 rows, its *prefix*, stay fixed for p^n consecutive matrices, and so
+do their rows of the system B -> AB and their rows for rank(A).  The walk
+eliminates both once per prefix and keeps the two echelon states with the
+prefix's bits of A^T; each A resumes elimination from copies of those
+states with its last row only.  The BA rows hold a column of A, which
+every row of A touches, so they are built and eliminated for every A:
+the annihilator's dimension is still the nullity of A's full system.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ class _Packing(NamedTuple):
     quotient_mask: int  # the low (w - shift) bits of each of n^2 lanes
     inverse: tuple[int, ...]  # inverse[c] * c == 1 mod p, c in [1, p)
     row: tuple[int, ...]  # code -> packed row, entry k in lane k
-    spread: tuple[int, ...]  # code -> entry k in lane k*n
+    products: tuple[tuple[int, ...], ...]  # code -> n AB rows, entry k in lane k*n + j
     transposed: tuple[tuple[int, ...], ...]  # [i][code] -> entry k in lane k*n + i
 
 
@@ -107,8 +116,11 @@ def _packing(n: int, p: int) -> _Packing:
         row=tuple(
             sum(e << (k * w) for k, e in enumerate(es)) for es in digits
         ),
-        spread=tuple(
-            sum(e << (k * n * w) for k, e in enumerate(es)) for es in digits
+        products=tuple(
+            tuple(
+                sum(e << ((k * n + j) * w) for k, e in enumerate(es)) for j in range(n)
+            )
+            for es in digits
         ),
         transposed=tuple(
             tuple(sum(e << ((k * n + i) * w) for k, e in enumerate(es)) for es in digits)
@@ -122,18 +134,30 @@ def _reduce(x: int, pk: _Packing) -> int:
     return x - pk.p * (((x * pk.mul) >> pk.shift) & pk.quotient_mask)
 
 
-def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
+_State = tuple[list[int], int]  # (pivots, rank) of an elimination
+
+
+def _eliminate(
+    rows, pk: _Packing, stop: int, start: Optional[_State] = None
+) -> _State:
     """Forward elimination of packed rows over F_p: the one elimination routine.
 
     Returns (pivots, rank).  ``pivots[h]`` is 0 or the echelon row whose
     leading (highest) nonzero lane is h, scaled so that lane holds 1.
-    Elimination ends early once ``stop`` pivots are found.
+    Rows are skipped once ``stop`` pivots are found.  Given ``start``, the
+    state returned for some earlier rows, it resumes from a copy of that
+    state, so the result is that of eliminating the earlier rows and then
+    ``rows`` in one call, and ``start`` itself is never changed.
     """
     w = pk.w
-    pivots = [0] * (pk.n * pk.n)
-    rank = 0
+    if start is None:
+        pivots, rank = [0] * (pk.n * pk.n), 0
+    else:
+        pivots, rank = list(start[0]), start[1]
     if pk.p == 2:
         for r in rows:
+            if rank == stop:
+                break
             while r:
                 h = r.bit_length() - 1
                 piv = pivots[h]
@@ -142,11 +166,11 @@ def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
                     rank += 1
                     break
                 r ^= piv
-            if rank == stop:
-                break
         return pivots, rank
     p, lane, inverse = pk.p, pk.lane, pk.inverse
     for r in rows:
+        if rank == stop:
+            break
         while r:
             h = (r.bit_length() - 1) // w
             c = (r >> (h * w)) & lane
@@ -156,8 +180,6 @@ def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
                 rank += 1
                 break
             r = _reduce(r + (p - c) * piv, pk)
-        if rank == stop:
-            break
     return pivots, rank
 
 
@@ -210,10 +232,16 @@ def _matmul(X: list[int], Y: list[int], pk: _Packing) -> list[int]:
     return out
 
 
-def _rank_sequence(rows: list[int], pk: _Packing) -> list[int]:
-    """[n, rank A, rank A^2, ...] up to the first repeat or the first 0."""
+def _rank_sequence(
+    rows: list[int], pk: _Packing, prefix: Optional[_State] = None
+) -> list[int]:
+    """[n, rank A, rank A^2, ...] up to the first repeat or the first 0.
+
+    ``prefix``, if given, is ``_eliminate(rows[:n - 1], pk, n)``, and only
+    A's last row is eliminated from it for rank(A).
+    """
     n = pk.n
-    ranks = [n, _eliminate(rows, pk, n)[1]]
+    ranks = [n, _eliminate(rows if prefix is None else rows[n - 1 :], pk, n, prefix)[1]]
     power = rows
     while ranks[-1] and ranks[-1] != ranks[-2]:  # strictly falling: < n products
         power = _matmul(power, rows, pk)
@@ -239,29 +267,69 @@ def _zero_block_counts(cols: tuple[int, ...]) -> tuple[int, int]:
     return m, d
 
 
+def _product_rows(codes: tuple[int, ...], pk: _Packing) -> list[int]:
+    """The rows of B -> AB for the given rows of A, n per row of A.
+
+    (AB)_{ij} = sum_k A_{ik} B_{kj}: A's row i in lanes k*n + j.
+    """
+    return [r for c in codes for r in pk.products[c]]
+
+
+def _transpose(codes: tuple[int, ...], pk: _Packing, first: int = 0) -> int:
+    """A^T's bits (entry (k, i) in lane k*n + i) from rows first, first + 1, ... of A."""
+    At = 0
+    for i, c in enumerate(codes, first):
+        At |= pk.transposed[i][c]
+    return At
+
+
+def _column_rows(At: int, pk: _Packing) -> list[int]:
+    """The n^2 rows of B -> BA, from the packed A^T.
+
+    (BA)_{ij} = sum_k B_{ik} A_{kj}: A's column j in lanes k, moved to i*n.
+    """
+    width = pk.n * pk.w
+    col_mask = (1 << width) - 1
+    cols = [(At >> (j * width)) & col_mask for j in range(pk.n)]
+    return [col << (i * width) for i in range(pk.n) for col in cols]
+
+
 def _annihilator_rows(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     """Packed rows of the map B -> (AB, BA) on vec(B), B[k][j] in lane k*n + j.
 
     2n^2 rows (one per entry of AB then BA), n^2 lanes each.
     """
-    n, w = pk.n, pk.w
-    # (AB)_{ij} = sum_k A_{ik} B_{kj}: A's row i spread to lanes k*n, moved to j
-    system = [pk.spread[c] << (j * w) for c in codes for j in range(n)]
-    # (BA)_{ij} = sum_k B_{ik} A_{kj}: A's column j in lanes k, moved to i*n
-    At = 0
-    for i, c in enumerate(codes):
-        At |= pk.transposed[i][c]
-    width = n * w
-    col_mask = (1 << width) - 1
-    cols = [(At >> (j * width)) & col_mask for j in range(n)]
-    system += [col << (i * width) for i in range(n) for col in cols]
-    return system
+    return _product_rows(codes, pk) + _column_rows(_transpose(codes, pk), pk)
 
 
-def _annihilator_nullity(codes: tuple[int, ...], pk: _Packing) -> int:
-    """F_p-dimension of {B : AB = BA = 0}, the nullity of the eliminated system."""
+def _annihilator_prefix(prefix: tuple[int, ...], pk: _Packing) -> tuple[_State, int]:
+    """What A's first n - 1 rows fix of its annihilator system.
+
+    The elimination of their n(n - 1) AB rows, which come first in
+    :func:`_annihilator_rows`, and their bits of A^T.
+    """
     nn = pk.n * pk.n
-    return nn - _eliminate(_annihilator_rows(codes, pk), pk, nn)[1]
+    return _eliminate(_product_rows(prefix, pk), pk, nn), _transpose(prefix, pk)
+
+
+def _annihilator_nullity(
+    codes: tuple[int, ...], pk: _Packing, prefix: Optional[tuple[_State, int]] = None
+) -> int:
+    """F_p-dimension of {B : AB = BA = 0}, the nullity of the eliminated system.
+
+    ``prefix``, if given, is ``_annihilator_prefix(codes[:n - 1], pk)``: the
+    last row's AB rows and all n^2 BA rows are then eliminated from it, in
+    the order of the full system, so each pivot is the one it finds.
+    """
+    n = pk.n
+    nn = n * n
+    if prefix is None:
+        return nn - _eliminate(_annihilator_rows(codes, pk), pk, nn)[1]
+    state, At = prefix
+    last = codes[n - 1 :]
+    At |= _transpose(last, pk, n - 1)
+    system = _product_rows(last, pk) + _column_rows(At, pk)
+    return nn - _eliminate(system, pk, nn, state)[1]
 
 
 def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
@@ -323,17 +391,28 @@ class _Census(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _census(n: int, p: int) -> _Census:
-    """Pass 1: for each A, the annihilator nullity and the rank sequence of powers."""
+    """Pass 1: for each A, the annihilator nullity and the rank sequence of powers.
+
+    The prefix states, refreshed at every p^n-th matrix, are the elimination
+    of A's first n - 1 rows (for rank(A)) and :func:`_annihilator_prefix`.
+    Each A resumes both from copies, with its last row only.  At n = 0 the
+    one empty matrix starts the one prefix, and both states are empty.
+    """
     pk = _packing(n, p)
+    block = p**n
     packed_row = pk.row
     powers = [p**k for k in range(n * n + 1)]
     pairs = inner = 0
     lemma2 = None
     types: dict[tuple[int, ...], int] = {}
     nilpotent = []
-    for index, codes in enumerate(itertools.product(range(p**n), repeat=n)):
-        ranks = _rank_sequence([packed_row[c] for c in codes], pk)
-        dim = _annihilator_nullity(codes, pk)
+    for index, codes in enumerate(itertools.product(range(block), repeat=n)):
+        if index % block == 0:  # a new prefix: A's first n - 1 rows
+            prefix = codes[: n - 1]
+            rank_prefix = _eliminate([packed_row[c] for c in prefix], pk, n)
+            system_prefix = _annihilator_prefix(prefix, pk)
+        ranks = _rank_sequence([packed_row[c] for c in codes], pk, rank_prefix)
+        dim = _annihilator_nullity(codes, pk, system_prefix)
         pairs += powers[dim]
         if lemma2 is None and dim != (n - ranks[1]) ** 2:
             lemma2 = (_matrix_at(index, n, p), dim, (n - ranks[1]) ** 2)

@@ -3,13 +3,15 @@
 Nothing in ``src/`` calls these.  Each is the slow, formula-shaped form of
 something the library computes another way: the tests pin the library
 to them by literal ``Fraction`` equality, or, for matrices over F_p, to
-plain entry-by-entry products and the walk over every matrix.
+plain entry-by-entry products, the walk over every matrix and a census
+that shares no work between matrices.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from clpartitions import oracle
 from clpartitions.partitions import partitions_of
 from clpartitions.series import (
     inverse,
@@ -160,3 +162,32 @@ def row_codes(A):
             code = code * A.p + e
         codes.append(code)
     return tuple(codes)
+
+
+def unshared_census(n, p):
+    """The oracle's pass-1 census, one matrix at a time with nothing shared.
+
+    Walks ``enumerate_matrices`` and gives every A the unshared kernels: the
+    annihilator nullity of its whole 2n^2-row system, and the rank sequence
+    of its powers from all n of its rows.
+    """
+    pk = oracle._packing(n, p)
+    pairs = inner = 0
+    lemma2 = None
+    types = {}
+    nilpotent = []
+    for index, A in enumerate(enumerate_matrices(n, p)):
+        codes = row_codes(A)
+        dim = oracle._annihilator_nullity(codes, pk)
+        ranks = oracle._rank_sequence([pk.row[c] for c in codes], pk)
+        pairs += p**dim
+        want = (n - ranks[1]) ** 2
+        if lemma2 is None and dim != want:
+            lemma2 = (A.entries, dim, want)
+        if not ranks[-1]:
+            cols = oracle._zero_columns(ranks)
+            types[cols] = types.get(cols, 0) + 1
+            m, d = oracle._zero_block_counts(cols)
+            nilpotent.append((index, m * m - d))
+            inner += p**dim
+    return (pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)

@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clpartitions import oracle, verify
 from clpartitions.oracle import (
@@ -20,11 +22,16 @@ from clpartitions.oracle import (
     find_lemma3_counterexample,
 )
 from clpartitions.partitions import Partition
-from reference import PrimeFieldMatrix, enumerate_matrices, row_codes
+from reference import PrimeFieldMatrix, enumerate_matrices, row_codes, unshared_census
 
 
 def M(n, p, *rows):
     return PrimeFieldMatrix(n, p, tuple(x for row in rows for x in row))
+
+
+def packed(entries, pk):
+    """One packed row: entry t in lane t."""
+    return sum(e << (t * pk.w) for t, e in enumerate(entries))
 
 
 def packed_rows(A):
@@ -257,6 +264,11 @@ class TestCounts:
             count_pairs(0, p, budget=0)
         assert exc.value.required == 1
 
+    def test_n4_p2(self):
+        # the census of Mat_4(F_2), 65,536 matrices, which test_06 also reads
+        assert count_pairs(4, 2) == 394096
+        assert find_lemma2_counterexample(4, 2) is None
+
     def test_enumeration_is_lexicographic(self):
         seen = [A.entries for A in itertools.islice(enumerate_matrices(2, 2), 4)]
         assert seen == [
@@ -267,14 +279,45 @@ class TestCounts:
         ]
 
 
+class TestSharedPrefix:
+    """The census eliminates A's first n - 1 rows once per p^n matrices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        p=st.sampled_from([2, 3, 5]),
+        data=st.data(),
+    )
+    def test_resumed_elimination_is_one_elimination(self, n, p, data):
+        pk = oracle._packing(n, p)
+        nn = n * n
+        row = st.lists(st.integers(0, p - 1), min_size=nn, max_size=nn)
+        rows = [packed(es, pk) for es in data.draw(st.lists(row, max_size=2 * nn))]
+        split = data.draw(st.integers(0, len(rows)))
+        stop = data.draw(st.integers(0, nn))
+        start = oracle._eliminate(rows[:split], pk, stop)
+        kept = (list(start[0]), start[1])
+        assert oracle._eliminate(rows[split:], pk, stop, start) == oracle._eliminate(
+            rows, pk, stop
+        )
+        assert start == kept
+
+    @pytest.mark.parametrize(
+        "n,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+    )
+    def test_census_matches_unshared_reference(self, n, p):
+        want = dict(zip(oracle._Census._fields, unshared_census(n, p)))
+        assert oracle._census(n, p)._asdict() == want
+
+
 class TestFaultInjection:
     def test_lemma2_names_first_perturbed_matrix(self, monkeypatch, fresh_census):
         first, later = M(2, 3, (0, 0), (2, 1)), M(2, 3, (0, 1), (2, 0))
         targets = {row_codes(first), row_codes(later)}
         real = oracle._annihilator_nullity
 
-        def perturbed(codes, packing):
-            return real(codes, packing) + (codes in targets)
+        def perturbed(codes, packing, *prefix):
+            return real(codes, packing, *prefix) + (codes in targets)
 
         monkeypatch.setattr(oracle, "_annihilator_nullity", perturbed)
         report = verify.run_lemma2_check(2, 3)

@@ -305,6 +305,10 @@ class TestCli:
             ["oracle", "count-pairs", "--n", "3", "--p", "3", "--budget", "10"]
         )
         assert code == cli.EXIT_BUDGET
+        # Mat_0(F_p) still holds one matrix, so a budget of 0 refuses it
+        args = ["oracle", "count-pairs", "--n", "0", "--p", "2", "--budget", "0"]
+        assert cli.main(args) == cli.EXIT_BUDGET
+        assert "needs 1, budget 0" in capsys.readouterr().err
 
     def test_usage_exit_code(self, capsys):
         assert cli.main(["oracle", "count-pairs", "--n", "2", "--p", "7"]) == cli.EXIT_USAGE
@@ -321,10 +325,13 @@ class TestCli:
             ["oracle", "count-pairs", "--n", "-1", "--p", "2"],
             ["oracle", "count-nilpotent-pairs", "--n", "-1", "--p", "2"],
             ["oracle", "by-type", "--n", "-2", "--p", "2"],
+            ["oracle", "count-pairs", "--n", "0", "--p", "2", "--budget", "-1"],
+            ["verify", "lemmas", "--n-max", "1", "--budget", "-1"],
         ],
         ids=[
             "lemmas-n-max", "eq1-n-max", "eq2-order", "all-n-max", "series-order",
             "oracle-count-pairs-n", "oracle-nilpotent-pairs-n", "oracle-by-type-n",
+            "oracle-budget", "verify-budget",
         ],
     )
     def test_negative_bound_is_usage_error(self, args, capsys):
