@@ -9,7 +9,9 @@ computations are checked, so no closed-form shortcuts are taken here.
 The five public counts read one memoized census per (n, p): pass 1
 walks Mat_n(F_p) once and records every aggregate they need, and pass 2
 enumerates the annihilator solution spaces of the nilpotent matrices
-only.  Both run on packed rows: a row of p-adic entries is one Python
+only.  Nilpotency is decided once, in pass 1, by the ranks of A's
+powers: pass 2 counts a member B when the census found B nilpotent.
+Both run on packed rows: a row of p-adic entries is one Python
 int, entry t in bits [t*w, (t+1)*w), and a single forward-elimination
 routine (:func:`_eliminate`) serves every rank and nullspace computation.
 n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
@@ -338,21 +340,9 @@ def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     return _nullspace(_eliminate(_annihilator_rows(codes, pk), pk, nn)[0], pk, nn)
 
 
-def _is_nilpotent(v: int, pk: _Packing) -> bool:
-    """B^n == 0, for B packed row-major in n^2 lanes.
-
-    Tested as B^(2^k) == 0 for the first 2^k >= n by repeated squaring: the
-    same condition, since a nilpotent n x n matrix already has B^n == 0.
-    """
-    n = pk.n
-    width = n * pk.w
-    mask = (1 << width) - 1
-    rows = [(v >> (i * width)) & mask for i in range(n)]
-    exponent = 1
-    while exponent < n and any(rows):
-        rows = _matmul(rows, rows, pk)
-        exponent *= 2
-    return not any(rows)
+def _packed_matrix(codes: tuple[int, ...], pk: _Packing) -> int:
+    """vec(A) from A's row codes, A[k][j] in lane k*n + j like a solution vector."""
+    return sum(pk.row[c] << (i * pk.n * pk.w) for i, c in enumerate(codes))
 
 
 def _span(vectors: list[int], pk: _Packing) -> list[int]:
@@ -430,20 +420,26 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     """Pass 2: enumerate the annihilator of each nilpotent A, count nilpotent B.
 
     Returns (total count, first (A, count, p^(m^2 - d)) that differ).
-    The solution space is enumerated as the sums of two half spans.
+    The solution space is enumerated as the sums of two half spans, and
+    B counts when the census found it nilpotent: its packed vec(B) is in
+    the set of every nilpotent matrix, packed by :func:`_packed_matrix`.
     """
     pk = _packing(n, p)
+    nilpotent = [
+        (tuple((index // p ** (n * (n - 1 - i))) % p**n for i in range(n)), index, exponent)
+        for index, exponent in _census(n, p).nilpotent
+    ]
+    members = {_packed_matrix(codes, pk) for codes, _, _ in nilpotent}
     total = 0
     lemma3 = None
-    for index, exponent in _census(n, p).nilpotent:
-        codes = tuple((index // p ** (n * (n - 1 - i))) % p**n for i in range(n))
+    for codes, index, exponent in nilpotent:
         basis = _annihilator_basis(codes, pk)
         half = len(basis) // 2
         right = _span(basis[half:], pk)
         found = 0
         for x in _span(basis[:half], pk):
             for y in right:
-                if _is_nilpotent(x ^ y if p == 2 else _reduce(x + y, pk), pk):
+                if (x ^ y if p == 2 else _reduce(x + y, pk)) in members:
                     found += 1
         total += found
         if lemma3 is None and found != p**exponent:
@@ -461,7 +457,9 @@ def _check_outer_budget(n: int, p: int, budget: int) -> None:
 
 
 def _checked_census(n: int, p: int, budget: int) -> _Census:
-    """The census, after refusing p or the outer budget (before the memo is read)."""
+    """The census, after refusing n, p or the outer budget (before the memo is read)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if p not in _SMALL_PRIMES:
         raise ValueError(f"p must be a small prime (one of {sorted(_SMALL_PRIMES)})")
     _check_outer_budget(n, p, budget)

@@ -208,10 +208,35 @@ class TestCounts:
         assert counts == {Partition((2,)): 3, Partition((1, 1)): 1}
         assert sum(counts.values()) == 2**2  # q^(n^2 - n)
 
+    @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2)])
+    def test_census_nilpotent_set_is_reference_nilpotent_set(self, n, p):
+        # pass 2 counts B by membership in this set, so check it independently
+        want = [
+            index
+            for index, A in enumerate(enumerate_matrices(n, p))
+            if is_nilpotent_reference(A)
+        ]
+        assert [index for index, _ in oracle._census(n, p).nilpotent] == want
+
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_nilpotent_totals(self, n, p):
         counts = count_nilpotent_by_type(n, p)
         assert sum(counts.values()) == p ** (n * n - n)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            count_pairs,
+            count_nilpotent_pairs,
+            count_nilpotent_by_type,
+            find_lemma2_counterexample,
+            find_lemma3_counterexample,
+        ],
+    )
+    @pytest.mark.parametrize("n,p", [(-1, 2), (-2, 3)])
+    def test_negative_n_refused(self, call, n, p):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            call(n, p)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -268,6 +293,8 @@ class TestCounts:
         # the census of Mat_4(F_2), 65,536 matrices, which test_06 also reads
         assert count_pairs(4, 2) == 394096
         assert find_lemma2_counterexample(4, 2) is None
+        assert count_nilpotent_pairs(4, 2) == 36016
+        assert find_lemma3_counterexample(4, 2) is None
 
     def test_enumeration_is_lexicographic(self):
         seen = [A.entries for A in itertools.islice(enumerate_matrices(2, 2), 4)]
@@ -326,9 +353,12 @@ class TestFaultInjection:
         assert report.detail == f"A={first.entries}: dimension {want + 1} != {want}"
 
     def test_lemma3_names_first_nilpotent_matrix(self, monkeypatch, fresh_census):
-        real = oracle._is_nilpotent
-        # miss B = 0, which lies in every annihilator
-        monkeypatch.setattr(oracle, "_is_nilpotent", lambda v, pk: bool(v) and real(v, pk))
+        real = oracle._packed_matrix
+        # miss B = 0, which lies in every annihilator: pack it to -1, which
+        # no solution vector is
+        monkeypatch.setattr(
+            oracle, "_packed_matrix", lambda codes, pk: real(codes, pk) if any(codes) else -1
+        )
         report = verify.run_lemma3_check(2, 2)
         assert not report.passed
         assert report.detail == "A=(0, 0, 0, 0): count 3 != 4"  # 2^(m^2 - d), m = d = 2
