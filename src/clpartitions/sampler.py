@@ -217,12 +217,17 @@ class PartitionSampler:
     def _draw(self, thresholds: tuple[int, ...]) -> int:
         return bisect.bisect_right(thresholds, self._rng.getrandbits(64))
 
-    def sample(self) -> Partition:
+    def columns(self) -> list[int]:
+        """One draw of the chain: the conjugate column sizes, largest first."""
         cols = []
         a = self._draw(self._initial_thresholds)
         while a > 0:
             cols.append(a)
             a = self._draw(self._thresholds(a))
+        return cols
+
+    def sample(self) -> Partition:
+        cols = self.columns()
         if not cols:
             return Partition()
         return Partition(tuple(cols)).conjugate()
@@ -248,6 +253,28 @@ class BucketComparison:
         self.zscore = abs(freq - pexact) / stderr if stderr > 0 else 0.0
 
 
+def _bucket_counts(
+    cfg: SamplerConfig,
+) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Over cfg.trials draws, the counts of each a and of each pair (a, b).
+
+    a = lambda'_1 is the number of parts and b = lambda'_1 - lambda'_2 the
+    number of parts equal to 1, read off the drawn columns, a missing
+    column counting as 0; no partition is built.  Every column is still
+    drawn, so the stream of draws is that of ``sample``.
+    """
+    sampler = PartitionSampler(cfg)
+    marg_counts: dict[int, int] = {}
+    joint_counts: dict[tuple[int, int], int] = {}
+    for _ in range(cfg.trials):
+        cols = sampler.columns()
+        a = cols[0] if cols else 0
+        b = a - (cols[1] if len(cols) > 1 else 0)
+        marg_counts[a] = marg_counts.get(a, 0) + 1
+        joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
+    return marg_counts, joint_counts
+
+
 def empirical_vs_corollary(cfg: SamplerConfig) -> list[BucketComparison]:
     """Samples cfg.trials partitions and compares the gated bucket frequencies.
 
@@ -256,16 +283,7 @@ def empirical_vs_corollary(cfg: SamplerConfig) -> list[BucketComparison]:
     with exact probability >= MIN_PROBABILITY are returned.  The a = 0
     bucket has probability (u/q)_inf > 0.28, so the list is never empty.
     """
-    sampler = PartitionSampler(cfg)
-    marg_counts: dict[int, int] = {}
-    joint_counts: dict[tuple[int, int], int] = {}
-    for _ in range(cfg.trials):
-        lam = sampler.sample()
-        a = lam.length
-        b = lam.multiplicity(1)
-        marg_counts[a] = marg_counts.get(a, 0) + 1
-        joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
-
+    marg_counts, joint_counts = _bucket_counts(cfg)
     uq_inf = u_over_q_infinite_value(cfg.q, cfg.u)
     buckets = []
     for a in range(max(marg_counts) + 1):

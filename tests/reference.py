@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from clpartitions import oracle
 from clpartitions.partitions import partitions_of
+from clpartitions.sampler import PartitionSampler
 from clpartitions.series import (
     inverse,
     multiply,
@@ -191,3 +192,19 @@ def unshared_census(n, p):
             nilpotent.append((index, m * m - d))
             inner += p**dim
     return (pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
+
+
+def partition_bucket_counts(cfg):
+    """The Monte Carlo check's counts from whole sampled partitions.
+
+    Over cfg.trials ``sample()`` partitions, the counts of a = lambda.length
+    and of (a, b), b = lambda.multiplicity(1).
+    """
+    sampler = PartitionSampler(cfg)
+    marg_counts, joint_counts = {}, {}
+    for _ in range(cfg.trials):
+        lam = sampler.sample()
+        a, b = lam.length, lam.multiplicity(1)
+        marg_counts[a] = marg_counts.get(a, 0) + 1
+        joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
+    return marg_counts, joint_counts

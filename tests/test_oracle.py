@@ -39,6 +39,20 @@ def packed_rows(A):
     return [pk.row[c] for c in row_codes(A)], pk
 
 
+def scaled(A, c):
+    """cA, entry by entry mod p."""
+    return PrimeFieldMatrix(A.n, A.p, tuple(c * e % A.p for e in A.entries))
+
+
+def line_representatives(n, p):
+    """Row codes of the zero matrix and of each A whose first nonzero entry is 1."""
+    return [
+        row_codes(A)
+        for A in enumerate_matrices(n, p)
+        if next((e for e in A.entries if e), 1) == 1
+    ]
+
+
 def rank(A):
     """rank(A) by the oracle's one elimination routine."""
     rows, pk = packed_rows(A)
@@ -203,6 +217,14 @@ class TestCounts:
         assert count_nilpotent_pairs(2, 2) == 10
         assert count_nilpotent_pairs(2, 3) == 33
 
+    @pytest.mark.parametrize(
+        "n,p,pairs,nilpotent_pairs", [(3, 3, 82629, 5409), (2, 5, 1825, 145)]
+    )
+    def test_counts_at_odd_p(self, n, p, pairs, nilpotent_pairs):
+        # weights p - 1 in pass 1, and lane sums reduced mod p in pass 2
+        assert count_pairs(n, p) == pairs
+        assert count_nilpotent_pairs(n, p) == nilpotent_pairs
+
     def test_by_type_n2_p2(self):
         counts = count_nilpotent_by_type(2, 2)
         assert counts == {Partition((2,)): 3, Partition((1, 1)): 1}
@@ -329,6 +351,22 @@ class TestSharedPrefix:
         )
         assert start == kept
 
+    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
+    def test_walk_visits_line_representatives(self, n, p, monkeypatch, fresh_census):
+        # one matrix per scalar line {cA : c != 0}; at p = 2 that is every matrix
+        visited = []
+        real = oracle._annihilator_nullity
+
+        def recording(codes, packing, *prefix):
+            visited.append(codes)
+            return real(codes, packing, *prefix)
+
+        monkeypatch.setattr(oracle, "_annihilator_nullity", recording)
+        oracle._census(n, p)
+        assert visited == line_representatives(n, p)
+        if p == 2:
+            assert visited == [row_codes(A) for A in enumerate_matrices(n, p)]
+
     @pytest.mark.parametrize(
         "n,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
     )
@@ -339,8 +377,10 @@ class TestSharedPrefix:
 
 class TestFaultInjection:
     def test_lemma2_names_first_perturbed_matrix(self, monkeypatch, fresh_census):
-        first, later = M(2, 3, (0, 0), (2, 1)), M(2, 3, (0, 1), (2, 0))
-        targets = {row_codes(first), row_codes(later)}
+        # perturb two whole scalar lines; the first matrix of the earlier one
+        # is the lexicographically first perturbed matrix
+        first, later = M(2, 3, (0, 0), (1, 2)), M(2, 3, (0, 1), (2, 0))
+        targets = {row_codes(scaled(A, c)) for A in (first, later) for c in (1, 2)}
         real = oracle._annihilator_nullity
 
         def perturbed(codes, packing, *prefix):
@@ -350,7 +390,7 @@ class TestFaultInjection:
         report = verify.run_lemma2_check(2, 3)
         assert not report.passed
         want = (2 - rank(first)) ** 2
-        assert report.detail == f"A={first.entries}: dimension {want + 1} != {want}"
+        assert report.detail == f"A=(0, 0, 1, 2): dimension {want + 1} != {want}"
 
     def test_lemma3_names_first_nilpotent_matrix(self, monkeypatch, fresh_census):
         real = oracle._packed_matrix

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clpartitions import cli
+from clpartitions import cli, sampler
 from clpartitions.partitions import Partition, aut_order, partitions_of
 from clpartitions.sampler import (
     MIN_PROBABILITY,
@@ -24,6 +24,7 @@ from clpartitions.sampler import (
     kernel_row_infinite,
     u_over_q_infinite_value,
 )
+from reference import partition_bucket_counts
 
 U_HALF = Fraction(1, 2)
 
@@ -187,6 +188,17 @@ class TestSampling:
             SamplerConfig(q=2, u=Fraction(2), seed=0, trials=1)
         with pytest.raises(ValueError):
             SamplerConfig(q=2, u=U_HALF, seed=0, trials=0)
+
+
+class TestBucketCounts:
+    @pytest.mark.parametrize(
+        "q,u,seed",
+        [(2, U_HALF, 1), (2, U_HALF, 7), (3, Fraction(1, 3), 2), (3, Fraction(9, 10), 5)],
+    )
+    def test_column_counts_are_partition_counts(self, q, u, seed):
+        # the Monte Carlo check reads a and b off the columns, not a Partition
+        cfg = SamplerConfig(q=q, u=u, seed=seed, trials=5000)
+        assert sampler._bucket_counts(cfg) == partition_bucket_counts(cfg)
 
 
 @pytest.fixture(scope="module")
