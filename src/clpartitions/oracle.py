@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .partitions import Partition
 
@@ -384,29 +384,6 @@ class _Census(NamedTuple):
     inner: int  # sum of p^dim over the nilpotent A
 
 
-def _line_representatives(n: int, p: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(index, row codes) of the first matrix of each scalar line, lexicographically.
-
-    The line of A is {cA : c in F_p^x}.  Its lexicographically first matrix
-    is the zero matrix, or the matrix whose first nonzero row-major entry
-    is 1: some k zero rows, then a row whose code has leading digit 1,
-    then any n - 1 - k rows.  At p = 2 that is every matrix, walked as such.
-    """
-    block = p**n
-    if p == 2:
-        yield from enumerate(itertools.product(range(block), repeat=n))
-        return
-    leading = [c for k in range(n) for c in range(p**k, 2 * p**k)]
-    yield 0, (0,) * n
-    for k in reversed(range(n)):
-        for lead in leading:
-            head = (0,) * k + (lead,)
-            base = lead * block ** (n - 1 - k)
-            tails = itertools.product(range(block), repeat=n - 1 - k)
-            for offset, tail in enumerate(tails):
-                yield base + offset, head + tail
-
-
 def _line_indices(index: int, n: int, p: int) -> list[int]:
     """Lexicographic indices of the line {cA : c in F_p^x}, A the index-th matrix."""
     if p == 2 or index == 0:  # a line of one matrix
@@ -426,25 +403,27 @@ def _census(n: int, p: int) -> _Census:
     """Pass 1: for each A, the annihilator nullity and the rank sequence of powers.
 
     The walk visits one matrix per scalar line {cA : c in F_p^x}, its
-    lexicographically first (:func:`_line_representatives`), and weights it
-    by the line's size: p - 1, or 1 for the zero matrix.  Every record of
-    cA equals A's.  AB = 0 if and only if (cA)B = 0, and likewise BA, so
-    ann(cA) = ann(A) and has A's dimension; (cA)^k = c^k A^k has the rank
-    of A^k, so cA has A's rank sequence, and with it A's nilpotency and
-    Jordan type.  The first matrix of a line comes before the others, so
-    the first lemma-2 counterexample and the order in which Jordan types
-    first occur are those of the walk over every matrix; the nilpotent
-    list gets every index of each nilpotent line and is then sorted.  At
-    p = 2 each line is one matrix and the walk is the walk over every
-    matrix.
+    lexicographically first: the zero matrix, or the matrix whose first
+    nonzero row-major entry is 1, i.e. whose first nonzero row code has
+    leading digit 1.  It weights that matrix by the line's size: p - 1, or
+    1 for the zero matrix.  Every record of cA equals A's.  AB = 0 if and
+    only if (cA)B = 0, and likewise BA, so ann(cA) = ann(A) and has A's
+    dimension; (cA)^k = c^k A^k has the rank of A^k, so cA has A's rank
+    sequence, and with it A's nilpotency and Jordan type.  The first matrix
+    of a line comes before the others, so the first lemma-2 counterexample
+    and the order in which Jordan types first occur are those of the walk
+    over every matrix; the nilpotent list gets every index of each
+    nilpotent line and is then sorted.  At p = 2 each line is one matrix
+    and nothing is skipped.
 
     The prefix states, refreshed at every p^n-th matrix, are the elimination
     of A's first n - 1 rows (for rank(A)) and :func:`_annihilator_prefix`.
     Each A resumes both from copies, with its last row only.  Every prefix
-    the walk visits starts at such a matrix: a nonzero prefix whose first
-    nonzero entry is 1 is followed by all p^n last rows, and the zero prefix
-    starts at the zero matrix.  At n = 0 the one empty matrix starts the one
-    prefix, and both states are empty.
+    the walk keeps starts at such a matrix, which it keeps too: a nonzero
+    prefix whose first nonzero entry is 1 goes on with all p^n last rows,
+    the first of them 0, and the zero prefix starts at the zero matrix.  At
+    n = 0 the one empty matrix starts the one prefix, and both states are
+    empty.
     """
     pk = _packing(n, p)
     block = p**n
@@ -454,7 +433,11 @@ def _census(n: int, p: int) -> _Census:
     lemma2 = None
     types: dict[tuple[int, ...], int] = {}
     nilpotent = []
-    for index, codes in _line_representatives(n, p):
+    lines = p != 2  # at p = 2 every matrix is its line
+    leading = {0} | {c for k in range(n) for c in range(p**k, 2 * p**k)}
+    for index, codes in enumerate(itertools.product(range(block), repeat=n)):
+        if lines and next(filter(None, codes), 0) not in leading:
+            continue
         if index % block == 0:  # a new prefix: A's first n - 1 rows
             prefix = codes[: n - 1]
             rank_prefix = _eliminate([packed_row[c] for c in prefix], pk, n)
