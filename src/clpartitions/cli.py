@@ -151,13 +151,12 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.which == "count-pairs":
-        result = oracle.count_pairs(args.n, args.p, args.budget)
-        print(
-            json.dumps({"count": result}) if args.json else f"{result}"
-        )
-    elif args.which == "count-nilpotent-pairs":
-        result = oracle.count_nilpotent_pairs(args.n, args.p, args.budget)
+    count = {
+        "count-pairs": oracle.count_pairs,
+        "count-nilpotent-pairs": oracle.count_nilpotent_pairs,
+    }.get(args.which)
+    if count:
+        result = count(args.n, args.p, args.budget)
         print(json.dumps({"count": result}) if args.json else f"{result}")
     else:
         counts = oracle.count_nilpotent_by_type(args.n, args.p, args.budget)

@@ -26,10 +26,10 @@ states with its last row only.  The BA rows hold a column of A, which
 every row of A touches, so they are built and eliminated for every A:
 the annihilator's dimension is still the nullity of A's full system.
 
-Pass 1 also visits only one matrix per scalar line {cA : c != 0}, and
-weights it by the line's size: cA has A's annihilator and the ranks of
-A's powers, so its every record is A's (see :func:`_census`).  At p = 2
-every line is one matrix.
+Both passes visit only one matrix per scalar line {cA : c != 0}, and
+weight it by the line's size (:func:`_line_size`): cA has A's
+annihilator and the ranks of A's powers, so its every record is A's
+(see :func:`_census`).  At p = 2 every line is one matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ from typing import NamedTuple, Optional
 from .partitions import Partition
 
 DEFAULT_OUTER_BUDGET = 2**26
-INNER_BUDGET = 2**30  # most solution vectors pass 2 may enumerate, read per call
+# most of census.inner, read per call: the weighted solution-space sizes, up
+# to p - 1 times the vectors pass 2 enumerates at one A per scalar line
+INNER_BUDGET = 2**30
 
 _SMALL_PRIMES = {2, 3, 5}
 
@@ -380,22 +382,13 @@ class _Census(NamedTuple):
     pairs: int  # sum of p^dim over every A
     lemma2: _Counterexample  # first (A, dim, (n - rank)^2) that differ
     types: tuple[tuple[tuple[int, ...], int], ...]  # (conjugate type, count), nilpotent A
-    nilpotent: tuple[tuple[int, int], ...]  # (lexicographic index, m^2 - d), nilpotent A
+    nilpotent: tuple[tuple[int, int], ...]  # (first A's index, m^2 - d), nilpotent line
     inner: int  # sum of p^dim over the nilpotent A
 
 
-def _line_indices(index: int, n: int, p: int) -> list[int]:
-    """Lexicographic indices of the line {cA : c in F_p^x}, A the index-th matrix."""
-    if p == 2 or index == 0:  # a line of one matrix
-        return [index]
-    entries = _matrix_at(index, n, p)
-    out = [index]
-    for c in range(2, p):
-        scaled = 0
-        for e in entries:
-            scaled = scaled * p + c * e % p
-        out.append(scaled)
-    return out
+def _line_size(index: int, p: int) -> int:
+    """|{cA : c in F_p^x}| for A the index-th matrix: 1 for the zero matrix."""
+    return p - 1 if index else 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,9 +405,9 @@ def _census(n: int, p: int) -> _Census:
     sequence, and with it A's nilpotency and Jordan type.  The first matrix
     of a line comes before the others, so the first lemma-2 counterexample
     and the order in which Jordan types first occur are those of the walk
-    over every matrix; the nilpotent list gets every index of each
-    nilpotent line and is then sorted.  At p = 2 each line is one matrix
-    and nothing is skipped.
+    over every matrix.  The nilpotent list holds one entry per nilpotent
+    line, its first matrix, in walk order, which is lexicographic order.
+    At p = 2 each line is one matrix and nothing is skipped.
 
     The prefix states, refreshed at every p^n-th matrix, are the elimination
     of A's first n - 1 rows (for rank(A)) and :func:`_annihilator_prefix`.
@@ -442,7 +435,7 @@ def _census(n: int, p: int) -> _Census:
             prefix = codes[: n - 1]
             rank_prefix = _eliminate([packed_row[c] for c in prefix], pk, n)
             system_prefix = _annihilator_prefix(prefix, pk)
-        weight = p - 1 if index else 1
+        weight = _line_size(index, p)
         ranks = _rank_sequence([packed_row[c] for c in codes], pk, rank_prefix)
         dim = _annihilator_nullity(codes, pk, system_prefix)
         pairs += weight * powers[dim]
@@ -452,27 +445,33 @@ def _census(n: int, p: int) -> _Census:
             cols = _zero_columns(ranks)
             types[cols] = types.get(cols, 0) + weight
             m, d = _zero_block_counts(cols)
-            nilpotent += [(i, m * m - d) for i in _line_indices(index, n, p)]
+            nilpotent.append((index, m * m - d))
             inner += weight * powers[dim]
-    nilpotent.sort()
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 
 
 @functools.lru_cache(maxsize=None)
 def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
-    """Pass 2: enumerate the annihilator of each nilpotent A, count nilpotent B.
+    """Pass 2: per nilpotent line, enumerate A's annihilator and count nilpotent B.
 
     Returns (total count, first (A, count, p^(m^2 - d)) that differ).
     The solution space is enumerated as the sums of two half spans, and
     B counts when the census found it nilpotent: its packed vec(B) is in
-    the set of every nilpotent matrix, packed by :func:`_packed_matrix`.
+    the set of every nilpotent matrix, the multiples c * vec(A) (lanes at
+    most (p - 1)^2) of each line's A, packed by :func:`_packed_matrix`.
+    Every cA has A's annihilator and Jordan type, so A's count, weighted
+    by the line's size, stands for the line's, and A comes first in it.
     """
     pk = _packing(n, p)
     nilpotent = [
         (tuple((index // p ** (n * (n - 1 - i))) % p**n for i in range(n)), index, exponent)
         for index, exponent in _census(n, p).nilpotent
     ]
-    members = {_packed_matrix(codes, pk) for codes, _, _ in nilpotent}
+    members = {
+        _reduce(c * _packed_matrix(codes, pk), pk)
+        for codes, _, _ in nilpotent
+        for c in range(1, p)
+    }
     total = 0
     lemma3 = None
     for codes, index, exponent in nilpotent:
@@ -484,7 +483,7 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
             for y in right:
                 if (x ^ y if p == 2 else _reduce(x + y, pk)) in members:
                     found += 1
-        total += found
+        total += _line_size(index, p) * found
         if lemma3 is None and found != p**exponent:
             lemma3 = (_matrix_at(index, n, p), found, p**exponent)
     return total, lemma3

@@ -366,6 +366,7 @@ def run_sampler_check(cfg: SamplerConfig) -> VerificationReport:
 Z_THRESHOLD = 4.0  # the Monte Carlo gate, in standard errors per bucket
 PRIMES = (2, 3)  # fields of the oracle checks, and q of the sampler checks
 RATIONAL_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(10))
+WELLKNOWN_QS = (Fraction(2), Fraction(3), Fraction(5, 2))  # q of wellknown-identity
 
 
 @dataclass
@@ -425,7 +426,7 @@ def _series_reports(config: VerifierConfig) -> list[VerificationReport]:
     reports = [run_irreducible_product_check(q, min(config.order, 6)) for q in PRIMES]
     for q in RATIONAL_QS:
         reports.extend(run_rational_q_check(q, config.order))
-        if q in (Fraction(2), Fraction(3), Fraction(5, 2)):
+        if q in WELLKNOWN_QS:
             reports.append(run_wellknown_identity_check(q, config.order))
         reports.append(run_measure_normalization_check(q, config.order))
     return reports

@@ -65,7 +65,7 @@ def test_02_eq2_three_way_agreement():
 
 
 def test_03_rational_q_identity_suite():
-    for q in (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(10)):
+    for q in verify.RATIONAL_QS:
         for rep in verify.run_rational_q_check(q, 8):
             assert rep.passed, f"{rep.check_name} at q={q}: {rep.detail}"
     report(3, "middle/rhs coefficient equality at rational q, order 8")
@@ -86,7 +86,10 @@ def test_05_lemma3_exhaustive():
 
 
 def test_06_jordan_type_counts():
-    cases = [(n, p) for p in verify.PRIMES for n in range(1, N_MAX + 1)] + [(4, 2)]
+    cases = [(n, p) for p in verify.PRIMES for n in range(1, N_MAX + 1)]
+    # the long runs that --include-n4 adds
+    long_runs = verify._oracle_cases(verify.VerifierConfig(include_n4=True))
+    cases += [(n, p) for p, n in long_runs if n > N_MAX]
     for n, p in cases:
         counts = oracle.count_nilpotent_by_type(n, p)
         for lam in partitions_of(n):
@@ -103,7 +106,7 @@ def test_07_product_over_irreducibles():
 
 
 def test_08_wellknown_identity():
-    for q in (Fraction(2), Fraction(3), Fraction(5, 2)):
+    for q in verify.WELLKNOWN_QS:
         # the b-sum times Euler's expansion of (u/q)_inf
         product = multiply(
             sum_wellknown_identity_lhs(q, 8), pochhammer_infinite_u_over_q(q, 8)

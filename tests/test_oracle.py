@@ -44,6 +44,29 @@ def scaled(A, c):
     return PrimeFieldMatrix(A.n, A.p, tuple(c * e % A.p for e in A.entries))
 
 
+def lex_index(A):
+    """A's position in ``enumerate_matrices(A.n, A.p)``."""
+    index = 0
+    for e in A.entries:
+        index = index * A.p + e
+    return index
+
+
+def expanded_lines(nilpotent, n, p):
+    """The census's (first index, m^2 - d) per line, for every matrix of each line.
+
+    The line {cA : c != 0} is taken by reference scalar multiplication.
+    """
+    matrices = list(enumerate_matrices(n, p))
+    return tuple(
+        sorted(
+            (i, exponent)
+            for index, exponent in nilpotent
+            for i in {lex_index(scaled(matrices[index], c)) for c in range(1, p)}
+        )
+    )
+
+
 def line_representatives(n, p):
     """Row codes of the zero matrix and of each A whose first nonzero entry is 1."""
     return [
@@ -238,7 +261,8 @@ class TestCounts:
             for index, A in enumerate(enumerate_matrices(n, p))
             if is_nilpotent_reference(A)
         ]
-        assert [index for index, _ in oracle._census(n, p).nilpotent] == want
+        got = expanded_lines(oracle._census(n, p).nilpotent, n, p)
+        assert [index for index, _ in got] == want
 
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_nilpotent_totals(self, n, p):
@@ -372,7 +396,32 @@ class TestSharedPrefix:
     )
     def test_census_matches_unshared_reference(self, n, p):
         want = dict(zip(oracle._Census._fields, unshared_census(n, p)))
-        assert oracle._census(n, p)._asdict() == want
+        got = oracle._census(n, p)._asdict()
+        # the census keeps one entry per nilpotent line, the reference one per matrix
+        assert expanded_lines(got.pop("nilpotent"), n, p) == want.pop("nilpotent")
+        assert got == want
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
+    def test_pass2_visits_nilpotent_line_representatives(
+        self, n, p, monkeypatch, fresh_census
+    ):
+        # one annihilator per nilpotent line, in walk order; at p = 2 every nilpotent A
+        visited = []
+        real = oracle._annihilator_basis
+
+        def recording(codes, packing):
+            visited.append(codes)
+            return real(codes, packing)
+
+        monkeypatch.setattr(oracle, "_annihilator_basis", recording)
+        oracle._nilpotent_annihilators(n, p)
+        nilpotent = [
+            row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
+        ]
+        members = set(nilpotent)
+        assert visited == [c for c in line_representatives(n, p) if c in members]
+        if p == 2:
+            assert visited == nilpotent
 
 
 class TestFaultInjection:
@@ -402,3 +451,21 @@ class TestFaultInjection:
         report = verify.run_lemma3_check(2, 2)
         assert not report.passed
         assert report.detail == "A=(0, 0, 0, 0): count 3 != 4"  # 2^(m^2 - d), m = d = 2
+
+    def test_lemma3_names_first_matrix_of_perturbed_line(
+        self, monkeypatch, fresh_census
+    ):
+        # drop a basis vector of both matrices of one nilpotent line at odd p
+        A = M(2, 3, (0, 0), (1, 0))
+        targets = {row_codes(scaled(A, c)) for c in (1, 2)}
+        real = oracle._annihilator_basis
+
+        def perturbed(codes, packing):
+            basis = real(codes, packing)
+            return basis[1:] if codes in targets else basis
+
+        monkeypatch.setattr(oracle, "_annihilator_basis", perturbed)
+        report = verify.run_lemma3_check(2, 3)
+        assert not report.passed
+        # ann(A) has dimension 1, so only B = 0 is left; 3^(m^2 - d), m = 1, d = 0
+        assert report.detail == "A=(0, 0, 1, 0): count 1 != 3"
