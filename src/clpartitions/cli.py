@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 any identity failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -77,25 +78,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = VerifierConfig()
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "suite",
         choices=[name for name in verify.SUITES if not name.startswith("_")] + ["all"],
     )
     p_verify.add_argument(
-        "--order", type=non_negative_int, default=8, help="series truncation order"
+        "--order",
+        type=non_negative_int,
+        default=defaults.order,
+        help="series truncation order",
     )
     p_verify.add_argument(
-        "--n-max", type=non_negative_int, default=3, help="largest oracle dimension"
+        "--n-max",
+        type=non_negative_int,
+        default=defaults.n_max,
+        help="largest oracle dimension",
     )
+    p_verify.add_argument("--budget", type=non_negative_int, default=defaults.budget)
+    p_verify.add_argument("--u", type=parse_rational, default=defaults.u)
+    p_verify.add_argument("--seed", type=int, default=defaults.seed)
+    p_verify.add_argument("--trials", type=int, default=defaults.trials)
     p_verify.add_argument(
-        "--budget", type=non_negative_int, default=oracle.DEFAULT_OUTER_BUDGET
-    )
-    p_verify.add_argument("--u", type=parse_rational, default=Fraction(1, 2))
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--trials", type=int, default=100_000)
-    p_verify.add_argument(
-        "--include-n4", action="store_true", help="add the long n=4, p=2 oracle runs"
+        "--include-n4",
+        action="store_true",
+        help="add the long n=4, p=2 oracle runs when --n-max is below 4",
     )
 
     p_series = sub.add_parser("series", help="print exact series coefficients")
@@ -125,13 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = VerifierConfig(
-        u=args.u,
-        order=args.order,
-        n_max=args.n_max,
-        trials=args.trials,
-        seed=args.seed,
-        budget=args.budget,
-        include_n4=args.include_n4,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(VerifierConfig)}
     )
     reports = verify.run_all(config, args.suite)
     if not reports:

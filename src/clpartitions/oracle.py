@@ -17,14 +17,15 @@ routine (:func:`_eliminate`) serves every rank and nullspace computation.
 n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
 which is nilpotent with an annihilator of dimension 0.
 
+A matrix is named by its row codes (see :class:`_Packing`) throughout.
 Pass 1 shares work between neighbours.  In lexicographic order A's first
-n - 1 rows, its *prefix*, stay fixed for p^n consecutive matrices, and so
-do their rows of the system B -> AB and their rows for rank(A).  The walk
-eliminates both once per prefix and keeps the two echelon states with the
-prefix's bits of A^T; each A resumes elimination from copies of those
-states with its last row only.  The BA rows hold a column of A, which
-every row of A touches, so they are built and eliminated for every A:
-the annihilator's dimension is still the nullity of A's full system.
+n - 1 rows, its *prefix*, stay fixed for runs of consecutive matrices,
+and so do their rows of the system B -> AB.  The walk eliminates those
+rows once per prefix and keeps the echelon state with the prefix's bits
+of A^T; each A resumes elimination from a copy of that state with its
+last row only.  The BA rows hold a column of A, which every row of A
+touches, so they are built and eliminated for every A: the annihilator's
+dimension is still the nullity of A's full system.
 
 Both passes visit only one matrix per scalar line {cA : c != 0}, and
 weight it by the line's size (:func:`_line_size`): cA has A's
@@ -87,6 +88,7 @@ class _Packing(NamedTuple):
     shift: int
     quotient_mask: int  # the low (w - shift) bits of each of n^2 lanes
     inverse: tuple[int, ...]  # inverse[c] * c == 1 mod p, c in [1, p)
+    digits: tuple[tuple[int, ...], ...]  # code -> the row's n entries
     row: tuple[int, ...]  # code -> packed row, entry k in lane k
     products: tuple[tuple[int, ...], ...]  # code -> n AB rows, entry k in lane k*n + j
     transposed: tuple[tuple[int, ...], ...]  # [i][code] -> entry k in lane k*n + i
@@ -109,10 +111,10 @@ def _packing(n: int, p: int) -> _Packing:
         quotient_mask = sum(
             ((1 << (w - shift)) - 1) << (t * w) for t in range(n * n)
         )
-    digits = [
+    digits = tuple(
         tuple((code // p ** (n - 1 - k)) % p for k in range(n))
         for code in range(p**n)
-    ]
+    )
     return _Packing(
         n=n,
         p=p,
@@ -122,6 +124,7 @@ def _packing(n: int, p: int) -> _Packing:
         shift=shift,
         quotient_mask=quotient_mask,
         inverse=(0,) + tuple(pow(c, p - 2, p) for c in range(1, p)),
+        digits=digits,
         row=tuple(
             sum(e << (k * w) for k, e in enumerate(es)) for es in digits
         ),
@@ -241,16 +244,10 @@ def _matmul(X: list[int], Y: list[int], pk: _Packing) -> list[int]:
     return out
 
 
-def _rank_sequence(
-    rows: list[int], pk: _Packing, prefix: Optional[_State] = None
-) -> list[int]:
-    """[n, rank A, rank A^2, ...] up to the first repeat or the first 0.
-
-    ``prefix``, if given, is ``_eliminate(rows[:n - 1], pk, n)``, and only
-    A's last row is eliminated from it for rank(A).
-    """
+def _rank_sequence(rows: list[int], pk: _Packing) -> list[int]:
+    """[n, rank A, rank A^2, ...] up to the first repeat or the first 0."""
     n = pk.n
-    ranks = [n, _eliminate(rows if prefix is None else rows[n - 1 :], pk, n, prefix)[1]]
+    ranks = [n, _eliminate(rows, pk, n)[1]]
     power = rows
     while ranks[-1] and ranks[-1] != ranks[-2]:  # strictly falling: < n products
         power = _matmul(power, rows, pk)
@@ -322,18 +319,16 @@ def _annihilator_prefix(prefix: tuple[int, ...], pk: _Packing) -> tuple[_State, 
 
 
 def _annihilator_nullity(
-    codes: tuple[int, ...], pk: _Packing, prefix: Optional[tuple[_State, int]] = None
+    codes: tuple[int, ...], pk: _Packing, prefix: tuple[_State, int]
 ) -> int:
     """F_p-dimension of {B : AB = BA = 0}, the nullity of the eliminated system.
 
-    ``prefix``, if given, is ``_annihilator_prefix(codes[:n - 1], pk)``: the
-    last row's AB rows and all n^2 BA rows are then eliminated from it, in
-    the order of the full system, so each pivot is the one it finds.
+    ``prefix`` is ``_annihilator_prefix(codes[:n - 1], pk)``: the last row's
+    AB rows and all n^2 BA rows are eliminated from it, in the order of the
+    full system :func:`_annihilator_rows`, so each pivot is the one it finds.
     """
     n = pk.n
     nn = n * n
-    if prefix is None:
-        return nn - _eliminate(_annihilator_rows(codes, pk), pk, nn)[1]
     state, At = prefix
     last = codes[n - 1 :]
     At |= _transpose(last, pk, n - 1)
@@ -364,15 +359,6 @@ def _span(vectors: list[int], pk: _Packing) -> list[int]:
     return out
 
 
-def _matrix_at(index: int, n: int, p: int) -> tuple[int, ...]:
-    """Row-major entries of the index-th matrix of Mat_n(F_p) in lexicographic order."""
-    entries = []
-    for _ in range(n * n):
-        index, e = divmod(index, p)
-        entries.append(e)
-    return tuple(reversed(entries))
-
-
 # -- the census ---------------------------------------------------------------
 
 
@@ -382,13 +368,13 @@ class _Census(NamedTuple):
     pairs: int  # sum of p^dim over every A
     lemma2: _Counterexample  # first (A, dim, (n - rank)^2) that differ
     types: tuple[tuple[tuple[int, ...], int], ...]  # (conjugate type, count), nilpotent A
-    nilpotent: tuple[tuple[int, int], ...]  # (first A's index, m^2 - d), nilpotent line
+    nilpotent: tuple[tuple[tuple[int, ...], int], ...]  # (first A, m^2 - d) per nilpotent line
     inner: int  # sum of p^dim over the nilpotent A
 
 
-def _line_size(index: int, p: int) -> int:
-    """|{cA : c in F_p^x}| for A the index-th matrix: 1 for the zero matrix."""
-    return p - 1 if index else 1
+def _line_size(codes: tuple[int, ...], p: int) -> int:
+    """|{cA : c in F_p^x}| for A with these row codes: 1 for the zero matrix."""
+    return p - 1 if any(codes) else 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,17 +395,12 @@ def _census(n: int, p: int) -> _Census:
     line, its first matrix, in walk order, which is lexicographic order.
     At p = 2 each line is one matrix and nothing is skipped.
 
-    The prefix states, refreshed at every p^n-th matrix, are the elimination
-    of A's first n - 1 rows (for rank(A)) and :func:`_annihilator_prefix`.
-    Each A resumes both from copies, with its last row only.  Every prefix
-    the walk keeps starts at such a matrix, which it keeps too: a nonzero
-    prefix whose first nonzero entry is 1 goes on with all p^n last rows,
-    the first of them 0, and the zero prefix starts at the zero matrix.  At
-    n = 0 the one empty matrix starts the one prefix, and both states are
-    empty.
+    The prefix state, :func:`_annihilator_prefix` of A's first n - 1 rows,
+    is refreshed whenever they differ from the last visited matrix's, and
+    each A resumes from a copy of it with its last row only.  At n = 0 the
+    one empty matrix has the empty prefix, and the state is empty.
     """
     pk = _packing(n, p)
-    block = p**n
     packed_row = pk.row
     powers = [p**k for k in range(n * n + 1)]
     pairs = inner = 0
@@ -428,24 +409,25 @@ def _census(n: int, p: int) -> _Census:
     nilpotent = []
     lines = p != 2  # at p = 2 every matrix is its line
     leading = {0} | {c for k in range(n) for c in range(p**k, 2 * p**k)}
-    for index, codes in enumerate(itertools.product(range(block), repeat=n)):
+    prefix = None
+    for codes in itertools.product(range(p**n), repeat=n):
         if lines and next(filter(None, codes), 0) not in leading:
             continue
-        if index % block == 0:  # a new prefix: A's first n - 1 rows
+        if codes[: n - 1] != prefix:  # a new prefix: A's first n - 1 rows
             prefix = codes[: n - 1]
-            rank_prefix = _eliminate([packed_row[c] for c in prefix], pk, n)
             system_prefix = _annihilator_prefix(prefix, pk)
-        weight = _line_size(index, p)
-        ranks = _rank_sequence([packed_row[c] for c in codes], pk, rank_prefix)
+        weight = _line_size(codes, p)
+        ranks = _rank_sequence([packed_row[c] for c in codes], pk)
         dim = _annihilator_nullity(codes, pk, system_prefix)
         pairs += weight * powers[dim]
         if lemma2 is None and dim != (n - ranks[1]) ** 2:
-            lemma2 = (_matrix_at(index, n, p), dim, (n - ranks[1]) ** 2)
+            entries = tuple(e for c in codes for e in pk.digits[c])
+            lemma2 = (entries, dim, (n - ranks[1]) ** 2)
         if not ranks[-1]:
             cols = _zero_columns(ranks)
             types[cols] = types.get(cols, 0) + weight
             m, d = _zero_block_counts(cols)
-            nilpotent.append((index, m * m - d))
+            nilpotent.append((codes, m * m - d))
             inner += weight * powers[dim]
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 
@@ -463,18 +445,15 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     by the line's size, stands for the line's, and A comes first in it.
     """
     pk = _packing(n, p)
-    nilpotent = [
-        (tuple((index // p ** (n * (n - 1 - i))) % p**n for i in range(n)), index, exponent)
-        for index, exponent in _census(n, p).nilpotent
-    ]
+    nilpotent = _census(n, p).nilpotent
     members = {
         _reduce(c * _packed_matrix(codes, pk), pk)
-        for codes, _, _ in nilpotent
+        for codes, _ in nilpotent
         for c in range(1, p)
     }
     total = 0
     lemma3 = None
-    for codes, index, exponent in nilpotent:
+    for codes, exponent in nilpotent:
         basis = _annihilator_basis(codes, pk)
         half = len(basis) // 2
         right = _span(basis[half:], pk)
@@ -483,9 +462,9 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
             for y in right:
                 if (x ^ y if p == 2 else _reduce(x + y, pk)) in members:
                     found += 1
-        total += _line_size(index, p) * found
+        total += _line_size(codes, p) * found
         if lemma3 is None and found != p**exponent:
-            lemma3 = (_matrix_at(index, n, p), found, p**exponent)
+            lemma3 = (tuple(e for c in codes for e in pk.digits[c]), found, p**exponent)
     return total, lemma3
 
 

@@ -387,9 +387,12 @@ class VerifierConfig:
 
 
 def _oracle_cases(config: VerifierConfig) -> list[tuple[int, int]]:
-    """(p, largest n) of the censuses the eq and lemma suites read at each p."""
+    """(p, largest n) of the censuses the eq and lemma suites read at each p.
+
+    ``include_n4`` adds n = 4 at p = 2 unless n_max already reaches it.
+    """
     cases = [(p, config.n_max) for p in PRIMES]
-    if config.include_n4:
+    if config.include_n4 and config.n_max < 4:
         cases.append((2, 4))
     return cases
 
@@ -408,7 +411,7 @@ def _lemma_reports(config: VerifierConfig) -> list[VerificationReport]:
             reports.append(run_lemma2_check(n, p, config.budget))
             reports.append(run_lemma3_check(n, p, config.budget))
             reports.append(run_jordan_type_count_check(n, p, config.budget))
-    if config.include_n4:
+    if config.include_n4 and config.n_max < 4:
         reports.append(run_jordan_type_count_check(4, 2, config.budget))
     return reports
 

@@ -169,17 +169,19 @@ def unshared_census(n, p):
     """The oracle's pass-1 census, one matrix at a time with nothing shared.
 
     Walks ``enumerate_matrices`` and gives every A the unshared kernels: the
-    annihilator nullity of its whole 2n^2-row system, and the rank sequence
-    of its powers from all n of its rows.
+    annihilator nullity of its whole 2n^2-row system, eliminated in one
+    call from ``oracle._annihilator_rows``, and the rank sequence of its
+    powers.  Each nilpotent A is named by its row codes.
     """
     pk = oracle._packing(n, p)
+    nn = n * n
     pairs = inner = 0
     lemma2 = None
     types = {}
     nilpotent = []
-    for index, A in enumerate(enumerate_matrices(n, p)):
+    for A in enumerate_matrices(n, p):
         codes = row_codes(A)
-        dim = oracle._annihilator_nullity(codes, pk)
+        dim = nn - oracle._eliminate(oracle._annihilator_rows(codes, pk), pk, nn)[1]
         ranks = oracle._rank_sequence([pk.row[c] for c in codes], pk)
         pairs += p**dim
         want = (n - ranks[1]) ** 2
@@ -189,7 +191,7 @@ def unshared_census(n, p):
             cols = oracle._zero_columns(ranks)
             types[cols] = types.get(cols, 0) + 1
             m, d = oracle._zero_block_counts(cols)
-            nilpotent.append((index, m * m - d))
+            nilpotent.append((codes, m * m - d))
             inner += p**dim
     return (pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 

@@ -44,25 +44,17 @@ def scaled(A, c):
     return PrimeFieldMatrix(A.n, A.p, tuple(c * e % A.p for e in A.entries))
 
 
-def lex_index(A):
-    """A's position in ``enumerate_matrices(A.n, A.p)``."""
-    index = 0
-    for e in A.entries:
-        index = index * A.p + e
-    return index
-
-
 def expanded_lines(nilpotent, n, p):
-    """The census's (first index, m^2 - d) per line, for every matrix of each line.
+    """The census's (first codes, m^2 - d) per line, for every matrix of each line.
 
     The line {cA : c != 0} is taken by reference scalar multiplication.
     """
-    matrices = list(enumerate_matrices(n, p))
+    matrices = {row_codes(A): A for A in enumerate_matrices(n, p)}
     return tuple(
         sorted(
-            (i, exponent)
-            for index, exponent in nilpotent
-            for i in {lex_index(scaled(matrices[index], c)) for c in range(1, p)}
+            (codes, exponent)
+            for first, exponent in nilpotent
+            for codes in {row_codes(scaled(matrices[first], c)) for c in range(1, p)}
         )
     )
 
@@ -83,7 +75,10 @@ def rank(A):
 
 
 def annihilator_dimension(A):
-    return oracle._annihilator_nullity(row_codes(A), oracle._packing(A.n, A.p))
+    """The census kernel's nullity, resumed from the state of A's first n - 1 rows."""
+    codes, pk = row_codes(A), oracle._packing(A.n, A.p)
+    prefix = oracle._annihilator_prefix(codes[: A.n - 1], pk)
+    return oracle._annihilator_nullity(codes, pk, prefix)
 
 
 def annihilator_basis(A):
@@ -257,12 +252,10 @@ class TestCounts:
     def test_census_nilpotent_set_is_reference_nilpotent_set(self, n, p):
         # pass 2 counts B by membership in this set, so check it independently
         want = [
-            index
-            for index, A in enumerate(enumerate_matrices(n, p))
-            if is_nilpotent_reference(A)
+            row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
         ]
         got = expanded_lines(oracle._census(n, p).nilpotent, n, p)
-        assert [index for index, _ in got] == want
+        assert [codes for codes, _ in got] == want
 
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_nilpotent_totals(self, n, p):
@@ -325,7 +318,7 @@ class TestCounts:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_empty_matrix_through_the_census(self, p):
         # Mat_0(F_p) holds one matrix: nilpotent, annihilator of dimension 0
-        assert oracle._census(0, p) == (1, None, (((), 1),), ((0, 0),), 1)
+        assert oracle._census(0, p) == (1, None, (((), 1),), (((), 0),), 1)
         assert count_pairs(0, p) == 1
         assert count_nilpotent_pairs(0, p) == 1
         assert count_nilpotent_by_type(0, p) == {Partition(): 1}

@@ -404,6 +404,30 @@ class TestCli:
         assert cli.main(args) == cli.EXIT_OK
         assert cli.main([*args, "--include-n4"]) == cli.EXIT_BUDGET
 
+    def test_include_n4_adds_nothing_when_n_max_reaches_4(self, monkeypatch):
+        # the oracle checks are stubbed to report their arguments: no census runs
+        def eq(name, q, n_max, order, budget):
+            return VerificationReport(name, {"q": q, "n_max": n_max, "N": order}, "pass")
+
+        def lemma(name):
+            return lambda n, p, budget: VerificationReport(name, {"n": n, "p": p}, "pass")
+
+        monkeypatch.setattr(verify, "run_eq_check", eq)
+        monkeypatch.setattr(verify, "run_lemma2_check", lemma("lemma2"))
+        monkeypatch.setattr(verify, "run_lemma3_check", lemma("lemma3"))
+        monkeypatch.setattr(
+            verify, "run_jordan_type_count_check", lemma("counter-nilpotent")
+        )
+        monkeypatch.setattr(oracle, "_census", lambda n, p: pytest.fail("census ran"))
+        config = verify.VerifierConfig(n_max=4, include_n4=True)
+        assert verify._oracle_cases(config) == [(2, 4), (3, 4)]
+        reports = [
+            r for suite in ("eq1", "eq2", "lemmas") for r in verify.run_all(config, suite)
+        ]
+        keys = [(r.check_name, sorted(r.parameters.items())) for r in reports]
+        assert len(keys) == 2 * 2 + 2 * 4 * 3
+        assert all(keys.count(key) == 1 for key in keys)
+
     @pytest.mark.parametrize("suite", ["all", "eq1", "eq2", "lemmas"])
     def test_outer_budget_refused_before_any_census(self, suite, monkeypatch, capsys):
         def refuse(n, p):
