@@ -27,23 +27,25 @@ last row only.  The BA rows hold a column of A, which every row of A
 touches, so they are built and eliminated for every A: the annihilator's
 dimension is still the nullity of A's full system.
 
-Both passes visit only one matrix per scalar line {cA : c != 0}, and
-weight it by the line's size (:func:`_line_size`): cA has A's
-annihilator and the ranks of A's powers, so its every record is A's
-(see :func:`_census`).  At p = 2 every line is one matrix.
+Both passes visit only one matrix per orbit {cA, cA^T : c != 0}, its
+lexicographic minimum, and weight it by the orbit's size, at most
+2(p - 1).  cA has A's annihilator and the ranks of A's powers; (AB)^T =
+B^T A^T, so B -> B^T maps ann(A) onto ann(A^T) and keeps nilpotency, and
+(A^T)^k = (A^k)^T has the rank of A^k.  So every record of an orbit's
+matrices is A's (see :func:`_census`), and no lemma is used.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .partitions import Partition
 
 DEFAULT_OUTER_BUDGET = 2**26
 # most of census.inner, read per call: the weighted solution-space sizes, up
-# to p - 1 times the vectors pass 2 enumerates at one A per scalar line
+# to 2(p - 1) times what pass 2 enumerates
 INNER_BUDGET = 2**30
 
 _SMALL_PRIMES = {2, 3, 5}
@@ -368,37 +370,112 @@ class _Census(NamedTuple):
     pairs: int  # sum of p^dim over every A
     lemma2: _Counterexample  # first (A, dim, (n - rank)^2) that differ
     types: tuple[tuple[tuple[int, ...], int], ...]  # (conjugate type, count), nilpotent A
-    nilpotent: tuple[tuple[tuple[int, ...], int], ...]  # (first A, m^2 - d) per nilpotent line
+    nilpotent: tuple[tuple[tuple[int, ...], int], ...]  # (first A, m^2 - d) per nilpotent orbit
     inner: int  # sum of p^dim over the nilpotent A
 
 
-def _line_size(codes: tuple[int, ...], p: int) -> int:
-    """|{cA : c in F_p^x}| for A with these row codes: 1 for the zero matrix."""
-    return p - 1 if any(codes) else 1
+@functools.lru_cache(maxsize=None)
+def _orbit_maps(
+    n: int, p: int
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]:
+    """(lead, min lead[n - 1], max lead[n - 1]) per map g: A -> cA (c != 1) or cA^T.
+
+    The key of A is its row-major entries read as one base-p number, so
+    entry (i, k) weighs p^(n^2 - 1 - n*i - k), and key order is the walk's
+    order.  g scales every entry by c and, for cA^T, moves entry (i, k) to
+    (k, i), so key(A) - key(gA) is a sum over A's rows: lead[i][code] is
+    what row i, with that code, puts into it.  One (n, p^n) table per map,
+    built on first use.  The maps A -> cA come first: a prefix whose first
+    nonzero entry is not 1 fails one of them, and is settled there.
+    """
+    digits = _packing(n, p).digits
+
+    def place(i: int, k: int) -> int:
+        return p ** (n * n - 1 - n * i - k)
+
+    maps = []
+    for transposed in (False, True):
+        for c in range(1 if transposed else 2, p):
+            lead = tuple(
+                tuple(
+                    sum(
+                        e * place(i, k)
+                        - c * e % p * (place(k, i) if transposed else place(i, k))
+                        for k, e in enumerate(es)
+                    )
+                    for es in digits
+                )
+                for i in range(n)
+            )
+            maps.append((lead, min(lead[-1]), max(lead[-1])))
+    return tuple(maps)
+
+
+def _orbit_minima(
+    n: int, p: int
+) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
+    """Per prefix, [(row codes, orbit size), ...] of its orbit minima, in walk order.
+
+    A is the minimum of its orbit {cA, cA^T : c in F_p^x} when key(A) <=
+    key(gA) for every map g of :func:`_orbit_maps`; the orbit's size is
+    2(p - 1) over the number of maps, the identity included, that fix A.
+    A prefix fixes each map's lead over A's first n - 1 rows, so one sum
+    per map settles it for every last row when the last row's lead cannot
+    change the sign (the map then rules out no last row, or all of them),
+    and only the maps left open are read per last row.  Prefixes with no
+    orbit minimum are not yielded.  Mat_0(F_p) is its one matrix, the
+    empty one.
+    """
+    if n == 0:
+        yield (), [((), 1)]
+        return
+    maps = _orbit_maps(n, p)
+    order = 2 * (p - 1)
+    for prefix in itertools.product(range(p**n), repeat=n - 1):
+        open_maps = []
+        for lead, low, high in maps:
+            ahead = sum(row[code] for row, code in zip(lead, prefix))
+            if ahead + low > 0:  # gA comes before A, whatever the last row
+                break
+            if ahead + high >= 0:
+                open_maps.append((lead[-1], ahead))
+        else:
+            matrices = []
+            for last in range(p**n):
+                fixed = 1  # the identity
+                for lead_last, ahead in open_maps:
+                    gap = ahead + lead_last[last]
+                    if gap > 0:
+                        break
+                    fixed += not gap
+                else:
+                    matrices.append((prefix + (last,), order // fixed))
+            if matrices:
+                yield prefix, matrices
 
 
 @functools.lru_cache(maxsize=None)
 def _census(n: int, p: int) -> _Census:
     """Pass 1: for each A, the annihilator nullity and the rank sequence of powers.
 
-    The walk visits one matrix per scalar line {cA : c in F_p^x}, its
-    lexicographically first: the zero matrix, or the matrix whose first
-    nonzero row-major entry is 1, i.e. whose first nonzero row code has
-    leading digit 1.  It weights that matrix by the line's size: p - 1, or
-    1 for the zero matrix.  Every record of cA equals A's.  AB = 0 if and
-    only if (cA)B = 0, and likewise BA, so ann(cA) = ann(A) and has A's
-    dimension; (cA)^k = c^k A^k has the rank of A^k, so cA has A's rank
-    sequence, and with it A's nilpotency and Jordan type.  The first matrix
-    of a line comes before the others, so the first lemma-2 counterexample
-    and the order in which Jordan types first occur are those of the walk
-    over every matrix.  The nilpotent list holds one entry per nilpotent
-    line, its first matrix, in walk order, which is lexicographic order.
-    At p = 2 each line is one matrix and nothing is skipped.
+    The walk visits one matrix per orbit {cA, cA^T : c in F_p^x}, its
+    lexicographically first (:func:`_orbit_minima`), and weights it by the
+    orbit's size: 1 for the zero matrix, p - 1 when A^T lies on A's scalar
+    line, 2(p - 1) otherwise.  Every record of cA and of cA^T equals A's.
+    AB = 0 if and only if (cA)B = 0, and likewise BA, so ann(cA) = ann(A);
+    (cA)^k = c^k A^k has the rank of A^k.  (AB)^T = B^T A^T, so B -> B^T
+    maps ann(A) onto ann(A^T), and (A^T)^k = (A^k)^T has the rank of A^k.
+    So the annihilator's dimension, the rank sequence, nilpotency and the
+    Jordan type are constant on an orbit.  The first matrix of an orbit
+    comes before the others, so the first lemma-2 counterexample and the
+    order in which Jordan types first occur are those of the walk over
+    every matrix.  The nilpotent list holds one entry per nilpotent orbit,
+    its first matrix, in walk order, which is lexicographic order.
 
     The prefix state, :func:`_annihilator_prefix` of A's first n - 1 rows,
-    is refreshed whenever they differ from the last visited matrix's, and
-    each A resumes from a copy of it with its last row only.  At n = 0 the
-    one empty matrix has the empty prefix, and the state is empty.
+    is built once per prefix that has an orbit minimum, and each A resumes
+    from a copy of it with its last row only.  At n = 0 the one empty
+    matrix has the empty prefix, and the state is empty.
     """
     pk = _packing(n, p)
     packed_row = pk.row
@@ -407,53 +484,57 @@ def _census(n: int, p: int) -> _Census:
     lemma2 = None
     types: dict[tuple[int, ...], int] = {}
     nilpotent = []
-    lines = p != 2  # at p = 2 every matrix is its line
-    leading = {0} | {c for k in range(n) for c in range(p**k, 2 * p**k)}
-    prefix = None
-    for codes in itertools.product(range(p**n), repeat=n):
-        if lines and next(filter(None, codes), 0) not in leading:
-            continue
-        if codes[: n - 1] != prefix:  # a new prefix: A's first n - 1 rows
-            prefix = codes[: n - 1]
-            system_prefix = _annihilator_prefix(prefix, pk)
-        weight = _line_size(codes, p)
-        ranks = _rank_sequence([packed_row[c] for c in codes], pk)
-        dim = _annihilator_nullity(codes, pk, system_prefix)
-        pairs += weight * powers[dim]
-        if lemma2 is None and dim != (n - ranks[1]) ** 2:
-            entries = tuple(e for c in codes for e in pk.digits[c])
-            lemma2 = (entries, dim, (n - ranks[1]) ** 2)
-        if not ranks[-1]:
-            cols = _zero_columns(ranks)
-            types[cols] = types.get(cols, 0) + weight
-            m, d = _zero_block_counts(cols)
-            nilpotent.append((codes, m * m - d))
-            inner += weight * powers[dim]
+    for prefix, matrices in _orbit_minima(n, p):
+        system_prefix = _annihilator_prefix(prefix, pk)
+        for codes, weight in matrices:
+            ranks = _rank_sequence([packed_row[c] for c in codes], pk)
+            dim = _annihilator_nullity(codes, pk, system_prefix)
+            pairs += weight * powers[dim]
+            if lemma2 is None and dim != (n - ranks[1]) ** 2:
+                entries = tuple(e for c in codes for e in pk.digits[c])
+                lemma2 = (entries, dim, (n - ranks[1]) ** 2)
+            if not ranks[-1]:
+                cols = _zero_columns(ranks)
+                types[cols] = types.get(cols, 0) + weight
+                m, d = _zero_block_counts(cols)
+                nilpotent.append((codes, m * m - d))
+                inner += weight * powers[dim]
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
+
+
+def _orbit(codes: tuple[int, ...], pk: _Packing) -> set[tuple[int, ...]]:
+    """The row codes of every cA and cA^T, c in F_p^x."""
+    n, p = pk.n, pk.p
+    rows = [pk.digits[code] for code in codes]
+    places = [p ** (n - 1 - k) for k in range(n)]
+    return {
+        tuple(sum(c * e % p * place for e, place in zip(row, places)) for row in matrix)
+        for matrix in (rows, list(zip(*rows)))
+        for c in range(1, p)
+    }
 
 
 @functools.lru_cache(maxsize=None)
 def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
-    """Pass 2: per nilpotent line, enumerate A's annihilator and count nilpotent B.
+    """Pass 2: per nilpotent orbit, enumerate A's annihilator and count nilpotent B.
 
     Returns (total count, first (A, count, p^(m^2 - d)) that differ).
     The solution space is enumerated as the sums of two half spans, and
     B counts when the census found it nilpotent: its packed vec(B) is in
-    the set of every nilpotent matrix, the multiples c * vec(A) (lanes at
-    most (p - 1)^2) of each line's A, packed by :func:`_packed_matrix`.
-    Every cA has A's annihilator and Jordan type, so A's count, weighted
-    by the line's size, stands for the line's, and A comes first in it.
+    the set of every nilpotent matrix, the orbit {cA, cA^T} of each
+    nilpotent orbit's A (:func:`_orbit`), packed by :func:`_packed_matrix`.
+    B -> B^T maps ann(A) onto ann(A^T) and keeps nilpotency, and ann(cA)
+    = ann(A), so every matrix of the orbit has A's count and Jordan type:
+    A's count, weighted by the orbit's size, stands for the orbit's, and A
+    comes first in it.
     """
     pk = _packing(n, p)
     nilpotent = _census(n, p).nilpotent
-    members = {
-        _reduce(c * _packed_matrix(codes, pk), pk)
-        for codes, _ in nilpotent
-        for c in range(1, p)
-    }
+    orbits = [_orbit(codes, pk) for codes, _ in nilpotent]
+    members = {_packed_matrix(codes, pk) for orbit in orbits for codes in orbit}
     total = 0
     lemma3 = None
-    for codes, exponent in nilpotent:
+    for (codes, exponent), orbit in zip(nilpotent, orbits):
         basis = _annihilator_basis(codes, pk)
         half = len(basis) // 2
         right = _span(basis[half:], pk)
@@ -462,7 +543,7 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
             for y in right:
                 if (x ^ y if p == 2 else _reduce(x + y, pk)) in members:
                     found += 1
-        total += _line_size(codes, p) * found
+        total += len(orbit) * found
         if lemma3 is None and found != p**exponent:
             lemma3 = (tuple(e for c in codes for e in pk.digits[c]), found, p**exponent)
     return total, lemma3

@@ -44,27 +44,34 @@ def scaled(A, c):
     return PrimeFieldMatrix(A.n, A.p, tuple(c * e % A.p for e in A.entries))
 
 
-def expanded_lines(nilpotent, n, p):
-    """The census's (first codes, m^2 - d) per line, for every matrix of each line.
+def transposed(A):
+    """A^T, entry by entry."""
+    n = A.n
+    entries = tuple(A.entries[k * n + i] for i in range(n) for k in range(n))
+    return PrimeFieldMatrix(n, A.p, entries)
 
-    The line {cA : c != 0} is taken by reference scalar multiplication.
-    """
+
+def orbit(A):
+    """Row codes of every cA and cA^T, c != 0, by reference scaling and transposition."""
+    return {row_codes(scaled(B, c)) for B in (A, transposed(A)) for c in range(1, A.p)}
+
+
+def expanded_orbits(nilpotent, n, p):
+    """The census's (first codes, m^2 - d) per orbit, for every matrix of each orbit."""
     matrices = {row_codes(A): A for A in enumerate_matrices(n, p)}
     return tuple(
         sorted(
             (codes, exponent)
             for first, exponent in nilpotent
-            for codes in {row_codes(scaled(matrices[first], c)) for c in range(1, p)}
+            for codes in orbit(matrices[first])
         )
     )
 
 
-def line_representatives(n, p):
-    """Row codes of the zero matrix and of each A whose first nonzero entry is 1."""
+def orbit_representatives(n, p):
+    """Row codes of each A that is the lexicographic minimum of its orbit."""
     return [
-        row_codes(A)
-        for A in enumerate_matrices(n, p)
-        if next((e for e in A.entries if e), 1) == 1
+        row_codes(A) for A in enumerate_matrices(n, p) if row_codes(A) == min(orbit(A))
     ]
 
 
@@ -248,13 +255,26 @@ class TestCounts:
         assert counts == {Partition((2,)): 3, Partition((1, 1)): 1}
         assert sum(counts.values()) == 2**2  # q^(n^2 - n)
 
+    @pytest.mark.parametrize(
+        "n,p,counts",
+        [
+            (4, 2, {(4,): 2520, (3, 1): 1260, (2, 2): 210, (2, 1, 1): 105, (1, 1, 1, 1): 1}),
+            (3, 3, {(3,): 624, (2, 1): 104, (1, 1, 1): 1}),
+        ],
+    )
+    def test_by_type_pinned(self, n, p, counts):
+        # each type's count, not only the total p^(n^2 - n), so a slip in the
+        # orbit weights that keeps the total still fails
+        want = {Partition(parts): count for parts, count in counts.items()}
+        assert count_nilpotent_by_type(n, p) == want
+
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2)])
     def test_census_nilpotent_set_is_reference_nilpotent_set(self, n, p):
         # pass 2 counts B by membership in this set, so check it independently
         want = [
             row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
         ]
-        got = expanded_lines(oracle._census(n, p).nilpotent, n, p)
+        got = expanded_orbits(oracle._census(n, p).nilpotent, n, p)
         assert [codes for codes, _ in got] == want
 
     @pytest.mark.parametrize("n,p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
@@ -370,7 +390,7 @@ class TestSharedPrefix:
 
     @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
     def test_walk_visits_line_representatives(self, n, p, monkeypatch, fresh_census):
-        # one matrix per scalar line {cA : c != 0}; at p = 2 that is every matrix
+        # one matrix per orbit {cA, cA^T : c != 0}, its lexicographic minimum
         visited = []
         real = oracle._annihilator_nullity
 
@@ -380,9 +400,7 @@ class TestSharedPrefix:
 
         monkeypatch.setattr(oracle, "_annihilator_nullity", recording)
         oracle._census(n, p)
-        assert visited == line_representatives(n, p)
-        if p == 2:
-            assert visited == [row_codes(A) for A in enumerate_matrices(n, p)]
+        assert visited == orbit_representatives(n, p)
 
     @pytest.mark.parametrize(
         "n,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
@@ -390,15 +408,15 @@ class TestSharedPrefix:
     def test_census_matches_unshared_reference(self, n, p):
         want = dict(zip(oracle._Census._fields, unshared_census(n, p)))
         got = oracle._census(n, p)._asdict()
-        # the census keeps one entry per nilpotent line, the reference one per matrix
-        assert expanded_lines(got.pop("nilpotent"), n, p) == want.pop("nilpotent")
+        # the census keeps one entry per nilpotent orbit, the reference one per matrix
+        assert expanded_orbits(got.pop("nilpotent"), n, p) == want.pop("nilpotent")
         assert got == want
 
     @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
     def test_pass2_visits_nilpotent_line_representatives(
         self, n, p, monkeypatch, fresh_census
     ):
-        # one annihilator per nilpotent line, in walk order; at p = 2 every nilpotent A
+        # one annihilator per nilpotent orbit, its minimum, in walk order
         visited = []
         real = oracle._annihilator_basis
 
@@ -408,13 +426,10 @@ class TestSharedPrefix:
 
         monkeypatch.setattr(oracle, "_annihilator_basis", recording)
         oracle._nilpotent_annihilators(n, p)
-        nilpotent = [
+        nilpotent = {
             row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
-        ]
-        members = set(nilpotent)
-        assert visited == [c for c in line_representatives(n, p) if c in members]
-        if p == 2:
-            assert visited == nilpotent
+        }
+        assert visited == [c for c in orbit_representatives(n, p) if c in nilpotent]
 
 
 class TestFaultInjection:
@@ -433,6 +448,22 @@ class TestFaultInjection:
         assert not report.passed
         want = (2 - rank(first)) ** 2
         assert report.detail == f"A=(0, 0, 1, 2): dimension {want + 1} != {want}"
+
+    def test_lemma2_names_minimum_of_perturbed_orbit(self, monkeypatch, fresh_census):
+        # perturb the whole orbit {cA, cA^T}; its minimum, A, is the
+        # lexicographically first perturbed matrix
+        A = M(2, 3, (0, 0), (1, 0))
+        targets = orbit(A)
+        assert targets == {(0, 3), (0, 6), (1, 0), (2, 0)}
+        real = oracle._annihilator_nullity
+
+        def perturbed(codes, packing, *prefix):
+            return real(codes, packing, *prefix) + (codes in targets)
+
+        monkeypatch.setattr(oracle, "_annihilator_nullity", perturbed)
+        report = verify.run_lemma2_check(2, 3)
+        assert not report.passed
+        assert report.detail == "A=(0, 0, 1, 0): dimension 2 != 1"  # (2 - rank A)^2 = 1
 
     def test_lemma3_names_first_nilpotent_matrix(self, monkeypatch, fresh_census):
         real = oracle._packed_matrix
