@@ -27,12 +27,15 @@ last row only.  The BA rows hold a column of A, which every row of A
 touches, so they are built and eliminated for every A: the annihilator's
 dimension is still the nullity of A's full system.
 
-Both passes visit only one matrix per orbit {cA, cA^T : c != 0}, its
-lexicographic minimum, and weight it by the orbit's size, at most
-2(p - 1).  cA has A's annihilator and the ranks of A's powers; (AB)^T =
-B^T A^T, so B -> B^T maps ann(A) onto ann(A^T) and keeps nilpotency, and
-(A^T)^k = (A^k)^T has the rank of A^k.  So every record of an orbit's
-matrices is A's (see :func:`_census`), and no lemma is used.
+Both passes visit only one matrix per orbit of the group G of maps A ->
+c M A M^-1 and A -> c M A^T M^-1, c != 0 and M a monomial matrix taken
+modulo scalars, its lexicographic minimum, and weight it by the orbit's
+size, at most |G| = 2(p - 1) n! (p - 1)^(n - 1).  cA has A's annihilator
+and the ranks of A's powers; MAM^-1 has the annihilator M ann(A) M^-1,
+and (MAM^-1)^k = M A^k M^-1 has the rank of A^k; (AB)^T = B^T A^T, so
+B -> B^T maps ann(A) onto ann(A^T) and keeps nilpotency, and (A^T)^k =
+(A^k)^T has the rank of A^k.  So every record of an orbit's matrices is
+A's (see :func:`_census`), and no lemma is used.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .partitions import Partition
 
 DEFAULT_OUTER_BUDGET = 2**26
 # most of census.inner, read per call: the weighted solution-space sizes, up
-# to 2(p - 1) times what pass 2 enumerates
+# to |G| times what pass 2 enumerates (G the group of the orbit walk)
 INNER_BUDGET = 2**30
 
 _SMALL_PRIMES = {2, 3, 5}
@@ -344,11 +347,6 @@ def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     return _nullspace(_eliminate(_annihilator_rows(codes, pk), pk, nn)[0], pk, nn)
 
 
-def _packed_matrix(codes: tuple[int, ...], pk: _Packing) -> int:
-    """vec(A) from A's row codes, A[k][j] in lane k*n + j like a solution vector."""
-    return sum(pk.row[c] << (i * pk.n * pk.w) for i, c in enumerate(codes))
-
-
 def _span(vectors: list[int], pk: _Packing) -> list[int]:
     """Every F_p-combination of the packed vectors."""
     out = [0]
@@ -374,40 +372,79 @@ class _Census(NamedTuple):
     inner: int  # sum of p^dim over the nilpotent A
 
 
+def _row_table(values: list[list[int]]) -> tuple[int, ...]:
+    """table[code] = sum_k values[k][e_k], e_k the row's entries (see :class:`_Packing`)."""
+    table = [0]
+    for column in values:
+        table = [x + v for x in table for v in column]
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=None)
+def _group(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every map g of G, the identity first: (target, scale) per entry of A.
+
+    G is the maps A -> c M A M^-1 and A -> c M A^T M^-1, c in F_p^x and M
+    = PD monomial (P a permutation matrix, P e_k = e_s(k), and D = diag(d)
+    invertible with d_0 = 1, one D per class modulo scalars), so |G| =
+    2(p - 1) n! (p - 1)^(n - 1).  g moves entry t = i*n + k of A to entry
+    target of gA and multiplies it by scale: to (s(i), s(k)) times c d_i /
+    d_k, or, for A^T, to (s(k), s(i)) times c d_k / d_i.  The maps A -> cA
+    follow the identity, then the other D, then the other P, and then the
+    maps with A^T.  Built on first use, and shared by both passes' tables.
+    """
+    inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    maps = []
+    for transposed in (False, True):
+        for s in itertools.permutations(range(n)):
+            for rest in itertools.product(range(1, p), repeat=max(n - 1, 0)):
+                d = (1,) + rest
+                for c in range(1, p):
+                    maps.append(
+                        tuple(
+                            (s[k] * n + s[i], c * d[k] * inverse[d[i]] % p)
+                            if transposed
+                            else (s[i] * n + s[k], c * d[i] * inverse[d[k]] % p)
+                            for i in range(n)
+                            for k in range(n)
+                        )
+                    )
+    return tuple(maps)
+
+
 @functools.lru_cache(maxsize=None)
 def _orbit_maps(
     n: int, p: int
-) -> tuple[tuple[tuple[tuple[int, ...], ...], int, int], ...]:
-    """(lead, min lead[n - 1], max lead[n - 1]) per map g: A -> cA (c != 1) or cA^T.
+) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """(lead, low, high) per map g of G but the identity.
 
     The key of A is its row-major entries read as one base-p number, so
-    entry (i, k) weighs p^(n^2 - 1 - n*i - k), and key order is the walk's
-    order.  g scales every entry by c and, for cA^T, moves entry (i, k) to
-    (k, i), so key(A) - key(gA) is a sum over A's rows: lead[i][code] is
-    what row i, with that code, puts into it.  One (n, p^n) table per map,
-    built on first use.  The maps A -> cA come first: a prefix whose first
-    nonzero entry is not 1 fails one of them, and is settled there.
+    entry t = i*n + k weighs p^(n^2 - 1 - t), and key order is the walk's
+    order.  g moves and scales each entry by a rule of its own
+    (:func:`_group`), so key(A) - key(gA) is a sum over A's rows:
+    lead[i][code] is what row i, with that code, puts into it, and low[r]
+    and high[r] are the least and the most that rows r, r + 1, ... can put
+    into it (0 at r = n).  One (n, p^n) table per map, built on first use.
+    The maps A -> cA come first: a first row whose first nonzero entry is
+    not 1 fails one of them, and is settled there.
     """
-    digits = _packing(n, p).digits
-
-    def place(i: int, k: int) -> int:
-        return p ** (n * n - 1 - n * i - k)
-
+    place = [p ** (n * n - 1 - t) for t in range(n * n)]
     maps = []
-    for transposed in (False, True):
-        for c in range(1 if transposed else 2, p):
-            lead = tuple(
-                tuple(
-                    sum(
-                        e * place(i, k)
-                        - c * e % p * (place(k, i) if transposed else place(i, k))
-                        for k, e in enumerate(es)
-                    )
-                    for es in digits
-                )
-                for i in range(n)
+    for g in _group(n, p)[1:]:
+        lead = tuple(
+            _row_table(
+                [
+                    [e * place[i * n + k] - scale * e % p * place[target] for e in range(p)]
+                    for k, (target, scale) in enumerate(g[i * n : (i + 1) * n])
+                ]
             )
-            maps.append((lead, min(lead[-1]), max(lead[-1])))
+            for i in range(n)
+        )
+        low, high = [0], [0]
+        for row in reversed(lead):
+            low.insert(0, low[0] + min(row))
+            high.insert(0, high[0] + max(row))
+        maps.append((lead, tuple(low), tuple(high)))
     return tuple(maps)
 
 
@@ -416,61 +453,79 @@ def _orbit_minima(
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
     """Per prefix, [(row codes, orbit size), ...] of its orbit minima, in walk order.
 
-    A is the minimum of its orbit {cA, cA^T : c in F_p^x} when key(A) <=
-    key(gA) for every map g of :func:`_orbit_maps`; the orbit's size is
-    2(p - 1) over the number of maps, the identity included, that fix A.
-    A prefix fixes each map's lead over A's first n - 1 rows, so one sum
-    per map settles it for every last row when the last row's lead cannot
-    change the sign (the map then rules out no last row, or all of them),
-    and only the maps left open are read per last row.  Prefixes with no
-    orbit minimum are not yielded.  Mat_0(F_p) is its one matrix, the
-    empty one.
+    A is the minimum of its G-orbit when key(A) <= key(gA) for every map g
+    of :func:`_orbit_maps`; the orbit's size is |G| over the number of
+    maps, the identity included, that fix A (by orbit-stabilizer, as they
+    are A's stabilizer in G).  The walk settles the maps row by row: once
+    A's first r rows are chosen, a map whose lead so far plus the most
+    that the rows after can add stays below 0 neither rules out nor fixes
+    any matrix below this branch and is dropped, and one whose lead plus
+    the least that they can add is above 0 rules out the whole branch.
+    Only the maps left open after the prefix, A's first n - 1 rows, are
+    read per last row.  Prefixes with no orbit minimum are not yielded.
+    Mat_0(F_p) is its one matrix, the empty one.
     """
     if n == 0:
         yield (), [((), 1)]
         return
-    maps = _orbit_maps(n, p)
-    order = 2 * (p - 1)
-    for prefix in itertools.product(range(p**n), repeat=n - 1):
-        open_maps = []
-        for lead, low, high in maps:
-            ahead = sum(row[code] for row, code in zip(lead, prefix))
-            if ahead + low > 0:  # gA comes before A, whatever the last row
-                break
-            if ahead + high >= 0:
-                open_maps.append((lead[-1], ahead))
-        else:
-            matrices = []
-            for last in range(p**n):
-                fixed = 1  # the identity
-                for lead_last, ahead in open_maps:
-                    gap = ahead + lead_last[last]
-                    if gap > 0:
+    order = len(_group(n, p))
+    codes = range(p**n)
+
+    def settle(prefix, open_maps):
+        i = len(prefix)
+        if i < n - 1:
+            for code in codes:
+                kept = []
+                for lead, low, high, ahead in open_maps:
+                    ahead += lead[i][code]
+                    if ahead + low[i + 1] > 0:  # gA comes before A, whatever comes after
                         break
-                    fixed += not gap
+                    if ahead + high[i + 1] >= 0:
+                        kept.append((lead, low, high, ahead))
                 else:
-                    matrices.append((prefix + (last,), order // fixed))
-            if matrices:
-                yield prefix, matrices
+                    yield from settle(prefix + (code,), kept)
+            return
+        matrices = []
+        for last in codes:
+            fixed = 1  # the identity
+            for lead, _, _, ahead in open_maps:
+                gap = ahead + lead[i][last]
+                if gap > 0:
+                    break
+                fixed += not gap
+            else:
+                matrices.append((prefix + (last,), order // fixed))
+        if matrices:
+            yield prefix, matrices
+
+    yield from settle((), [(lead, low, high, 0) for lead, low, high in _orbit_maps(n, p)])
 
 
 @functools.lru_cache(maxsize=None)
 def _census(n: int, p: int) -> _Census:
     """Pass 1: for each A, the annihilator nullity and the rank sequence of powers.
 
-    The walk visits one matrix per orbit {cA, cA^T : c in F_p^x}, its
-    lexicographically first (:func:`_orbit_minima`), and weights it by the
-    orbit's size: 1 for the zero matrix, p - 1 when A^T lies on A's scalar
-    line, 2(p - 1) otherwise.  Every record of cA and of cA^T equals A's.
-    AB = 0 if and only if (cA)B = 0, and likewise BA, so ann(cA) = ann(A);
-    (cA)^k = c^k A^k has the rank of A^k.  (AB)^T = B^T A^T, so B -> B^T
-    maps ann(A) onto ann(A^T), and (A^T)^k = (A^k)^T has the rank of A^k.
-    So the annihilator's dimension, the rank sequence, nilpotency and the
-    Jordan type are constant on an orbit.  The first matrix of an orbit
-    comes before the others, so the first lemma-2 counterexample and the
-    order in which Jordan types first occur are those of the walk over
-    every matrix.  The nilpotent list holds one entry per nilpotent orbit,
-    its first matrix, in walk order, which is lexicographic order.
+    The walk visits one matrix per orbit of the group G of maps A -> c M A
+    M^-1 and A -> c M A^T M^-1 (c in F_p^x, M monomial; see :func:`_group`),
+    the orbit's lexicographically first (:func:`_orbit_minima`), and
+    weights it by the orbit's size, |G| over the number of maps that fix
+    it.  Every record of gA equals A's.  AB = 0 if and only if (cA)B = 0,
+    and likewise BA, so ann(cA) = ann(A); (cA)^k = c^k A^k has the rank
+    of A^k.  (MAM^-1)(MBM^-1) = M(AB)M^-1, and likewise BA, so ann(MAM^-1)
+    = M ann(A) M^-1; B -> MBM^-1 keeps nilpotency, and (MAM^-1)^k =
+    M A^k M^-1 has the rank of A^k.  (AB)^T = B^T A^T, so B -> B^T maps
+    ann(A) onto ann(A^T) and keeps nilpotency, and (A^T)^k = (A^k)^T has
+    the rank of A^k.  So the annihilator's dimension, the rank sequence,
+    nilpotency and the Jordan type are constant on an orbit.  This holds
+    for any invertible M; G takes only monomial M because each of its maps
+    then sends every entry of A to one fixed entry with one fixed scale,
+    so the walk stays a filter on the lexicographic enumeration, and no
+    lemma, conjugacy class or group order beyond the count of G's own
+    maps is used.  The first matrix of an orbit comes before the others,
+    so the first lemma-2 counterexample and the order in which Jordan
+    types first occur are those of the walk over every matrix.  The
+    nilpotent list holds one entry per nilpotent orbit, its first matrix,
+    in walk order, which is lexicographic order.
 
     The prefix state, :func:`_annihilator_prefix` of A's first n - 1 rows,
     is built once per prefix that has an orbit minimum, and each A resumes
@@ -502,15 +557,34 @@ def _census(n: int, p: int) -> _Census:
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 
 
-def _orbit(codes: tuple[int, ...], pk: _Packing) -> set[tuple[int, ...]]:
-    """The row codes of every cA and cA^T, c in F_p^x."""
-    n, p = pk.n, pk.p
-    rows = [pk.digits[code] for code in codes]
-    places = [p ** (n - 1 - k) for k in range(n)]
+@functools.lru_cache(maxsize=None)
+def _orbit_images(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per map g of G, [i][code]: row i's entries in vec(gA), gA[k][j] in lane k*n + j.
+
+    Row i of A, with that code, puts its entries, moved and scaled by g
+    (:func:`_group`), into lanes no other row fills, so vec(gA) is the sum
+    of one entry per row.  Built on first use.
+    """
+    w = _packing(n, p).w
+    return tuple(
+        tuple(
+            _row_table(
+                [
+                    [(scale * e % p) << (target * w) for e in range(p)]
+                    for target, scale in g[i * n : (i + 1) * n]
+                ]
+            )
+            for i in range(n)
+        )
+        for g in _group(n, p)
+    )
+
+
+def _orbit(codes: tuple[int, ...], pk: _Packing) -> set[int]:
+    """vec(gA) for every map g of G, packed like a solution vector."""
     return {
-        tuple(sum(c * e % p * place for e, place in zip(row, places)) for row in matrix)
-        for matrix in (rows, list(zip(*rows)))
-        for c in range(1, p)
+        sum(row[code] for row, code in zip(image, codes))
+        for image in _orbit_images(pk.n, pk.p)
     }
 
 
@@ -521,17 +595,16 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     Returns (total count, first (A, count, p^(m^2 - d)) that differ).
     The solution space is enumerated as the sums of two half spans, and
     B counts when the census found it nilpotent: its packed vec(B) is in
-    the set of every nilpotent matrix, the orbit {cA, cA^T} of each
-    nilpotent orbit's A (:func:`_orbit`), packed by :func:`_packed_matrix`.
-    B -> B^T maps ann(A) onto ann(A^T) and keeps nilpotency, and ann(cA)
-    = ann(A), so every matrix of the orbit has A's count and Jordan type:
-    A's count, weighted by the orbit's size, stands for the orbit's, and A
-    comes first in it.
+    the set of every nilpotent matrix, the G-orbit of each nilpotent
+    orbit's A (:func:`_orbit`).  For g in G, B -> gB maps ann(A) onto
+    ann(gA) and keeps nilpotency (see :func:`_census`), so every matrix
+    of the orbit has A's count and Jordan type: A's count, weighted by the
+    orbit's size, stands for the orbit's, and A comes first in it.
     """
     pk = _packing(n, p)
     nilpotent = _census(n, p).nilpotent
     orbits = [_orbit(codes, pk) for codes, _ in nilpotent]
-    members = {_packed_matrix(codes, pk) for orbit in orbits for codes in orbit}
+    members = set().union(*orbits)
     total = 0
     lemma3 = None
     for (codes, exponent), orbit in zip(nilpotent, orbits):

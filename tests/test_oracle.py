@@ -5,6 +5,7 @@ codes; ``reference`` holds the plain matrix type and the walk over
 Mat_n(F_p) that the counts are checked against.
 """
 
+import functools
 import itertools
 import random
 
@@ -51,28 +52,71 @@ def transposed(A):
     return PrimeFieldMatrix(n, A.p, entries)
 
 
+def from_codes(codes, n, p):
+    """The matrix whose row codes are *codes*."""
+    entries = tuple(code // p ** (n - 1 - k) % p for code in codes for k in range(n))
+    return PrimeFieldMatrix(n, p, entries)
+
+
+def diagonal(n, p, xs):
+    """diag(xs)."""
+    return PrimeFieldMatrix(
+        n, p, tuple(x if i == k else 0 for i, x in enumerate(xs) for k in range(n))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def monomials(n, p):
+    """(M, M^-1) for M = PD, P any permutation matrix and D = diag(1, d_1, ...).
+
+    One M per class of monomial matrices modulo scalars, built and
+    inverted by reference products.
+    """
+    pairs = []
+    for s in itertools.permutations(range(n)):
+        P = PrimeFieldMatrix(n, p, tuple(int(i == s[k]) for i in range(n) for k in range(n)))
+        for rest in itertools.product(range(1, p), repeat=max(n - 1, 0)):
+            d = ((1,) + rest)[:n]
+            M = P @ diagonal(n, p, d)
+            M_inv = diagonal(n, p, [pow(x, p - 2, p) for x in d]) @ transposed(P)
+            assert M @ M_inv == PrimeFieldMatrix.identity(n, p)
+            pairs.append((M, M_inv))
+    return pairs
+
+
 def orbit(A):
-    """Row codes of every cA and cA^T, c != 0, by reference scaling and transposition."""
-    return {row_codes(scaled(B, c)) for B in (A, transposed(A)) for c in range(1, A.p)}
+    """Row codes of every c M A M^-1 and c M A^T M^-1, c != 0, M of ``monomials``."""
+    conjugates = [
+        M @ B @ M_inv for B in (A, transposed(A)) for M, M_inv in monomials(A.n, A.p)
+    ]
+    return {row_codes(scaled(C, c)) for C in conjugates for c in range(1, A.p)}
 
 
 def expanded_orbits(nilpotent, n, p):
     """The census's (first codes, m^2 - d) per orbit, for every matrix of each orbit."""
-    matrices = {row_codes(A): A for A in enumerate_matrices(n, p)}
     return tuple(
         sorted(
             (codes, exponent)
             for first, exponent in nilpotent
-            for codes in orbit(matrices[first])
+            for codes in orbit(from_codes(first, n, p))
         )
     )
 
 
+@functools.lru_cache(maxsize=None)
 def orbit_representatives(n, p):
-    """Row codes of each A that is the lexicographic minimum of its orbit."""
-    return [
-        row_codes(A) for A in enumerate_matrices(n, p) if row_codes(A) == min(orbit(A))
-    ]
+    """Row codes of each orbit's lexicographic minimum, in walk order.
+
+    Each matrix not yet in an orbit found so far opens a new one; it is
+    that orbit's minimum when the reference orbits partition Mat_n(F_p).
+    """
+    seen, minima = set(), []
+    for A in enumerate_matrices(n, p):
+        if row_codes(A) not in seen:
+            members = orbit(A)
+            seen |= members
+            minima.append(min(members))
+    return minima
 
 
 def rank(A):
@@ -402,6 +446,19 @@ class TestSharedPrefix:
         oracle._census(n, p)
         assert visited == orbit_representatives(n, p)
 
+    @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (3, 3)])
+    def test_walk_weights_are_reference_orbit_sizes(self, n, p):
+        visited = [entry for _, matrices in oracle._orbit_minima(n, p) for entry in matrices]
+        assert visited
+        for codes, weight in visited:
+            assert weight == len(orbit(from_codes(codes, n, p))), codes
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    def test_walk_weights_sum_to_every_matrix(self, n, p):
+        # the orbits of the visited matrices cover Mat_n(F_p) exactly once
+        weights = [w for _, matrices in oracle._orbit_minima(n, p) for _, w in matrices]
+        assert sum(weights) == p ** (n * n)
+
     @pytest.mark.parametrize(
         "n,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
     )
@@ -434,10 +491,11 @@ class TestSharedPrefix:
 
 class TestFaultInjection:
     def test_lemma2_names_first_perturbed_matrix(self, monkeypatch, fresh_census):
-        # perturb two whole scalar lines; the first matrix of the earlier one
-        # is the lexicographically first perturbed matrix
+        # perturb two whole orbits; the minimum of the earlier one is the
+        # lexicographically first perturbed matrix
         first, later = M(2, 3, (0, 0), (1, 2)), M(2, 3, (0, 1), (2, 0))
-        targets = {row_codes(scaled(A, c)) for A in (first, later) for c in (1, 2)}
+        targets = orbit(first) | orbit(later)
+        assert min(targets) == min(orbit(first)) == (0, 4)  # (0, 0, 1, 1)
         real = oracle._annihilator_nullity
 
         def perturbed(codes, packing, *prefix):
@@ -447,10 +505,10 @@ class TestFaultInjection:
         report = verify.run_lemma2_check(2, 3)
         assert not report.passed
         want = (2 - rank(first)) ** 2
-        assert report.detail == f"A=(0, 0, 1, 2): dimension {want + 1} != {want}"
+        assert report.detail == f"A=(0, 0, 1, 1): dimension {want + 1} != {want}"
 
     def test_lemma2_names_minimum_of_perturbed_orbit(self, monkeypatch, fresh_census):
-        # perturb the whole orbit {cA, cA^T}; its minimum, A, is the
+        # perturb the whole orbit of A; its minimum, A, is the
         # lexicographically first perturbed matrix
         A = M(2, 3, (0, 0), (1, 0))
         targets = orbit(A)
@@ -466,12 +524,10 @@ class TestFaultInjection:
         assert report.detail == "A=(0, 0, 1, 0): dimension 2 != 1"  # (2 - rank A)^2 = 1
 
     def test_lemma3_names_first_nilpotent_matrix(self, monkeypatch, fresh_census):
-        real = oracle._packed_matrix
-        # miss B = 0, which lies in every annihilator: pack it to -1, which
-        # no solution vector is
-        monkeypatch.setattr(
-            oracle, "_packed_matrix", lambda codes, pk: real(codes, pk) if any(codes) else -1
-        )
+        real = oracle._orbit
+        # miss B = 0, which lies in every annihilator: leave vec(0) = 0 out
+        # of the set of nilpotent matrices
+        monkeypatch.setattr(oracle, "_orbit", lambda codes, pk: real(codes, pk) - {0})
         report = verify.run_lemma3_check(2, 2)
         assert not report.passed
         assert report.detail == "A=(0, 0, 0, 0): count 3 != 4"  # 2^(m^2 - d), m = d = 2
