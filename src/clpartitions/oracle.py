@@ -18,14 +18,6 @@ n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
 which is nilpotent with an annihilator of dimension 0.
 
 A matrix is named by its row codes (see :class:`_Packing`) throughout.
-Pass 1 shares work between neighbours.  In lexicographic order A's first
-n - 1 rows, its *prefix*, stay fixed for runs of consecutive matrices,
-and so do their rows of the system B -> AB.  The walk eliminates those
-rows once per prefix and keeps the echelon state with the prefix's bits
-of A^T; each A resumes elimination from a copy of that state with its
-last row only.  The BA rows hold a column of A, which every row of A
-touches, so they are built and eliminated for every A: the annihilator's
-dimension is still the nullity of A's full system.
 
 Both passes visit only one matrix per orbit of the group G of maps A ->
 c M A M^-1 and A -> c M A^T M^-1, c != 0 and M a monomial matrix taken
@@ -151,26 +143,15 @@ def _reduce(x: int, pk: _Packing) -> int:
     return x - pk.p * (((x * pk.mul) >> pk.shift) & pk.quotient_mask)
 
 
-_State = tuple[list[int], int]  # (pivots, rank) of an elimination
-
-
-def _eliminate(
-    rows, pk: _Packing, stop: int, start: Optional[_State] = None
-) -> _State:
+def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
     """Forward elimination of packed rows over F_p: the one elimination routine.
 
     Returns (pivots, rank).  ``pivots[h]`` is 0 or the echelon row whose
     leading (highest) nonzero lane is h, scaled so that lane holds 1.
-    Rows are skipped once ``stop`` pivots are found.  Given ``start``, the
-    state returned for some earlier rows, it resumes from a copy of that
-    state, so the result is that of eliminating the earlier rows and then
-    ``rows`` in one call, and ``start`` itself is never changed.
+    Rows are skipped once ``stop`` pivots are found.
     """
     w = pk.w
-    if start is None:
-        pivots, rank = [0] * (pk.n * pk.n), 0
-    else:
-        pivots, rank = list(start[0]), start[1]
+    pivots, rank = [0] * (pk.n * pk.n), 0
     if pk.p == 2:
         for r in rows:
             if rank == stop:
@@ -278,67 +259,30 @@ def _zero_block_counts(cols: tuple[int, ...]) -> tuple[int, int]:
     return m, d
 
 
-def _product_rows(codes: tuple[int, ...], pk: _Packing) -> list[int]:
-    """The rows of B -> AB for the given rows of A, n per row of A.
-
-    (AB)_{ij} = sum_k A_{ik} B_{kj}: A's row i in lanes k*n + j.
-    """
-    return [r for c in codes for r in pk.products[c]]
-
-
-def _transpose(codes: tuple[int, ...], pk: _Packing, first: int = 0) -> int:
-    """A^T's bits (entry (k, i) in lane k*n + i) from rows first, first + 1, ... of A."""
-    At = 0
-    for i, c in enumerate(codes, first):
-        At |= pk.transposed[i][c]
-    return At
-
-
-def _column_rows(At: int, pk: _Packing) -> list[int]:
-    """The n^2 rows of B -> BA, from the packed A^T.
-
-    (BA)_{ij} = sum_k B_{ik} A_{kj}: A's column j in lanes k, moved to i*n.
-    """
-    width = pk.n * pk.w
-    col_mask = (1 << width) - 1
-    cols = [(At >> (j * width)) & col_mask for j in range(pk.n)]
-    return [col << (i * width) for i in range(pk.n) for col in cols]
-
-
 def _annihilator_rows(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     """Packed rows of the map B -> (AB, BA) on vec(B), B[k][j] in lane k*n + j.
 
-    2n^2 rows (one per entry of AB then BA), n^2 lanes each.
-    """
-    return _product_rows(codes, pk) + _column_rows(_transpose(codes, pk), pk)
-
-
-def _annihilator_prefix(prefix: tuple[int, ...], pk: _Packing) -> tuple[_State, int]:
-    """What A's first n - 1 rows fix of its annihilator system.
-
-    The elimination of their n(n - 1) AB rows, which come first in
-    :func:`_annihilator_rows`, and their bits of A^T.
-    """
-    nn = pk.n * pk.n
-    return _eliminate(_product_rows(prefix, pk), pk, nn), _transpose(prefix, pk)
-
-
-def _annihilator_nullity(
-    codes: tuple[int, ...], pk: _Packing, prefix: tuple[_State, int]
-) -> int:
-    """F_p-dimension of {B : AB = BA = 0}, the nullity of the eliminated system.
-
-    ``prefix`` is ``_annihilator_prefix(codes[:n - 1], pk)``: the last row's
-    AB rows and all n^2 BA rows are eliminated from it, in the order of the
-    full system :func:`_annihilator_rows`, so each pivot is the one it finds.
+    2n^2 rows (one per entry of AB then BA), n^2 lanes each.  (AB)_{ij} =
+    sum_k A_{ik} B_{kj}: A's row i in lanes k*n + j.  (BA)_{ij} = sum_k
+    B_{ik} A_{kj}: A's column j in lanes k, moved to i*n, read from the
+    packed A^T (entry (k, i) in lane k*n + i).
     """
     n = pk.n
-    nn = n * n
-    state, At = prefix
-    last = codes[n - 1 :]
-    At |= _transpose(last, pk, n - 1)
-    system = _product_rows(last, pk) + _column_rows(At, pk)
-    return nn - _eliminate(system, pk, nn, state)[1]
+    width = n * pk.w
+    col_mask = (1 << width) - 1
+    At = 0
+    for i, c in enumerate(codes):
+        At |= pk.transposed[i][c]
+    cols = [(At >> (j * width)) & col_mask for j in range(n)]
+    return [r for c in codes for r in pk.products[c]] + [
+        col << (i * width) for i in range(n) for col in cols
+    ]
+
+
+def _annihilator_nullity(codes: tuple[int, ...], pk: _Packing) -> int:
+    """F_p-dimension of {B : AB = BA = 0}, the nullity of the eliminated system."""
+    nn = pk.n * pk.n
+    return nn - _eliminate(_annihilator_rows(codes, pk), pk, nn)[1]
 
 
 def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
@@ -448,10 +392,8 @@ def _orbit_maps(
     return tuple(maps)
 
 
-def _orbit_minima(
-    n: int, p: int
-) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
-    """Per prefix, [(row codes, orbit size), ...] of its orbit minima, in walk order.
+def _orbit_minima(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(row codes, orbit size) of every orbit minimum, in walk order.
 
     A is the minimum of its G-orbit when key(A) <= key(gA) for every map g
     of :func:`_orbit_maps`; the orbit's size is |G| over the number of
@@ -461,12 +403,11 @@ def _orbit_minima(
     that the rows after can add stays below 0 neither rules out nor fixes
     any matrix below this branch and is dropped, and one whose lead plus
     the least that they can add is above 0 rules out the whole branch.
-    Only the maps left open after the prefix, A's first n - 1 rows, are
-    read per last row.  Prefixes with no orbit minimum are not yielded.
-    Mat_0(F_p) is its one matrix, the empty one.
+    Only the maps left open after A's first n - 1 rows are read per last
+    row.  Mat_0(F_p) is its one matrix, the empty one.
     """
     if n == 0:
-        yield (), [((), 1)]
+        yield (), 1
         return
     order = len(_group(n, p))
     codes = range(p**n)
@@ -485,7 +426,6 @@ def _orbit_minima(
                 else:
                     yield from settle(prefix + (code,), kept)
             return
-        matrices = []
         for last in codes:
             fixed = 1  # the identity
             for lead, _, _, ahead in open_maps:
@@ -494,9 +434,7 @@ def _orbit_minima(
                     break
                 fixed += not gap
             else:
-                matrices.append((prefix + (last,), order // fixed))
-        if matrices:
-            yield prefix, matrices
+                yield prefix + (last,), order // fixed
 
     yield from settle((), [(lead, low, high, 0) for lead, low, high in _orbit_maps(n, p)])
 
@@ -526,11 +464,6 @@ def _census(n: int, p: int) -> _Census:
     types first occur are those of the walk over every matrix.  The
     nilpotent list holds one entry per nilpotent orbit, its first matrix,
     in walk order, which is lexicographic order.
-
-    The prefix state, :func:`_annihilator_prefix` of A's first n - 1 rows,
-    is built once per prefix that has an orbit minimum, and each A resumes
-    from a copy of it with its last row only.  At n = 0 the one empty
-    matrix has the empty prefix, and the state is empty.
     """
     pk = _packing(n, p)
     packed_row = pk.row
@@ -539,21 +472,19 @@ def _census(n: int, p: int) -> _Census:
     lemma2 = None
     types: dict[tuple[int, ...], int] = {}
     nilpotent = []
-    for prefix, matrices in _orbit_minima(n, p):
-        system_prefix = _annihilator_prefix(prefix, pk)
-        for codes, weight in matrices:
-            ranks = _rank_sequence([packed_row[c] for c in codes], pk)
-            dim = _annihilator_nullity(codes, pk, system_prefix)
-            pairs += weight * powers[dim]
-            if lemma2 is None and dim != (n - ranks[1]) ** 2:
-                entries = tuple(e for c in codes for e in pk.digits[c])
-                lemma2 = (entries, dim, (n - ranks[1]) ** 2)
-            if not ranks[-1]:
-                cols = _zero_columns(ranks)
-                types[cols] = types.get(cols, 0) + weight
-                m, d = _zero_block_counts(cols)
-                nilpotent.append((codes, m * m - d))
-                inner += weight * powers[dim]
+    for codes, weight in _orbit_minima(n, p):
+        ranks = _rank_sequence([packed_row[c] for c in codes], pk)
+        dim = _annihilator_nullity(codes, pk)
+        pairs += weight * powers[dim]
+        if lemma2 is None and dim != (n - ranks[1]) ** 2:
+            entries = tuple(e for c in codes for e in pk.digits[c])
+            lemma2 = (entries, dim, (n - ranks[1]) ** 2)
+        if not ranks[-1]:
+            cols = _zero_columns(ranks)
+            types[cols] = types.get(cols, 0) + weight
+            m, d = _zero_block_counts(cols)
+            nilpotent.append((codes, m * m - d))
+            inner += weight * powers[dim]
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 
 
@@ -603,11 +534,15 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     """
     pk = _packing(n, p)
     nilpotent = _census(n, p).nilpotent
-    orbits = [_orbit(codes, pk) for codes, _ in nilpotent]
-    members = set().union(*orbits)
+    members: set[int] = set()
+    sizes = []
+    for codes, _ in nilpotent:
+        orbit = _orbit(codes, pk)
+        members |= orbit
+        sizes.append(len(orbit))
     total = 0
     lemma3 = None
-    for (codes, exponent), orbit in zip(nilpotent, orbits):
+    for (codes, exponent), size in zip(nilpotent, sizes):
         basis = _annihilator_basis(codes, pk)
         half = len(basis) // 2
         right = _span(basis[half:], pk)
@@ -616,7 +551,7 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
             for y in right:
                 if (x ^ y if p == 2 else _reduce(x + y, pk)) in members:
                     found += 1
-        total += len(orbit) * found
+        total += size * found
         if lemma3 is None and found != p**exponent:
             lemma3 = (tuple(e for c in codes for e in pk.digits[c]), found, p**exponent)
     return total, lemma3

@@ -10,8 +10,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from clpartitions import oracle, verify
 from clpartitions.oracle import (
@@ -28,11 +26,6 @@ from reference import PrimeFieldMatrix, enumerate_matrices, row_codes, unshared_
 
 def M(n, p, *rows):
     return PrimeFieldMatrix(n, p, tuple(x for row in rows for x in row))
-
-
-def packed(entries, pk):
-    """One packed row: entry t in lane t."""
-    return sum(e << (t * pk.w) for t, e in enumerate(entries))
 
 
 def packed_rows(A):
@@ -126,10 +119,8 @@ def rank(A):
 
 
 def annihilator_dimension(A):
-    """The census kernel's nullity, resumed from the state of A's first n - 1 rows."""
-    codes, pk = row_codes(A), oracle._packing(A.n, A.p)
-    prefix = oracle._annihilator_prefix(codes[: A.n - 1], pk)
-    return oracle._annihilator_nullity(codes, pk, prefix)
+    """The census kernel's nullity of A's whole annihilator system."""
+    return oracle._annihilator_nullity(row_codes(A), oracle._packing(A.n, A.p))
 
 
 def annihilator_basis(A):
@@ -410,37 +401,21 @@ class TestCounts:
 
 
 class TestSharedPrefix:
-    """The census eliminates A's first n - 1 rows once per p^n matrices."""
+    """The census and pass 2 visit one matrix per orbit of G, its minimum.
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        n=st.integers(1, 3),
-        p=st.sampled_from([2, 3, 5]),
-        data=st.data(),
-    )
-    def test_resumed_elimination_is_one_elimination(self, n, p, data):
-        pk = oracle._packing(n, p)
-        nn = n * n
-        row = st.lists(st.integers(0, p - 1), min_size=nn, max_size=nn)
-        rows = [packed(es, pk) for es in data.draw(st.lists(row, max_size=2 * nn))]
-        split = data.draw(st.integers(0, len(rows)))
-        stop = data.draw(st.integers(0, nn))
-        start = oracle._eliminate(rows[:split], pk, stop)
-        kept = (list(start[0]), start[1])
-        assert oracle._eliminate(rows[split:], pk, stop, start) == oracle._eliminate(
-            rows, pk, stop
-        )
-        assert start == kept
+    Each visit is weighted by its orbit's size, and the census equals the
+    reference census over every matrix.
+    """
 
     @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
     def test_walk_visits_line_representatives(self, n, p, monkeypatch, fresh_census):
-        # one matrix per orbit {cA, cA^T : c != 0}, its lexicographic minimum
+        # one matrix per orbit of G, its lexicographic minimum
         visited = []
         real = oracle._annihilator_nullity
 
-        def recording(codes, packing, *prefix):
+        def recording(codes, packing):
             visited.append(codes)
-            return real(codes, packing, *prefix)
+            return real(codes, packing)
 
         monkeypatch.setattr(oracle, "_annihilator_nullity", recording)
         oracle._census(n, p)
@@ -448,7 +423,7 @@ class TestSharedPrefix:
 
     @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (3, 3)])
     def test_walk_weights_are_reference_orbit_sizes(self, n, p):
-        visited = [entry for _, matrices in oracle._orbit_minima(n, p) for entry in matrices]
+        visited = list(oracle._orbit_minima(n, p))
         assert visited
         for codes, weight in visited:
             assert weight == len(orbit(from_codes(codes, n, p))), codes
@@ -456,7 +431,7 @@ class TestSharedPrefix:
     @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
     def test_walk_weights_sum_to_every_matrix(self, n, p):
         # the orbits of the visited matrices cover Mat_n(F_p) exactly once
-        weights = [w for _, matrices in oracle._orbit_minima(n, p) for _, w in matrices]
+        weights = [w for _, w in oracle._orbit_minima(n, p)]
         assert sum(weights) == p ** (n * n)
 
     @pytest.mark.parametrize(
@@ -498,8 +473,8 @@ class TestFaultInjection:
         assert min(targets) == min(orbit(first)) == (0, 4)  # (0, 0, 1, 1)
         real = oracle._annihilator_nullity
 
-        def perturbed(codes, packing, *prefix):
-            return real(codes, packing, *prefix) + (codes in targets)
+        def perturbed(codes, packing):
+            return real(codes, packing) + (codes in targets)
 
         monkeypatch.setattr(oracle, "_annihilator_nullity", perturbed)
         report = verify.run_lemma2_check(2, 3)
@@ -515,8 +490,8 @@ class TestFaultInjection:
         assert targets == {(0, 3), (0, 6), (1, 0), (2, 0)}
         real = oracle._annihilator_nullity
 
-        def perturbed(codes, packing, *prefix):
-            return real(codes, packing, *prefix) + (codes in targets)
+        def perturbed(codes, packing):
+            return real(codes, packing) + (codes in targets)
 
         monkeypatch.setattr(oracle, "_annihilator_nullity", perturbed)
         report = verify.run_lemma2_check(2, 3)

@@ -474,6 +474,24 @@ class TestCli:
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
 
 
+class TestVerifyGoldens:
+    """`--json verify all` against the report contents of perfbench/goldens.json."""
+
+    @pytest.mark.parametrize("seed", ["1", "9", "16"])
+    def test_verify_all_matches_recorded_reports(self, seed, capsys):
+        args = ["verify", "all", "--seed", seed]
+        with open(GOLDENS) as fh:
+            recorded = json.load(fh)["reports"][" ".join(args)]
+        assert cli.main(["--json", *args]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        # a report's content is the report without its "check" ID
+        got = sorted(
+            json.dumps({k: v for k, v in r.items() if k != "check"}, sort_keys=True)
+            for r in reports
+        )
+        assert got == recorded
+
+
 class TestSeriesGoldens:
     """The 12 series-deep outputs against the digests of perfbench/goldens.json."""
 
