@@ -8,17 +8,24 @@ lambda,
 
 evaluated exactly at any rational q > 1 (the identities checked downstream
 are rational-function identities in q, so non-prime-power q is allowed).
+
+Every partition comes from one depth-first walk (`_walk`) that appends
+parts in weakly decreasing order and carries each partition's statistics
+from its parent: `partitions_of` keeps the walk's nodes of one size, and
+the middle series sum over all of its nodes, every partition once, with
+no `Partition` built and no call to `aut_order`.  `aut_order` is the
+per-partition definition of the same weight, read by the checks that
+name single partitions.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .series import Rational, irreducible_count, multiply, power
 
@@ -65,23 +72,63 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+# a node of the walk: (parts, size, n2, m, m1, big_m, d), see _walk
+_Node = tuple[tuple[int, ...], int, int, int, int, int, int]
+
+
+def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
+    """Every partition of size <= order once, with statistics from its parent.
+
+    A node is (parts, size, n2, m, m1, big_m, d): the parts, their sum,
+    n2 = sum_i (2i - 1) lambda_i (= sum_i (lambda'_i)^2, see aut_order),
+    the multiplicity m of the last part, m1 = m_1(lambda),
+    M = sum m(m+1)/2 over the multiplicities of the parts, and
+    d = prod over the parts' multiplicities m of factors[1] * ... * factors[m].
+
+    A child appends a part p <= the last part at index i (from 0): n2
+    grows by (2i + 1) p, m1 by (p == 1).  If p repeats the last part, its
+    multiplicity rises to m + 1, M grows by m + 1 and d is multiplied by
+    factors[m + 1]; a new, smaller part adds 1 to M and multiplies d by
+    factors[1].  With factors[k] = a^k - b^k, d is aut_order's prod_m P_m.
+
+    Nodes come in depth-first preorder with the children of a node by
+    decreasing new part, so the partitions of each size come in
+    reverse-lexicographic order.
+    """
+    stack = [((), 0, 0, 0, 0, 0, 1)]
+    while stack:
+        node = stack.pop()
+        yield node
+        parts, size, n2, m, m1, big_m, d = node
+        room = order - size
+        last = parts[-1] if parts else room
+        step = 2 * len(parts) + 1
+        # pushed by increasing part, so the largest part is popped first
+        for p in range(1, min(last, room) + 1):
+            m_p = m + 1 if p == last else 1
+            stack.append(
+                (
+                    parts + (p,),
+                    size + p,
+                    n2 + step * p,
+                    m_p,
+                    m1 + (p == 1),
+                    big_m + m_p,
+                    d * factors[m_p],
+                )
+            )
+
+
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order of parts.
 
-    Each largest part f, from n down, is put in front of the memoized
-    partitions of n - f whose parts are all <= f; they are already in
-    reverse-lexicographic order, so the result is too.
+    They are the walk's nodes of size n; with every factor 1, d stays 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return (Partition(),)
     return tuple(
-        Partition((first, *rest.parts))
-        for first in range(n, 0, -1)
-        for rest in partitions_of(n - first)
-        if not rest.parts or rest.parts[0] <= first
+        Partition(node[0]) for node in _walk(n, (1,) * (n + 1)) if node[1] == n
     )
 
 
@@ -130,37 +177,70 @@ def _pochhammer_numerator(m: int, a: int, b: int) -> int:
     return result
 
 
-def _partition_sum(
-    q: Rational, order: int, exponent: Callable[[Partition], int]
+def _size_sums(
+    terms: Iterable[tuple[int, int, int, int]], a: int, commons: Sequence[int]
 ) -> list[Fraction]:
-    """Coefficients of sum_lambda q^{exponent(lambda)} u^{|lambda|} / |Aut(lambda)|.
+    """Per size s < len(commons), the sum of a^x * n / d over the terms (s, x, n, d).
 
-    A partition of size s contributes only to the u^s coefficient, so
-    enumerating sizes 0..order is exact.  aut_order is looked up when the
-    sum runs, so a replaced aut_order reaches every middle series.
+    The terms of size s are added over one common denominator
+    a^K * commons[s], where -K is the least x met so far at that size (K
+    starts at 0): a term with a smaller x first multiplies the size's
+    running numerator by the missing power of a.  Each d must divide
+    commons[s]; the division is checked, and a term whose d does not
+    raises ArithmeticError.  One Fraction is built per size.
+    """
+    a_power = cache(a.__pow__)  # a^k, each k computed once
+    totals = [0] * len(commons)
+    lows = [0] * len(commons)  # -K per size
+    for s, x, n, d in terms:
+        quotient, remainder = divmod(commons[s], d)
+        if remainder:
+            raise ArithmeticError(f"{d} does not divide {commons[s]} at size {s}")
+        if x < lows[s]:
+            totals[s] *= a_power(lows[s] - x)
+            lows[s] = x
+        totals[s] += a_power(x - lows[s]) * n * quotient
+    return [Fraction(t, a_power(-k) * c) for t, k, c in zip(totals, lows, commons)]
 
-    With q = a/b in lowest terms, the term q^e / w is the integer pair
-    a^e * w.denominator over b^e * w.numerator (e = exponent(lambda) >= 0).
-    The terms of one size are added over the least common multiple of
-    their denominators and reduced once, so no Fraction arithmetic runs
-    per term.
+
+def _partition_sum(
+    q: Rational, order: int, exponent: Callable[[int, int], int]
+) -> list[Fraction]:
+    """Coefficients of sum_lambda q^e u^{|lambda|} / |Aut(lambda)| up to u^order.
+
+    e = exponent(l(lambda), m_1(lambda)) must satisfy 0 <= e <= n2; the
+    exponents used here, (lambda'_1)^2, (lambda'_1)^2 - m_1 and 0, do,
+    since n2 >= (lambda'_1)^2.
+
+    One walk (`_walk`) visits every partition of size <= order once and
+    carries n2, the length, m_1, M and D = prod_m P_m from its parent.
+    With q = a/b in lowest terms and aut_order's integer form,
+
+        q^e / |Aut(lambda)| = a^(e + M - n2) * b^(n2 - e) / D.
+
+    The terms of size s are added over one common denominator
+    a^K * P_s, with P_s = prod_{k=1..s} (a^k - b^k) (`_size_sums`).  D
+    divides P_s: with l = sum m_i <= s the number of parts,
+    P_l / prod_i P_{m_i} is the q-multinomial coefficient
+    [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
+    and P_l divides P_s.  `_size_sums` checks the division all the same.
+    No Partition is built and aut_order is not called; a test that
+    replaces `_walk` reaches every middle series.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     a, b = q.numerator, q.denominator
-    coeffs = []
-    for s in range(order + 1):
-        numerators, denominators = [], []
-        for lam in partitions_of(s):
-            e = exponent(lam)
-            w = aut_order(lam, q)
-            numerators.append(a**e * w.denominator)
-            denominators.append(b**e * w.numerator)
-        common = math.lcm(*denominators)
-        total = sum(n * (common // d) for n, d in zip(numerators, denominators))
-        coeffs.append(Fraction(total, common))
-    return coeffs
+    factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
+    commons = list(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
+    b_power = cache(b.__pow__)
+    terms = (
+        (size, (e := exponent(len(parts), m1)) + big_m - n2, b_power(n2 - e), d)
+        for parts, size, n2, _, m1, big_m, d in _walk(order, factors)
+    )
+    return _size_sums(terms, a, commons)
 
 
 def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
@@ -168,12 +248,14 @@ def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
 
     The factor 1/(1-u) is the prefix sum of the coefficients.
     """
-    return list(accumulate(_partition_sum(q, order, lambda lam: lam.length**2)))
+    return list(
+        accumulate(_partition_sum(q, order, lambda length, m1: length * length))
+    )
 
 
 def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    return _partition_sum(q, order, lambda lam: lam.length**2 - lam.multiplicity(1))
+    return _partition_sum(q, order, lambda length, m1: length * length - m1)
 
 
 def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
@@ -182,7 +264,7 @@ def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
     Equals 1/(u/q)_inf coefficientwise; this is the statement that the
     Cohen-Lenstra measure P_u has total mass 1.
     """
-    return _partition_sum(q, order, lambda lam: 0)
+    return _partition_sum(q, order, lambda length, m1: 0)
 
 
 def product_over_irreducibles_series(q: int, order: int) -> list[Fraction]:
@@ -203,7 +285,7 @@ def product_over_irreducibles_series(q: int, order: int) -> list[Fraction]:
     for d in range(1, order + 1):
         count = irreducible_count(d, q) - (d == 1)  # exclude phi = z
         cs = [Fraction(0)] * (order + 1)
-        for s, c in enumerate(_partition_sum(q**d, order // d, lambda lam: 0)):
+        for s, c in enumerate(_partition_sum(q**d, order // d, lambda length, m1: 0)):
             cs[d * s] = c
         result = multiply(result, power(cs, count))
     return result

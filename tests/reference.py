@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from clpartitions import oracle
-from clpartitions.partitions import partitions_of
+from clpartitions.partitions import Partition
 from clpartitions.sampler import PartitionSampler
 from clpartitions.series import (
     inverse,
@@ -66,12 +66,26 @@ def aut_order(lam, q):
     return result
 
 
-def partition_sum(q, order, exponent, aut_order=aut_order):
+def partitions(n, largest=None):
+    """Partitions of n with parts <= largest, by recursion on the first part.
+
+    Kept apart from the package's walk, so the reference sum does not
+    share its enumeration.
+    """
+    largest = n if largest is None else largest
+    if n == 0:
+        yield Partition()
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield Partition((first, *rest.parts))
+
+
+def partition_sum(q, order, exponent):
     """sum_lambda q^{exponent(lambda)} u^{|lambda|} / |Aut(lambda)|, term by term."""
     q = Fraction(q)
     return [
         sum(
-            (q ** exponent(lam) / aut_order(lam, q) for lam in partitions_of(s)),
+            (q ** exponent(lam) / aut_order(lam, q) for lam in partitions(s)),
             Fraction(0),
         )
         for s in range(order + 1)

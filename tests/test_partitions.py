@@ -1,6 +1,8 @@
 """Tests for partition statistics, automorphism orders, and partition sums."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -142,32 +144,99 @@ class TestAutOrder:
                     assert aut_order(lam, q) == want
 
 
+# exponent of q per partition: as _partition_sum reads it, from the length
+# and m_1, and as the reference reads it, from the Partition
 EXPONENTS = {
-    "eq1": lambda lam: lam.length**2,
-    "eq2": lambda lam: lam.length**2 - lam.multiplicity(1),
-    "weight": lambda lam: 0,
+    "eq1": (lambda length, m1: length * length, lambda lam: lam.length**2),
+    "eq2": (
+        lambda length, m1: length * length - m1,
+        lambda lam: lam.length**2 - lam.multiplicity(1),
+    ),
+    "weight": (lambda length, m1: 0, lambda lam: 0),
 }
+
+
+def _statistics(parts, factors):
+    """The walk's node for *parts*, each statistic computed from the parts alone."""
+    mults = [parts.count(p) for p in sorted(set(parts))]
+    d = 1
+    for m in mults:
+        d *= math.prod(factors[1 : m + 1])
+    return (
+        parts,
+        sum(parts),
+        sum(c * c for c in Partition(parts).conjugate().parts),
+        parts.count(parts[-1]) if parts else 0,
+        parts.count(1),
+        sum(m * (m + 1) // 2 for m in mults),
+        d,
+    )
+
+
+class TestWalk:
+    def test_visits_every_partition_once_per_size(self):
+        sizes = Counter(node[1] for node in partitions._walk(26, (1,) * 27))
+        assert sizes[26] == 2436  # p(26)
+        for s in range(27):
+            assert sizes[s] == len(partitions_of(s)) == _count_partitions(s, s)
+        assert set(sizes) == set(range(27))
+
+    def test_nodes_are_distinct_partitions(self):
+        parts = [node[0] for node in partitions._walk(14, (1,) * 15)]
+        assert len(parts) == len(set(parts))
+        for p in parts:
+            Partition(p)  # weakly decreasing and positive
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 3)])
+    def test_carried_statistics_match_direct_ones(self, q):
+        a, b = q.numerator, q.denominator
+        factors = [a**k - b**k for k in range(13)]
+        for node in partitions._walk(12, factors):
+            assert node == _statistics(node[0], factors)
 
 
 class TestPartitionSum:
     @pytest.mark.parametrize("exponent", EXPONENTS)
     @pytest.mark.parametrize(
-        "q", [Fraction(2), Fraction(5, 2), Fraction(7, 3), Fraction(10)]
+        "q",
+        [
+            Fraction(2),
+            Fraction(5, 2),
+            Fraction(7, 3),
+            Fraction(10),
+            Fraction(3),
+            Fraction(4),
+        ],
     )
     def test_matches_per_term_fraction_sum(self, q, exponent):
-        got = partitions._partition_sum(q, 12, EXPONENTS[exponent])
-        assert got == reference.partition_sum(q, 12, EXPONENTS[exponent])
+        walk_exponent, lam_exponent = EXPONENTS[exponent]
+        got = partitions._partition_sum(q, 16, walk_exponent)
+        assert got == reference.partition_sum(q, 16, lam_exponent)
 
-    def test_any_replaced_weight_is_summed_exactly(self, monkeypatch):
-        # weights that share no structure with |Aut|, signs included, so
-        # the common-denominator pass cannot rely on aut_order's form
-        def weight(lam, q):
-            return reference.aut_order(lam, q) * Fraction(2 * lam.size - 7, 3 + lam.length)
+    def test_any_replaced_weight_is_summed_exactly(self):
+        # signed terms that share no structure with |Aut|: random numerators,
+        # powers of a of either sign in any order, and denominators that
+        # only divide the common denominator of their size
+        rng = random.Random(17)
+        commons = [math.factorial(s) * 6**s for s in range(10)]
+        for a in (2, 3, 7):
+            terms = []
+            for _ in range(300):
+                s = rng.randrange(10)
+                d = rng.choice([k for k in range(1, 50) if commons[s] % k == 0])
+                terms.append((s, rng.randint(-9, 9), rng.randint(-(10**6), 10**6), d))
+            want = [Fraction(0)] * 10
+            for s, x, n, d in terms:
+                want[s] += Fraction(a) ** x * n / d
+            assert partitions._size_sums(terms, a, commons) == want
 
-        monkeypatch.setattr(partitions, "aut_order", weight)
-        for q in (Fraction(3), Fraction(7, 3)):
-            got = partitions._partition_sum(q, 9, EXPONENTS["eq2"])
-            assert got == reference.partition_sum(q, 9, EXPONENTS["eq2"], weight)
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            partitions._partition_sum(2, -1, EXPONENTS["weight"][0])
+
+    def test_denominator_must_divide_the_common_one(self):
+        with pytest.raises(ArithmeticError):
+            partitions._size_sums([(1, 0, 1, 4)], 2, [1, 6])
 
 
 class TestClWeight:

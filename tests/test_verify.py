@@ -1,6 +1,7 @@
 """Tests for the verification harness and its CLI."""
 
 import hashlib
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,6 @@ import pytest
 
 import reference
 from clpartitions import cli, oracle, partitions, sampler, series, verify
-from clpartitions.partitions import Partition
 from clpartitions.series import inverse, multiply, pochhammer_infinite_u_over_q
 from clpartitions.verify import (
     VerificationReport,
@@ -34,6 +34,33 @@ SERIES_ROUTES = {
         lambda q, N: [1] * (N + 1),
     ),
 }
+
+
+def _raise_n2(monkeypatch, parts):
+    """Raise n2 by 1 for the partition *parts* in the middle's walk.
+
+    The term q^e / |Aut| of that partition is a^(e + M - n2) b^(n2 - e) / D
+    with q = a/b, so this multiplies its |Aut| by exactly q; the partitions
+    below it in the walk keep their own statistics.
+    """
+    real = partitions._walk
+
+    def perturbed(order, factors):
+        for node in real(order, factors):
+            if node[0] == parts:
+                node = (node[0], node[1], node[2] + 1, *node[3:])
+            yield node
+
+    monkeypatch.setattr(partitions, "_walk", perturbed)
+
+
+def _mutate_walk(monkeypatch, old, new):
+    """Replace partitions._walk by a copy of its source with *old* -> *new*."""
+    source = inspect.getsource(partitions._walk)
+    assert source.count(old) == 1
+    namespace = dict(vars(partitions))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(partitions, "_walk", namespace["_walk"])
 
 
 class TestFormatting:
@@ -99,14 +126,8 @@ class TestChecks:
 
 class TestFaultInjection:
     def test_perturbed_aut_order_is_caught(self, monkeypatch):
-        real = partitions.aut_order
-
-        def perturbed(lam, q):
-            val = real(lam, q)
-            # wrong exponent for one specific type
-            return val * Fraction(q) if lam == Partition((2, 1)) else val
-
-        monkeypatch.setattr(partitions, "aut_order", perturbed)
+        # wrong exponent for one specific type: |Aut (2,1)| times q
+        _raise_n2(monkeypatch, (2, 1))
         middle = partitions.eq1_middle_series(2, 6)[3]
         rhs = eq1_rhs_series(2, 6)[3]
         assert middle != rhs
@@ -170,12 +191,8 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("check", SERIES_ROUTES)
     def test_series_check_shows_both_routes(self, check, monkeypatch):
-        real = partitions.aut_order
-
-        def perturbed(lam, q):
-            return real(lam, q) * (Fraction(q) if lam == Partition((2, 1)) else 1)
-
-        monkeypatch.setattr(partitions, "aut_order", perturbed)
+        # |Aut (2,1)| times q, at each q^d of irreducible-product too
+        _raise_n2(monkeypatch, (2, 1))
         reports = [
             *run_rational_q_check(2, 6),
             verify.run_measure_normalization_check(2, 6),
@@ -188,6 +205,29 @@ class TestFaultInjection:
         got, want = getattr(partitions, middle)(2, 6)[3], rhs(2, 6)[3]
         assert report.detail == (
             f"coefficient of u^3: middle {fmt_rat(got)}, rhs {fmt_rat(want)}"
+        )
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            # M grows by 1 for a repeated part too
+            ("big_m + m_p,", "big_m + 1,"),
+            # a repeated part's factor a^(m+1) - b^(m+1) is dropped from D
+            ("d * factors[m_p],", "d * factors[m_p] if m_p == 1 else d,"),
+        ],
+        ids=["wrong-M-increment", "dropped-multiplicity-factor"],
+    )
+    def test_mutated_walk_fails_eq1_rational_q(self, old, new, monkeypatch):
+        _mutate_walk(monkeypatch, old, new)
+        q = Fraction(5, 2)
+        middle = partitions.eq1_middle_series(q, 6)
+        rhs = eq1_rhs_series(q, 6)
+        eq1, _ = run_rational_q_check(q, 6)
+        assert eq1.check_name == "eq1-rational-q" and not eq1.passed
+        # (1,1) is the first partition with a repeated part
+        assert middle[:2] == rhs[:2] and middle[2] != rhs[2]
+        assert eq1.detail == (
+            f"coefficient of u^2: middle {fmt_rat(middle[2])}, rhs {fmt_rat(rhs[2])}"
         )
 
     def test_perturbed_rhs_factor_is_caught(self, monkeypatch):
@@ -270,12 +310,8 @@ class TestFaultInjection:
         assert failed[0].detail == f"coefficient of u^3: lhs {fmt_rat(want)}, rhs 0"
 
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
-        real = partitions.aut_order
-        monkeypatch.setattr(
-            partitions,
-            "aut_order",
-            lambda lam, q: real(lam, q) * (2 if lam == Partition((1,)) else 1),
-        )
+        # |Aut (1)| times q: times 2 at q = 2, times 3 at q = 3
+        _raise_n2(monkeypatch, (1,))
         code = cli.main(["verify", "eq1", "--n-max", "1", "--order", "4"])
         assert code == cli.EXIT_FAIL
         out = capsys.readouterr().out
