@@ -8,12 +8,13 @@ computations are checked, so no closed-form shortcuts are taken here.
 
 The five public counts read one memoized census per (n, p): pass 1
 walks Mat_n(F_p) once and records every aggregate they need, and pass 2
-enumerates the annihilator solution spaces of the nilpotent matrices
-only.  Nilpotency is decided once, in pass 1, by the ranks of A's
-powers: pass 2 counts a member B when the census found B nilpotent.
-Both run on packed rows: a row of p-adic entries is one Python
-int, entry t in bits [t*w, (t+1)*w), and a single forward-elimination
-routine (:func:`_eliminate`) serves every rank and nullspace computation.
+enumerates the annihilator solution spaces of the nonzero nilpotent
+matrices only.  One routine decides nilpotency, the ranks of a matrix's
+powers (:func:`_rank_sequence`): in pass 1 for A, and in pass 2 for each
+member B of A's annihilator.  Both run on packed rows: a row of p-adic
+entries is one Python int, entry t in bits [t*w, (t+1)*w), and a single
+forward-elimination routine (:func:`_eliminate`) serves every rank and
+nullspace computation.
 n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
 which is nilpotent with an annihilator of dimension 0.
 
@@ -39,8 +40,9 @@ from typing import Iterator, NamedTuple, Optional
 from .partitions import Partition
 
 DEFAULT_OUTER_BUDGET = 2**26
-# most of census.inner, read per call: the weighted solution-space sizes, up
-# to |G| times what pass 2 enumerates (G the group of the orbit walk)
+# census.inner, read per call: the weighted solution-space sizes of the
+# nilpotent A.  It bounds pass 2's work from above: pass 2 enumerates one
+# space per nonzero nilpotent orbit, unweighted, and never ann(0)'s p^(n^2)
 INNER_BUDGET = 2**30
 
 _SMALL_PRIMES = {2, 3, 5}
@@ -312,7 +314,8 @@ class _Census(NamedTuple):
     pairs: int  # sum of p^dim over every A
     lemma2: _Counterexample  # first (A, dim, (n - rank)^2) that differ
     types: tuple[tuple[tuple[int, ...], int], ...]  # (conjugate type, count), nilpotent A
-    nilpotent: tuple[tuple[tuple[int, ...], int], ...]  # (first A, m^2 - d) per nilpotent orbit
+    # (first A, m^2 - d, orbit size) per nilpotent orbit
+    nilpotent: tuple[tuple[tuple[int, ...], int, int], ...]
     inner: int  # sum of p^dim over the nilpotent A
 
 
@@ -335,7 +338,7 @@ def _group(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     target of gA and multiplies it by scale: to (s(i), s(k)) times c d_i /
     d_k, or, for A^T, to (s(k), s(i)) times c d_k / d_i.  The maps A -> cA
     follow the identity, then the other D, then the other P, and then the
-    maps with A^T.  Built on first use, and shared by both passes' tables.
+    maps with A^T.  Built on first use, for the walk's tables.
     """
     inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
     maps = []
@@ -462,8 +465,9 @@ def _census(n: int, p: int) -> _Census:
     maps is used.  The first matrix of an orbit comes before the others,
     so the first lemma-2 counterexample and the order in which Jordan
     types first occur are those of the walk over every matrix.  The
-    nilpotent list holds one entry per nilpotent orbit, its first matrix,
-    in walk order, which is lexicographic order.
+    nilpotent list holds one entry per nilpotent orbit, its first matrix
+    with m^2 - d and the orbit's size, in walk order, which is
+    lexicographic order.
     """
     pk = _packing(n, p)
     packed_row = pk.row
@@ -483,74 +487,40 @@ def _census(n: int, p: int) -> _Census:
             cols = _zero_columns(ranks)
             types[cols] = types.get(cols, 0) + weight
             m, d = _zero_block_counts(cols)
-            nilpotent.append((codes, m * m - d))
+            nilpotent.append((codes, m * m - d, weight))
             inner += weight * powers[dim]
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit_images(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per map g of G, [i][code]: row i's entries in vec(gA), gA[k][j] in lane k*n + j.
-
-    Row i of A, with that code, puts its entries, moved and scaled by g
-    (:func:`_group`), into lanes no other row fills, so vec(gA) is the sum
-    of one entry per row.  Built on first use.
-    """
-    w = _packing(n, p).w
-    return tuple(
-        tuple(
-            _row_table(
-                [
-                    [(scale * e % p) << (target * w) for e in range(p)]
-                    for target, scale in g[i * n : (i + 1) * n]
-                ]
-            )
-            for i in range(n)
-        )
-        for g in _group(n, p)
-    )
-
-
-def _orbit(codes: tuple[int, ...], pk: _Packing) -> set[int]:
-    """vec(gA) for every map g of G, packed like a solution vector."""
-    return {
-        sum(row[code] for row, code in zip(image, codes))
-        for image in _orbit_images(pk.n, pk.p)
-    }
-
-
-@functools.lru_cache(maxsize=None)
 def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
-    """Pass 2: per nilpotent orbit, enumerate A's annihilator and count nilpotent B.
+    """Pass 2: per nilpotent orbit, count the nilpotent B in A's annihilator.
 
     Returns (total count, first (A, count, p^(m^2 - d)) that differ).
-    The solution space is enumerated as the sums of two half spans, and
-    B counts when the census found it nilpotent: its packed vec(B) is in
-    the set of every nilpotent matrix, the G-orbit of each nilpotent
-    orbit's A (:func:`_orbit`).  For g in G, B -> gB maps ann(A) onto
-    ann(gA) and keeps nilpotency (see :func:`_census`), so every matrix
-    of the orbit has A's count and Jordan type: A's count, weighted by the
-    orbit's size, stands for the orbit's, and A comes first in it.
+    ann(0) is all of Mat_n(F_p), so the zero matrix's count is the number
+    of nilpotent matrices the census enumerated, the sum of its orbit
+    sizes; the empty matrix of n = 0 is the zero matrix.  Every other
+    orbit's annihilator is enumerated from a nullspace basis, and B counts
+    when the ranks of its powers reach 0 (:func:`_rank_sequence`, pass 1's
+    test of A).  For g in G, B -> gB maps ann(A) onto ann(gA) and keeps
+    nilpotency (see :func:`_census`), so every matrix of the orbit has A's
+    count: A's count, weighted by the orbit's size, stands for the
+    orbit's, and A comes first in it.
     """
     pk = _packing(n, p)
     nilpotent = _census(n, p).nilpotent
-    members: set[int] = set()
-    sizes = []
-    for codes, _ in nilpotent:
-        orbit = _orbit(codes, pk)
-        members |= orbit
-        sizes.append(len(orbit))
+    width = n * pk.w
+    row_mask = (1 << width) - 1
     total = 0
     lemma3 = None
-    for (codes, exponent), size in zip(nilpotent, sizes):
-        basis = _annihilator_basis(codes, pk)
-        half = len(basis) // 2
-        right = _span(basis[half:], pk)
-        found = 0
-        for x in _span(basis[:half], pk):
-            for y in right:
-                if (x ^ y if p == 2 else _reduce(x + y, pk)) in members:
-                    found += 1
+    for codes, exponent, size in nilpotent:
+        if any(codes):
+            found = 0
+            for v in _span(_annihilator_basis(codes, pk), pk):
+                rows = [(v >> (k * width)) & row_mask for k in range(n)]  # B's rows
+                found += not _rank_sequence(rows, pk)[-1]
+        else:
+            found = sum(orbit_size for _, _, orbit_size in nilpotent)
         total += size * found
         if lemma3 is None and found != p**exponent:
             lemma3 = (tuple(e for c in codes for e in pk.digits[c]), found, p**exponent)
@@ -599,9 +569,10 @@ def count_pairs(n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET) -> int:
 def count_nilpotent_pairs(n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET) -> int:
     """|{A, B in Nil_n(F_p) : AB = BA = 0}|.
 
-    For each nilpotent A, enumerates the solution space of AB = BA = 0 from
-    a nullspace basis and counts the nilpotent members, so the count is
-    independent of any closed form for that quantity.
+    For each nilpotent A but 0, enumerates the solution space of AB = BA =
+    0 from a nullspace basis and counts the nilpotent members; ann(0) is
+    every matrix, so its count is the census's.  The count is independent
+    of any closed form for that quantity.
     """
     return _checked_pass2(n, p, budget)[0]
 

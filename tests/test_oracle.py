@@ -86,14 +86,16 @@ def orbit(A):
 
 
 def expanded_orbits(nilpotent, n, p):
-    """The census's (first codes, m^2 - d) per orbit, for every matrix of each orbit."""
-    return tuple(
-        sorted(
-            (codes, exponent)
-            for first, exponent in nilpotent
-            for codes in orbit(from_codes(first, n, p))
-        )
-    )
+    """The census's (first codes, m^2 - d) per orbit, for every matrix of each orbit.
+
+    Asserts that each entry's orbit size is the reference orbit's size.
+    """
+    expanded = []
+    for first, exponent, size in nilpotent:
+        members = orbit(from_codes(first, n, p))
+        assert size == len(members), first
+        expanded += [(codes, exponent) for codes in members]
+    return tuple(sorted(expanded))
 
 
 @functools.lru_cache(maxsize=None)
@@ -278,12 +280,15 @@ class TestCounts:
         assert count_nilpotent_pairs(2, 3) == 33
 
     @pytest.mark.parametrize(
-        "n,p,pairs,nilpotent_pairs", [(3, 3, 82629, 5409), (2, 5, 1825, 145)]
+        "n,p,pairs,nilpotent_pairs",
+        [(3, 3, 82629, 5409), (2, 5, 1825, 145), (3, 5, 8150025, 183025)],
     )
     def test_counts_at_odd_p(self, n, p, pairs, nilpotent_pairs):
         # weights p - 1 in pass 1, and lane sums reduced mod p in pass 2
         assert count_pairs(n, p) == pairs
+        assert find_lemma2_counterexample(n, p) is None
         assert count_nilpotent_pairs(n, p) == nilpotent_pairs
+        assert find_lemma3_counterexample(n, p) is None
 
     def test_by_type_n2_p2(self):
         counts = count_nilpotent_by_type(2, 2)
@@ -305,7 +310,8 @@ class TestCounts:
 
     @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2)])
     def test_census_nilpotent_set_is_reference_nilpotent_set(self, n, p):
-        # pass 2 counts B by membership in this set, so check it independently
+        # pass 2 counts ann(0)'s nilpotent B as the sum of these orbits' sizes,
+        # so check the set and the sizes independently
         want = [
             row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
         ]
@@ -373,7 +379,7 @@ class TestCounts:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_empty_matrix_through_the_census(self, p):
         # Mat_0(F_p) holds one matrix: nilpotent, annihilator of dimension 0
-        assert oracle._census(0, p) == (1, None, (((), 1),), (((), 0),), 1)
+        assert oracle._census(0, p) == (1, None, (((), 1),), (((), 0, 1),), 1)
         assert count_pairs(0, p) == 1
         assert count_nilpotent_pairs(0, p) == 1
         assert count_nilpotent_by_type(0, p) == {Partition(): 1}
@@ -448,7 +454,8 @@ class TestSharedPrefix:
     def test_pass2_visits_nilpotent_line_representatives(
         self, n, p, monkeypatch, fresh_census
     ):
-        # one annihilator per nilpotent orbit, its minimum, in walk order
+        # one annihilator per nilpotent orbit but that of 0, which is every
+        # matrix and is not enumerated: the orbit's minimum, in walk order
         visited = []
         real = oracle._annihilator_basis
 
@@ -461,7 +468,9 @@ class TestSharedPrefix:
         nilpotent = {
             row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
         }
-        assert visited == [c for c in orbit_representatives(n, p) if c in nilpotent]
+        assert visited == [
+            c for c in orbit_representatives(n, p) if c in nilpotent and any(c)
+        ]
 
 
 class TestFaultInjection:
@@ -498,14 +507,42 @@ class TestFaultInjection:
         assert not report.passed
         assert report.detail == "A=(0, 0, 1, 0): dimension 2 != 1"  # (2 - rank A)^2 = 1
 
-    def test_lemma3_names_first_nilpotent_matrix(self, monkeypatch, fresh_census):
-        real = oracle._orbit
-        # miss B = 0, which lies in every annihilator: leave vec(0) = 0 out
-        # of the set of nilpotent matrices
-        monkeypatch.setattr(oracle, "_orbit", lambda codes, pk: real(codes, pk) - {0})
+    def test_lemma3_names_first_nilpotent_matrix(self, fresh_census, monkeypatch):
+        # fresh_census comes first, so _census is restored before it is cleared.
+        # The census's count of nilpotent matrices, which is ann(0)'s count,
+        # is one short: the last nilpotent orbit's size is one too small
+        census = oracle._census(2, 2)
+        *rest, (codes, exponent, size) = census.nilpotent
+        short = census._replace(nilpotent=(*rest, (codes, exponent, size - 1)))
+        monkeypatch.setattr(oracle, "_census", lambda n, p: short)
         report = verify.run_lemma3_check(2, 2)
         assert not report.passed
         assert report.detail == "A=(0, 0, 0, 0): count 3 != 4"  # 2^(m^2 - d), m = d = 2
+
+    def test_pass2_nilpotency_fault_fails_lemma3_and_eq2(
+        self, monkeypatch, fresh_census
+    ):
+        # pass 2 calls B = 2A non-nilpotent in ann(A), A = E_21 over F_3, and
+        # the census, memoized first, is left as it was
+        for n in range(3):
+            oracle._census(n, 3)
+        pk = oracle._packing(2, 3)
+        A = M(2, 3, (0, 0), (1, 0))
+        target = [pk.row[c] for c in row_codes(scaled(A, 2))]
+        real = oracle._rank_sequence
+
+        def perturbed(rows, packing):
+            return [packing.n, packing.n] if rows == target else real(rows, packing)
+
+        monkeypatch.setattr(oracle, "_rank_sequence", perturbed)
+        report = verify.run_lemma3_check(2, 3)
+        assert not report.passed
+        # ann(A) = {0, A, 2A}; 3^(m^2 - d), m = 1, d = 0
+        assert report.detail == "A=(0, 0, 1, 0): count 2 != 3"
+        # A's orbit has 4 matrices, so the count is 33 - 4 over |GL_2(F_3)| = 48
+        report = verify.run_eq_check("eq2", 3, 2, 6)
+        assert not report.passed
+        assert report.detail == "coefficient of u^2: oracle 29/48, middle 11/16, rhs 11/16"
 
     def test_lemma3_names_first_matrix_of_perturbed_line(
         self, monkeypatch, fresh_census
