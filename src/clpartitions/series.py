@@ -62,18 +62,33 @@ def inverse(a: list[Fraction]) -> list[Fraction]:
     return out
 
 
+# (x, q) -> [(x)_0, (x)_1, ...], the running products computed so far
+_POCHHAMMER: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+POCHHAMMER_MEMO_KEYS = 1024  # past this many (x, q), the oldest is dropped
+
+
 def pochhammer_scalar(x: Rational, i: int, q: Rational) -> Fraction:
-    """(x)_i = prod_{k=0}^{i-1} (1 - x/q^k) for rational x."""
+    """(x)_i = prod_{k=0}^{i-1} (1 - x/q^k) for rational x.
+
+    The running products (x)_0, (x)_1, ... are kept per (x, q), so a
+    new index costs one Fraction multiply per index past the longest
+    one asked for so far, and a known index none.
+    """
     if i < 0:
         raise ValueError("pochhammer index must be non-negative")
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
     x = Fraction(x)
-    result = Fraction(1)
-    for k in range(i):
-        result *= 1 - x / q**k
-    return result
+    products = _POCHHAMMER.get((x, q))
+    if products is None:
+        if len(_POCHHAMMER) >= POCHHAMMER_MEMO_KEYS:
+            del _POCHHAMMER[next(iter(_POCHHAMMER))]
+        products = _POCHHAMMER[(x, q)] = [Fraction(1)]
+    while len(products) <= i:
+        k = len(products) - 1
+        products.append(products[k] * (1 - x / q**k))
+    return products[i]
 
 
 def sum_wellknown_identity_lhs(q: Rational, order: int) -> list[Fraction]:

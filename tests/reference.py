@@ -57,6 +57,15 @@ def pochhammer_finite(x, i, q):
     return result
 
 
+def pochhammer_direct(x, i, q):
+    """(x)_i = prod_{k=0}^{i-1} (1 - x/q^k), multiplied out afresh on every call."""
+    x, q = Fraction(x), Fraction(q)
+    result = Fraction(1)
+    for k in range(i):
+        result *= 1 - x / q**k
+    return result
+
+
 def aut_order(lam, q):
     """q^{sum_i (lambda'_i)^2} * prod_i (1/q)_{m_i}, term by term in Fractions."""
     q = Fraction(q)

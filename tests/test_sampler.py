@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -106,11 +108,14 @@ class FixedBits:
         return self.k
 
 
+# built once: a sampler builds its whole row table up front
+DRAWING_SAMPLER = PartitionSampler(SamplerConfig(q=2, u=U_HALF, seed=0, trials=1))
+
+
 def threshold_draw(row, k):
     """The sampler's own draw from *row* when its generator yields k."""
-    sampler = PartitionSampler(SamplerConfig(q=2, u=U_HALF, seed=0, trials=1))
-    sampler._rng = FixedBits(k)
-    return sampler._draw(row.thresholds())
+    DRAWING_SAMPLER._rng = FixedBits(k)
+    return DRAWING_SAMPLER._draw(row.thresholds())
 
 
 class TestThresholdDraw:
@@ -199,6 +204,41 @@ class TestBucketCounts:
         # the Monte Carlo check reads a and b off the columns, not a Partition
         cfg = SamplerConfig(q=q, u=u, seed=seed, trials=5000)
         assert sampler._bucket_counts(cfg) == partition_bucket_counts(cfg)
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts the 64-bit words drawn from it."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.words = 0
+
+    def getrandbits(self, k):
+        assert k == 64
+        self.words += 1
+        return super().getrandbits(k)
+
+
+class TestDrawAlignment:
+    @pytest.mark.parametrize(
+        "q,u,seed", [(3, Fraction(9, 10), 5), (2, Fraction(9, 10), 3), (2, U_HALF, 1)]
+    )
+    def test_bucket_loop_draws_the_column_stream(self, q, u, seed, monkeypatch):
+        # the Monte Carlo loop draws every column until 0, as columns() does
+        generators = []
+
+        def counting(seed):
+            generators.append(CountingRandom(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(sampler, "random", SimpleNamespace(Random=counting))
+        cfg = SamplerConfig(q=q, u=u, seed=seed, trials=5000)
+        sampler._bucket_counts(cfg)
+        chain = PartitionSampler(cfg)
+        longest = max(len(chain.columns()) for _ in range(cfg.trials))
+        loop_words, column_words = (g.words for g in generators)
+        assert longest >= 3
+        assert loop_words == column_words
 
 
 @pytest.fixture(scope="module")
