@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import oracle, partitions, sampler, verify
+from . import oracle, partitions, verify
 from .sampler import PartitionSampler, SamplerConfig
 from .verify import VerificationReport, VerifierConfig, fmt_rat
 
@@ -105,29 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add the long n=4, p=2 oracle runs when --n-max is below 4",
     )
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_series = sub.add_parser("series", help="print exact series coefficients")
-    p_series.add_argument(
-        "which", choices=["eq1-rhs", "eq2-rhs", "eq1-middle", "eq2-middle"]
-    )
+    p_series.add_argument("which", choices=list(_series_builders()))
     p_series.add_argument("--q", type=parse_rational, required=True)
     p_series.add_argument("--order", type=non_negative_int, default=8)
+    p_series.set_defaults(run=_cmd_series)
 
     p_oracle = sub.add_parser("oracle", help="brute-force matrix counts")
-    p_oracle.add_argument(
-        "which", choices=["count-pairs", "count-nilpotent-pairs", "by-type"]
-    )
+    p_oracle.add_argument("which", choices=list(_oracle_counts()))
     p_oracle.add_argument("--n", type=non_negative_int, required=True)
     p_oracle.add_argument("--p", type=int, required=True)
     p_oracle.add_argument(
         "--budget", type=non_negative_int, default=oracle.DEFAULT_OUTER_BUDGET
     )
+    p_oracle.set_defaults(run=_cmd_oracle)
 
     p_sample = sub.add_parser("sample", help="draw random partitions")
     p_sample.add_argument("--q", type=int, required=True)
     p_sample.add_argument("--u", type=parse_rational, required=True)
     p_sample.add_argument("--seed", type=int, default=1)
     p_sample.add_argument("--trials", type=int, default=10)
+    p_sample.set_defaults(run=_cmd_sample)
     return parser
 
 
@@ -141,28 +141,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _emit_reports(reports, args.json)
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
-    builders = {
+def _series_builders():
+    """Name -> series builder for ``series``: its choices and its dispatch.
+
+    The table is built per call so that each name maps to the function
+    bound in its module when the command runs.
+    """
+    return {
         "eq1-rhs": verify.eq1_rhs_series,
         "eq2-rhs": verify.eq2_rhs_series,
         "eq1-middle": partitions.eq1_middle_series,
         "eq2-middle": partitions.eq2_middle_series,
     }
-    _print_series(args.which, builders[args.which](args.q, args.order), args.json)
+
+
+def _oracle_counts():
+    """Name -> oracle count for ``oracle``, built per call like :func:`_series_builders`."""
+    return {
+        "count-pairs": oracle.count_pairs,
+        "count-nilpotent-pairs": oracle.count_nilpotent_pairs,
+        "by-type": oracle.count_nilpotent_by_type,
+    }
+
+
+def _cmd_series(args: argparse.Namespace) -> int:
+    builder = _series_builders()[args.which]
+    _print_series(args.which, builder(args.q, args.order), args.json)
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    count = {
-        "count-pairs": oracle.count_pairs,
-        "count-nilpotent-pairs": oracle.count_nilpotent_pairs,
-    }.get(args.which)
-    if count:
-        result = count(args.n, args.p, args.budget)
+    result = _oracle_counts()[args.which](args.n, args.p, args.budget)
+    if isinstance(result, int):
         print(json.dumps({"count": result}) if args.json else f"{result}")
     else:
-        counts = oracle.count_nilpotent_by_type(args.n, args.p, args.budget)
-        rows = {str(lam): c for lam, c in sorted(counts.items(), reverse=True)}
+        rows = {str(lam): c for lam, c in sorted(result.items(), reverse=True)}
         if args.json:
             print(json.dumps(rows, indent=2))
         else:
@@ -190,19 +203,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        return EXIT_USAGE
+        return args.run(args)
     except oracle.BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, sampler.KernelDomainError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

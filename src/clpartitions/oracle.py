@@ -22,13 +22,25 @@ A matrix is named by its row codes (see :class:`_Packing`) throughout.
 
 Both passes visit only one matrix per orbit of the group G of maps A ->
 c M A M^-1 and A -> c M A^T M^-1, c != 0 and M a monomial matrix taken
-modulo scalars, its lexicographic minimum, and weight it by the orbit's
-size, at most |G| = 2(p - 1) n! (p - 1)^(n - 1).  cA has A's annihilator
-and the ranks of A's powers; MAM^-1 has the annihilator M ann(A) M^-1,
-and (MAM^-1)^k = M A^k M^-1 has the rank of A^k; (AB)^T = B^T A^T, so
-B -> B^T maps ann(A) onto ann(A^T) and keeps nilpotency, and (A^T)^k =
-(A^k)^T has the rank of A^k.  So every record of an orbit's matrices is
-A's (see :func:`_census`), and no lemma is used.
+modulo scalars (see :func:`_group`), its lexicographic minimum
+(:func:`_orbit_minima`), and weight it by the orbit's size, |G| over
+the number of maps that fix it, with |G| = 2(p - 1) n! (p - 1)^(n - 1).
+Every record of gA equals A's.  AB = 0 if and only if (cA)B = 0, and
+likewise BA, so ann(cA) = ann(A); (cA)^k = c^k A^k has the rank of A^k.
+(MAM^-1)(MBM^-1) = M(AB)M^-1, and likewise BA, so ann(MAM^-1) =
+M ann(A) M^-1; B -> MBM^-1 keeps nilpotency, and (MAM^-1)^k = M A^k M^-1
+has the rank of A^k.  (AB)^T = B^T A^T, so B -> B^T maps ann(A) onto
+ann(A^T) and keeps nilpotency, and (A^T)^k = (A^k)^T has the rank of
+A^k.  So the annihilator's dimension, the rank sequence, nilpotency, the
+Jordan type and the number of nilpotent matrices in the annihilator are
+constant on an orbit.  This holds for any invertible M; G takes only
+monomial M because each of its maps then sends every entry of A to one
+fixed entry with one fixed scale, so the walk stays a filter on the
+lexicographic enumeration, and no lemma, conjugacy class or group order
+beyond the count of G's own maps is used.  The first matrix of an orbit
+comes before the others, so the first counterexample to either lemma
+and the order in which Jordan types first occur are those of the walk
+over every matrix.
 """
 
 from __future__ import annotations
@@ -77,6 +89,9 @@ class _Packing(NamedTuple):
     A matrix is identified by its *row codes*: row i has code
     sum_k A[i][k] * p^(n-1-k), so lexicographic order of entry vectors is
     lexicographic order of code tuples.  The tables are indexed by code.
+    ``products[j][code]``, for row i of A with that code, is the row of the
+    system B -> AB that gives (AB)_{ij}; OR-ed over the rows i of A,
+    ``products[i][code]`` packs A^T, entry (k, i) in lane k*n + i.
     """
 
     n: int
@@ -87,10 +102,8 @@ class _Packing(NamedTuple):
     shift: int
     quotient_mask: int  # the low (w - shift) bits of each of n^2 lanes
     inverse: tuple[int, ...]  # inverse[c] * c == 1 mod p, c in [1, p)
-    digits: tuple[tuple[int, ...], ...]  # code -> the row's n entries
     row: tuple[int, ...]  # code -> packed row, entry k in lane k
-    products: tuple[tuple[int, ...], ...]  # code -> n AB rows, entry k in lane k*n + j
-    transposed: tuple[tuple[int, ...], ...]  # [i][code] -> entry k in lane k*n + i
+    products: tuple[tuple[int, ...], ...]  # [j][code] -> entry k in lane k*n + j
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,10 +123,6 @@ def _packing(n: int, p: int) -> _Packing:
         quotient_mask = sum(
             ((1 << (w - shift)) - 1) << (t * w) for t in range(n * n)
         )
-    digits = tuple(
-        tuple((code // p ** (n - 1 - k)) % p for k in range(n))
-        for code in range(p**n)
-    )
     return _Packing(
         n=n,
         p=p,
@@ -123,21 +132,25 @@ def _packing(n: int, p: int) -> _Packing:
         shift=shift,
         quotient_mask=quotient_mask,
         inverse=(0,) + tuple(pow(c, p - 2, p) for c in range(1, p)),
-        digits=digits,
-        row=tuple(
-            sum(e << (k * w) for k, e in enumerate(es)) for es in digits
-        ),
+        row=_row_table([[e << (k * w) for e in range(p)] for k in range(n)]),
         products=tuple(
-            tuple(
-                sum(e << ((k * n + j) * w) for k, e in enumerate(es)) for j in range(n)
-            )
-            for es in digits
-        ),
-        transposed=tuple(
-            tuple(sum(e << ((k * n + i) * w) for k, e in enumerate(es)) for es in digits)
-            for i in range(n)
+            _row_table([[e << ((k * n + j) * w) for e in range(p)] for k in range(n)])
+            for j in range(n)
         ),
     )
+
+
+def _row_table(values: list[list[int]]) -> tuple[int, ...]:
+    """table[code] = sum_k values[k][e_k], e_k the row's entries (see :class:`_Packing`)."""
+    table = [0]
+    for column in values:
+        table = [x + v for x in table for v in column]
+    return tuple(table)
+
+
+def _entries(codes: tuple[int, ...], pk: _Packing) -> tuple[int, ...]:
+    """Row-major entries of the matrix with these row codes, read from its packed rows."""
+    return tuple((pk.row[c] >> (k * pk.w)) & pk.lane for c in codes for k in range(pk.n))
 
 
 def _reduce(x: int, pk: _Packing) -> int:
@@ -145,18 +158,19 @@ def _reduce(x: int, pk: _Packing) -> int:
     return x - pk.p * (((x * pk.mul) >> pk.shift) & pk.quotient_mask)
 
 
-def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
+def _eliminate(rows, pk: _Packing) -> tuple[list[int], int]:
     """Forward elimination of packed rows over F_p: the one elimination routine.
 
     Returns (pivots, rank).  ``pivots[h]`` is 0 or the echelon row whose
     leading (highest) nonzero lane is h, scaled so that lane holds 1.
-    Rows are skipped once ``stop`` pivots are found.
+    Once all n^2 lanes have a pivot, every row left would reduce to 0, so
+    the rest are skipped.
     """
-    w = pk.w
-    pivots, rank = [0] * (pk.n * pk.n), 0
+    w, nn = pk.w, pk.n * pk.n
+    pivots, rank = [0] * nn, 0
     if pk.p == 2:
         for r in rows:
-            if rank == stop:
+            if rank == nn:
                 break
             while r:
                 h = r.bit_length() - 1
@@ -169,7 +183,7 @@ def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
         return pivots, rank
     p, lane, inverse = pk.p, pk.lane, pk.inverse
     for r in rows:
-        if rank == stop:
+        if rank == nn:
             break
         while r:
             h = (r.bit_length() - 1) // w
@@ -183,13 +197,13 @@ def _eliminate(rows, pk: _Packing, stop: int) -> tuple[list[int], int]:
     return pivots, rank
 
 
-def _nullspace(pivots: list[int], pk: _Packing, ncols: int) -> list[int]:
+def _nullspace(pivots: list[int], pk: _Packing) -> list[int]:
     """Back-substitution: a basis of the solutions of the echelon system.
 
     Reduces ``pivots`` in place first, so each pivot row is zero at every
     other pivot lane.
     """
-    w, p, lane = pk.w, pk.p, pk.lane
+    w, p, lane, ncols = pk.w, pk.p, pk.lane, len(pivots)
     for h in range(ncols):  # clear each pivot row at the lower pivot lanes
         row = pivots[h]
         for g in range(h):
@@ -235,11 +249,11 @@ def _matmul(X: list[int], Y: list[int], pk: _Packing) -> list[int]:
 def _rank_sequence(rows: list[int], pk: _Packing) -> list[int]:
     """[n, rank A, rank A^2, ...] up to the first repeat or the first 0."""
     n = pk.n
-    ranks = [n, _eliminate(rows, pk, n)[1]]
+    ranks = [n, _eliminate(rows, pk)[1]]
     power = rows
     while ranks[-1] and ranks[-1] != ranks[-2]:  # strictly falling: < n products
         power = _matmul(power, rows, pk)
-        ranks.append(_eliminate(power, pk, n)[1])
+        ranks.append(_eliminate(power, pk)[1])
     return ranks
 
 
@@ -267,30 +281,28 @@ def _annihilator_rows(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     2n^2 rows (one per entry of AB then BA), n^2 lanes each.  (AB)_{ij} =
     sum_k A_{ik} B_{kj}: A's row i in lanes k*n + j.  (BA)_{ij} = sum_k
     B_{ik} A_{kj}: A's column j in lanes k, moved to i*n, read from the
-    packed A^T (entry (k, i) in lane k*n + i).
+    packed A^T that the same table gives (see :class:`_Packing`).
     """
-    n = pk.n
+    n, products = pk.n, pk.products
     width = n * pk.w
     col_mask = (1 << width) - 1
     At = 0
     for i, c in enumerate(codes):
-        At |= pk.transposed[i][c]
+        At |= products[i][c]
     cols = [(At >> (j * width)) & col_mask for j in range(n)]
-    return [r for c in codes for r in pk.products[c]] + [
+    return [ab[c] for c in codes for ab in products] + [
         col << (i * width) for i in range(n) for col in cols
     ]
 
 
 def _annihilator_nullity(codes: tuple[int, ...], pk: _Packing) -> int:
     """F_p-dimension of {B : AB = BA = 0}, the nullity of the eliminated system."""
-    nn = pk.n * pk.n
-    return nn - _eliminate(_annihilator_rows(codes, pk), pk, nn)[1]
+    return pk.n * pk.n - _eliminate(_annihilator_rows(codes, pk), pk)[1]
 
 
 def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     """Packed basis of {B : AB = BA = 0}, B[k][j] in lane k*n + j."""
-    nn = pk.n * pk.n
-    return _nullspace(_eliminate(_annihilator_rows(codes, pk), pk, nn)[0], pk, nn)
+    return _nullspace(_eliminate(_annihilator_rows(codes, pk), pk)[0], pk)
 
 
 def _span(vectors: list[int], pk: _Packing) -> list[int]:
@@ -319,15 +331,6 @@ class _Census(NamedTuple):
     inner: int  # sum of p^dim over the nilpotent A
 
 
-def _row_table(values: list[list[int]]) -> tuple[int, ...]:
-    """table[code] = sum_k values[k][e_k], e_k the row's entries (see :class:`_Packing`)."""
-    table = [0]
-    for column in values:
-        table = [x + v for x in table for v in column]
-    return tuple(table)
-
-
-@functools.lru_cache(maxsize=None)
 def _group(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Every map g of G, the identity first: (target, scale) per entry of A.
 
@@ -338,9 +341,9 @@ def _group(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     target of gA and multiplies it by scale: to (s(i), s(k)) times c d_i /
     d_k, or, for A^T, to (s(k), s(i)) times c d_k / d_i.  The maps A -> cA
     follow the identity, then the other D, then the other P, and then the
-    maps with A^T.  Built on first use, for the walk's tables.
+    maps with A^T.  Read only by :func:`_orbit_maps`, which keeps its tables.
     """
-    inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    inverse = _packing(n, p).inverse
     maps = []
     for transposed in (False, True):
         for s in itertools.permutations(range(n)):
@@ -412,7 +415,8 @@ def _orbit_minima(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
     if n == 0:
         yield (), 1
         return
-    order = len(_group(n, p))
+    maps = _orbit_maps(n, p)
+    order = len(maps) + 1  # |G|: every map but the identity has its tables
     codes = range(p**n)
 
     def settle(prefix, open_maps):
@@ -439,35 +443,18 @@ def _orbit_minima(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
             else:
                 yield prefix + (last,), order // fixed
 
-    yield from settle((), [(lead, low, high, 0) for lead, low, high in _orbit_maps(n, p)])
+    yield from settle((), [(lead, low, high, 0) for lead, low, high in maps])
 
 
 @functools.lru_cache(maxsize=None)
 def _census(n: int, p: int) -> _Census:
     """Pass 1: for each A, the annihilator nullity and the rank sequence of powers.
 
-    The walk visits one matrix per orbit of the group G of maps A -> c M A
-    M^-1 and A -> c M A^T M^-1 (c in F_p^x, M monomial; see :func:`_group`),
-    the orbit's lexicographically first (:func:`_orbit_minima`), and
-    weights it by the orbit's size, |G| over the number of maps that fix
-    it.  Every record of gA equals A's.  AB = 0 if and only if (cA)B = 0,
-    and likewise BA, so ann(cA) = ann(A); (cA)^k = c^k A^k has the rank
-    of A^k.  (MAM^-1)(MBM^-1) = M(AB)M^-1, and likewise BA, so ann(MAM^-1)
-    = M ann(A) M^-1; B -> MBM^-1 keeps nilpotency, and (MAM^-1)^k =
-    M A^k M^-1 has the rank of A^k.  (AB)^T = B^T A^T, so B -> B^T maps
-    ann(A) onto ann(A^T) and keeps nilpotency, and (A^T)^k = (A^k)^T has
-    the rank of A^k.  So the annihilator's dimension, the rank sequence,
-    nilpotency and the Jordan type are constant on an orbit.  This holds
-    for any invertible M; G takes only monomial M because each of its maps
-    then sends every entry of A to one fixed entry with one fixed scale,
-    so the walk stays a filter on the lexicographic enumeration, and no
-    lemma, conjugacy class or group order beyond the count of G's own
-    maps is used.  The first matrix of an orbit comes before the others,
-    so the first lemma-2 counterexample and the order in which Jordan
-    types first occur are those of the walk over every matrix.  The
-    nilpotent list holds one entry per nilpotent orbit, its first matrix
-    with m^2 - d and the orbit's size, in walk order, which is
-    lexicographic order.
+    Returns the aggregates of :class:`_Census` over every matrix, read from
+    one matrix per orbit of G weighted by the orbit's size (see the module
+    docstring).  The nilpotent list holds one entry per nilpotent orbit,
+    its first matrix with m^2 - d and the orbit's size, in walk order,
+    which is lexicographic order.
     """
     pk = _packing(n, p)
     packed_row = pk.row
@@ -481,8 +468,7 @@ def _census(n: int, p: int) -> _Census:
         dim = _annihilator_nullity(codes, pk)
         pairs += weight * powers[dim]
         if lemma2 is None and dim != (n - ranks[1]) ** 2:
-            entries = tuple(e for c in codes for e in pk.digits[c])
-            lemma2 = (entries, dim, (n - ranks[1]) ** 2)
+            lemma2 = (_entries(codes, pk), dim, (n - ranks[1]) ** 2)
         if not ranks[-1]:
             cols = _zero_columns(ranks)
             types[cols] = types.get(cols, 0) + weight
@@ -502,10 +488,8 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     sizes; the empty matrix of n = 0 is the zero matrix.  Every other
     orbit's annihilator is enumerated from a nullspace basis, and B counts
     when the ranks of its powers reach 0 (:func:`_rank_sequence`, pass 1's
-    test of A).  For g in G, B -> gB maps ann(A) onto ann(gA) and keeps
-    nilpotency (see :func:`_census`), so every matrix of the orbit has A's
-    count: A's count, weighted by the orbit's size, stands for the
-    orbit's, and A comes first in it.
+    test of A).  A's count, weighted by the orbit's size, stands for the
+    orbit's (see the module docstring).
     """
     pk = _packing(n, p)
     nilpotent = _census(n, p).nilpotent
@@ -523,7 +507,7 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
             found = sum(orbit_size for _, _, orbit_size in nilpotent)
         total += size * found
         if lemma3 is None and found != p**exponent:
-            lemma3 = (tuple(e for c in codes for e in pk.digits[c]), found, p**exponent)
+            lemma3 = (_entries(codes, pk), found, p**exponent)
     return total, lemma3
 
 

@@ -188,24 +188,66 @@ def row_codes(A):
     return tuple(codes)
 
 
+def rank_mod_p(rows, p):
+    """Rank of a list of entry lists over F_p, by plain Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                break
+        else:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        pivot = rows[rank]
+        inv = pow(pivot[col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            c = rows[r][col] * inv % p
+            if c:
+                rows[r] = [(x - c * y) % p for x, y in zip(rows[r], pivot)]
+        rank += 1
+    return rank
+
+
+def annihilator_system(A):
+    """The 2n^2 x n^2 system of B -> (AB, BA) on B's row-major entries.
+
+    Row (i, j) of the AB block puts A[i][k] at B[k][j]; row (i, j) of the
+    BA block puts A[k][j] at B[i][k].
+    """
+    n, a = A.n, A.entries
+    ab, ba = [], []
+    for i in range(n):
+        for j in range(n):
+            ab_row, ba_row = [0] * (n * n), [0] * (n * n)
+            for k in range(n):
+                ab_row[k * n + j] = a[i * n + k]  # (AB)_ij = sum_k A_ik B_kj
+                ba_row[i * n + k] = a[k * n + j]  # (BA)_ij = sum_k B_ik A_kj
+            ab.append(ab_row)
+            ba.append(ba_row)
+    return ab + ba
+
+
 def unshared_census(n, p):
     """The oracle's pass-1 census, one matrix at a time with nothing shared.
 
-    Walks ``enumerate_matrices`` and gives every A the unshared kernels: the
-    annihilator nullity of its whole 2n^2-row system, eliminated in one
-    call from ``oracle._annihilator_rows``, and the rank sequence of its
-    powers.  Each nilpotent A is named by its row codes.
+    Walks ``enumerate_matrices`` and gives every A the nullity of its
+    annihilator system written entry by entry (``annihilator_system``) and
+    the ranks of A^0, A, ..., A^n from ``@``, each by ``rank_mod_p``; none
+    of the oracle's packing or elimination is used.  Each nilpotent A is
+    named by its row codes.
     """
-    pk = oracle._packing(n, p)
-    nn = n * n
     pairs = inner = 0
     lemma2 = None
     types = {}
     nilpotent = []
     for A in enumerate_matrices(n, p):
-        codes = row_codes(A)
-        dim = nn - oracle._eliminate(oracle._annihilator_rows(codes, pk), pk, nn)[1]
-        ranks = oracle._rank_sequence([pk.row[c] for c in codes], pk)
+        dim = n * n - rank_mod_p(annihilator_system(A), p)
+        power, ranks = PrimeFieldMatrix.identity(n, p), [n]
+        for _ in range(n):
+            power = power @ A
+            rows = [power.entries[i * n : (i + 1) * n] for i in range(n)]
+            ranks.append(rank_mod_p(rows, p))
         pairs += p**dim
         want = (n - ranks[1]) ** 2
         if lemma2 is None and dim != want:
@@ -214,7 +256,7 @@ def unshared_census(n, p):
             cols = oracle._zero_columns(ranks)
             types[cols] = types.get(cols, 0) + 1
             m, d = oracle._zero_block_counts(cols)
-            nilpotent.append((codes, m * m - d))
+            nilpotent.append((row_codes(A), m * m - d))
             inner += p**dim
     return (pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 

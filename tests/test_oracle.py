@@ -117,7 +117,7 @@ def orbit_representatives(n, p):
 def rank(A):
     """rank(A) by the oracle's one elimination routine."""
     rows, pk = packed_rows(A)
-    return oracle._eliminate(rows, pk, A.n)[1]
+    return oracle._eliminate(rows, pk)[1]
 
 
 def annihilator_dimension(A):
@@ -159,6 +159,32 @@ def fresh_census():
     yield
     oracle._census.cache_clear()
     oracle._nilpotent_annihilators.cache_clear()
+
+
+class TestPackingTables:
+    """The code-indexed tables, decoded lane by lane against base-p digits."""
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 3), (2, 5)])
+    def test_tables_hold_each_codes_digits(self, n, p):
+        pk = oracle._packing(n, p)
+
+        def lanes(x, count):
+            assert x >> (count * pk.w) == 0  # nothing above the last lane
+            return [(x >> (t * pk.w)) & pk.lane for t in range(count)]
+
+        # the code-th row in lexicographic order has the code's base-p digits
+        for code, digits in enumerate(itertools.product(range(p), repeat=n)):
+            assert lanes(pk.row[code], n) == list(digits)
+            for j in range(n):
+                want = [0] * (n * n)
+                want[j :: n] = digits  # entry k in lane k*n + j
+                assert lanes(pk.products[j][code], n * n) == want
+
+    @pytest.mark.parametrize("n,p", [(2, 2), (3, 3), (2, 5)])
+    def test_entries_round_trip_row_codes(self, n, p):
+        pk = oracle._packing(n, p)
+        for A in enumerate_matrices(n, p):
+            assert oracle._entries(row_codes(A), pk) == A.entries
 
 
 class TestRank:
