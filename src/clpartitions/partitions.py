@@ -9,13 +9,17 @@ lambda,
 evaluated exactly at any rational q > 1 (the identities checked downstream
 are rational-function identities in q, so non-prime-power q is allowed).
 
-Every partition comes from one depth-first walk (`_walk`) that appends
-parts in weakly decreasing order and carries each partition's statistics
-from its parent: `partitions_of` keeps the walk's nodes of one size, and
-the middle series sum over all of its nodes, every partition once, with
-no `Partition` built and no call to `aut_order`.  `aut_order` is the
-per-partition definition of the same weight, read by the checks that
-name single partitions.
+Every partition comes from one depth-first walk (`_walk`).  Its stack
+holds the partitions with no part 1, each built from its parent by
+appending a part >= 2; below each of them the walk yields the chain of
+partitions with k = 1, 2, ... ones appended, without stacking them.
+Every node carries its statistics and the integer r = P_|lambda| / D
+(P_s = prod_{k<=s} (a^k - b^k), D = prod_m P_m over the multiplicities)
+from its parent.  `partitions_of` keeps the walk's nodes of one size,
+and the middle series add b^(n2 - e) * r into one integer per (size,
+power of a), every partition once, with no `Partition` built and no call
+to `aut_order`.  `aut_order` is the per-partition definition of the same
+weight, read by the checks that name single partitions.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .series import Rational, irreducible_count, multiply, power
 
@@ -72,39 +76,69 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-# a node of the walk: (parts, size, n2, m, m1, big_m, d), see _walk
-_Node = tuple[tuple[int, ...], int, int, int, int, int, int]
+# a node of the walk: (prefix, m1, size, n2, big_m, r), see _walk
+_Node = tuple[tuple[int, ...], int, int, int, int, int]
 
 
 def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
     """Every partition of size <= order once, with statistics from its parent.
 
-    A node is (parts, size, n2, m, m1, big_m, d): the parts, their sum,
-    n2 = sum_i (2i - 1) lambda_i (= sum_i (lambda'_i)^2, see aut_order),
-    the multiplicity m of the last part, m1 = m_1(lambda),
-    M = sum m(m+1)/2 over the multiplicities of the parts, and
-    d = prod over the parts' multiplicities m of factors[1] * ... * factors[m].
+    A node is (prefix, m1, size, n2, big_m, r).  The partition is the
+    parts >= 2 in prefix followed by m1 ones, and size is their sum.
+    n2 = sum_i (2i - 1) lambda_i (= sum_i (lambda'_i)^2, see aut_order) and
+    M = sum m(m+1)/2 over the multiplicities m of the parts.  With
+    P_s = factors[1] * ... * factors[s] and D the product of P_m over the
+    multiplicities m, r = P_size / D.  With factors[k] = a^k - b^k, D is
+    aut_order's prod_m P_m, and r is an integer (see _partition_sum).
 
-    A child appends a part p <= the last part at index i (from 0): n2
-    grows by (2i + 1) p, m1 by (p == 1).  If p repeats the last part, its
-    multiplicity rises to m + 1, M grows by m + 1 and d is multiplied by
-    factors[m + 1]; a new, smaller part adds 1 to M and multiplies d by
-    factors[1].  With factors[k] = a^k - b^k, d is aut_order's prod_m P_m.
+    The stack holds only the partitions with no part 1 (m1 = 0).  A child
+    appends a part p >= 2, p <= the last part, at index i (from 0): n2
+    grows by (2i + 1) p.  If p repeats the last part, whose multiplicity
+    is m, M grows by m + 1 and D gains the factor factors[m + 1]; a new,
+    smaller part adds 1 to M and factors[1] to D.  Either way r becomes
+    r * P_(size+p) / P_size divided by D's new factor.
 
-    Nodes come in depth-first preorder with the children of a node by
-    decreasing new part, so the partitions of each size come in
-    reverse-lexicographic order.
+    Below each stacked partition of length l and size s, the walk yields
+    the chain of k = 1, 2, ... appended ones in place: n2 grows by
+    (l + k)^2 - l^2, M by k(k+1)/2 and D by P_k, so r becomes r * [s+k; k]
+    with [n; k] = P_n / (P_k * P_(n-k)), the homogenised q-binomial, from
+    a table built once per walk.
+
+    Every division, on a stack edge or into the q-binomial table, is
+    checked and raises ArithmeticError if it leaves a remainder.  Each
+    stacked partition comes just before its chain, so the partitions of
+    one size do not come in lexicographic order; partitions_of sorts them.
     """
-    stack = [((), 0, 0, 0, 0, 0, 1)]
+    # rises[s][k] = P_(s+k) / P_s, so rises[0] is P_0..P_order
+    rises = [
+        list(accumulate(factors[s + 1 :], operator.mul, initial=1))
+        for s in range(order + 1)
+    ]
+    # chains[s][k] = [s+k; k]
+    chains = [
+        [_exact(rise[k], rises[0][k]) for k in range(len(rise))] for rise in rises
+    ]
+    triangular = list(accumulate(range(order + 1)))  # k(k+1)/2
+    stack = [((), 0, 0, 0, 0, 1)]
     while stack:
-        node = stack.pop()
-        yield node
-        parts, size, n2, m, m1, big_m, d = node
+        parts, size, n2, m, big_m, r = stack.pop()
+        yield parts, 0, size, n2, big_m, r
+        length = len(parts)
         room = order - size
+        chain = chains[size]
+        for k in range(1, room + 1):
+            yield (
+                parts,
+                k,
+                size + k,
+                n2 + (2 * length + k) * k,
+                big_m + triangular[k],
+                r * chain[k],
+            )
         last = parts[-1] if parts else room
-        step = 2 * len(parts) + 1
-        # pushed by increasing part, so the largest part is popped first
-        for p in range(1, min(last, room) + 1):
+        step = 2 * length + 1
+        rise = rises[size]
+        for p in range(2, min(last, room) + 1):
             m_p = m + 1 if p == last else 1
             stack.append(
                 (
@@ -112,24 +146,31 @@ def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
                     size + p,
                     n2 + step * p,
                     m_p,
-                    m1 + (p == 1),
                     big_m + m_p,
-                    d * factors[m_p],
+                    _exact(r * rise[p], factors[m_p]),
                 )
             )
+
+
+def _exact(n: int, d: int) -> int:
+    """n / d, which must be an integer; ArithmeticError if it is not."""
+    quotient, remainder = divmod(n, d)
+    if remainder:
+        raise ArithmeticError(f"{d} does not divide {n}")
+    return quotient
 
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order of parts.
 
-    They are the walk's nodes of size n; with every factor 1, d stays 1.
+    They are the walk's nodes of size n, with every factor 1 (so r stays 1).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return tuple(
-        Partition(node[0]) for node in _walk(n, (1,) * (n + 1)) if node[1] == n
-    )
+    nodes = _walk(n, (1,) * (n + 1))
+    found = [Partition(parts + (1,) * m1) for parts, m1, size, *_ in nodes if size == n]
+    return tuple(sorted(found, reverse=True))
 
 
 def aut_order(p: Partition, q: Rational) -> Fraction:
@@ -177,30 +218,29 @@ def _pochhammer_numerator(m: int, a: int, b: int) -> int:
     return result
 
 
-def _size_sums(
-    terms: Iterable[tuple[int, int, int, int]], a: int, commons: Sequence[int]
+def _power_sums(
+    sums: Sequence[dict[int, int]], a: int, commons: Sequence[int]
 ) -> list[Fraction]:
-    """Per size s < len(commons), the sum of a^x * n / d over the terms (s, x, n, d).
+    """Per size s, the sum over x of a^x * sums[s][x] / commons[s].
 
-    The terms of size s are added over one common denominator
-    a^K * commons[s], where -K is the least x met so far at that size (K
-    starts at 0): a term with a smaller x first multiplies the size's
-    running numerator by the missing power of a.  Each d must divide
-    commons[s]; the division is checked, and a term whose d does not
-    raises ArithmeticError.  One Fraction is built per size.
+    The integers of one size are folded by Horner's rule in a, from the
+    highest power present down to the least, x_0, into one integer t
+    with sum_x a^x * sums[s][x] = a^x_0 * t, so one Fraction is built per
+    size.  x may have either sign.
     """
     a_power = cache(a.__pow__)  # a^k, each k computed once
-    totals = [0] * len(commons)
-    lows = [0] * len(commons)  # -K per size
-    for s, x, n, d in terms:
-        quotient, remainder = divmod(commons[s], d)
-        if remainder:
-            raise ArithmeticError(f"{d} does not divide {commons[s]} at size {s}")
-        if x < lows[s]:
-            totals[s] *= a_power(lows[s] - x)
-            lows[s] = x
-        totals[s] += a_power(x - lows[s]) * n * quotient
-    return [Fraction(t, a_power(-k) * c) for t, k, c in zip(totals, lows, commons)]
+    totals = []
+    for row, common in zip(sums, commons):
+        powers = sorted(row, reverse=True)
+        t, low = 0, powers[0] if powers else 0
+        for x in powers:
+            t = t * a_power(low - x) + row[x]
+            low = x
+        if low >= 0:
+            totals.append(Fraction(t * a_power(low), common))
+        else:
+            totals.append(Fraction(t, a_power(-low) * common))
+    return totals
 
 
 def _partition_sum(
@@ -208,39 +248,48 @@ def _partition_sum(
 ) -> list[Fraction]:
     """Coefficients of sum_lambda q^e u^{|lambda|} / |Aut(lambda)| up to u^order.
 
-    e = exponent(l(lambda), m_1(lambda)) must satisfy 0 <= e <= n2; the
-    exponents used here, (lambda'_1)^2, (lambda'_1)^2 - m_1 and 0, do,
-    since n2 >= (lambda'_1)^2.
+    e = exponent(l(lambda), m_1(lambda)) must satisfy 0 <= e <= l(lambda)^2
+    (checked; ValueError otherwise), so e <= n2, since n2 >= (lambda'_1)^2.
+    The exponents used here, (lambda'_1)^2, (lambda'_1)^2 - m_1 and 0, do.
 
     One walk (`_walk`) visits every partition of size <= order once and
-    carries n2, the length, m_1, M and D = prod_m P_m from its parent.
-    With q = a/b in lowest terms and aut_order's integer form,
+    carries n2, M and r = P_s / D from its parent, where s = |lambda|,
+    P_s = prod_{k=1..s} (a^k - b^k) and D = prod_m P_m.  With q = a/b in
+    lowest terms and aut_order's integer form,
 
-        q^e / |Aut(lambda)| = a^(e + M - n2) * b^(n2 - e) / D.
+        q^e / |Aut(lambda)| = a^(e + M - n2) * b^(n2 - e) * r / P_s.
 
-    The terms of size s are added over one common denominator
-    a^K * P_s, with P_s = prod_{k=1..s} (a^k - b^k) (`_size_sums`).  D
-    divides P_s: with l = sum m_i <= s the number of parts,
-    P_l / prod_i P_{m_i} is the q-multinomial coefficient
+    r is an integer: with l = sum m_i <= s the number of parts,
+    P_l / prod_i P_(m_i) is the q-multinomial coefficient
     [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
-    and P_l divides P_s.  `_size_sums` checks the division all the same.
-    No Partition is built and aut_order is not called; a test that
-    replaces `_walk` reaches every middle series.
+    and P_l divides P_s.  The walk checks each division all the same.
+    So each partition adds the integer b^(n2 - e) * r to one running sum
+    per (size s, power of a), and `_power_sums` folds each size's sums
+    into one Fraction over a^K * P_s.  No Partition is built and
+    aut_order is not called; a test that replaces `_walk` reaches every
+    middle series.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
     if order < 0:
         raise ValueError("order must be >= 0")
+    exponents = [
+        [exponent(length, m1) for m1 in range(length + 1)] for length in range(order + 1)
+    ]
+    for length, row in enumerate(exponents):
+        if not all(0 <= e <= length * length for e in row):
+            raise ValueError(f"exponents at length {length} must lie in 0..{length**2}")
     a, b = q.numerator, q.denominator
     factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
+    b_powers = [b**k for k in range(order * order + 1)]  # n2 - e <= n2 <= order^2
+    sums: list[dict[int, int]] = [{} for _ in range(order + 1)]
+    for parts, m1, size, n2, big_m, r in _walk(order, factors):
+        e = exponents[len(parts) + m1][m1]
+        row, x = sums[size], e + big_m - n2
+        row[x] = row.get(x, 0) + b_powers[n2 - e] * r
     commons = list(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
-    b_power = cache(b.__pow__)
-    terms = (
-        (size, (e := exponent(len(parts), m1)) + big_m - n2, b_power(n2 - e), d)
-        for parts, size, n2, _, m1, big_m, d in _walk(order, factors)
-    )
-    return _size_sums(terms, a, commons)
+    return _power_sums(sums, a, commons)
 
 
 def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:

@@ -67,30 +67,63 @@ class VerificationReport:
 def _sum_over_u_pochhammer(
     q: Fraction, order: int, step: int, q_exponent: Callable[[int], int]
 ) -> list[Fraction]:
-    """Coefficients of sum_{a>=0} u^{step*a} / (q^{q_exponent(a)} (1/q)_a (u/q)_a).
+    """Coefficients of sum_{i>=0} u^{step*i} / (q^{q_exponent(i)} (1/q)_i (u/q)_i).
 
-    The u^{step*a} prefactor kills all step*a > order below the
-    truncation, so the sum over a = 0..order // step is exact.  The
-    coefficients of 1/(u/q)_a are one list, advanced in place from those
-    of 1/(u/q)_{a-1}: 1/(u/q)_a = 1/(u/q)_{a-1} * 1/(1 - u/q^a), and
-    dividing by 1 - c*u is the recurrence x_n += c * x_{n-1}.  Only
-    u^0..u^{order - step*a}, the degrees that term a and later terms
-    reach, are kept current.  (1/q)_a is a running product.
+    The u^{step*i} prefactor kills all step*i > order below the
+    truncation, so the sum over i = 0..order // step is exact.  It is
+    summed in integers.  With q = a/b in lowest terms,
+    P_n = prod_{k=1..n} (a^k - b^k), T_i = i(i+1)/2 and E = q_exponent(i),
+
+        1 / (q^E (1/q)_i) = b^E a^(T_i - E) / P_i,
+        [u^j] 1/(u/q)_i   = X_j / a^(j i),
+
+    where the integers X_j of term i are one list, advanced in place from
+    those of term i - 1: 1/(u/q)_i = 1/(u/q)_{i-1} * 1/(1 - u b^i/a^i),
+    and dividing by 1 - c*u is the recurrence x_j += c * x_{j-1}, which in
+    numerators over a^(j i) reads X_j <- a^j X_j + b^i X_{j-1}.  Only
+    u^0..u^{order - step*i}, the degrees that term i and later terms
+    reach, are kept current.  So term i adds
+
+        b^E a^(T_i - E - j i) X_j / P_i
+
+    to u^n, n = step*i + j.  The coefficient of u^n is one integer over
+    the common denominator a^K P_n, where -K is the least power of a met
+    at u^n (found before the sum): each term is scaled by P_n / P_i, a
+    product of consecutive factors a^k - b^k.  One Fraction is built per
+    coefficient.
     """
-    inverse = [Fraction(1)] + [Fraction(0)] * order  # 1/(u/q)_a
-    scalar = Fraction(1)  # (1/q)_a
-    total = [Fraction(0)] * (order + 1)
-    for a in range(order // step + 1):
-        top = order - step * a
-        if a:
-            c = 1 / q**a
-            scalar *= 1 - c
-            for n in range(1, top + 1):
-                inverse[n] += c * inverse[n - 1]
-        weight = 1 / (q ** q_exponent(a) * scalar)
+    a, b = q.numerator, q.denominator
+    terms = range(order // step + 1)
+    rises = [[1] for _ in terms]  # rises[i][m] = P_(i+m) / P_i; rises[0] is P_n
+    for i, rise in enumerate(rises):
+        for k in range(i + 1, order + 1):
+            rise.append(rise[-1] * (a**k - b**k))
+    exponents = [q_exponent(i) for i in terms]
+    bases = [i * (i + 1) // 2 - e for i, e in zip(terms, exponents)]  # T_i - E
+    lows = [0] * (order + 1)  # -K per coefficient
+    for i in terms:
+        for j in range(order - step * i + 1):
+            n = step * i + j
+            lows[n] = min(lows[n], bases[i] - j * i)
+    a_power = functools.cache(a.__pow__)
+    numerators = [0] * (order + 1)
+    xs = [1] + [0] * order  # X_0..X_order of term i
+    for i in terms:
+        top = order - step * i
+        if i:
+            c = b**i
+            for j in range(1, top + 1):
+                xs[j] = a_power(j) * xs[j] + c * xs[j - 1]
+        weight = b ** exponents[i]
+        rise = rises[i]
         for j in range(top + 1):
-            total[step * a + j] += weight * inverse[j]
-    return total
+            n = step * i + j
+            shift = bases[i] - j * i - lows[n]
+            numerators[n] += weight * a_power(shift) * xs[j] * rise[n - i]
+    return [
+        Fraction(numerator, a_power(-low) * rises[0][n])
+        for n, (numerator, low) in enumerate(zip(numerators, lows))
+    ]
 
 
 def eq1_rhs_series(q: Rational, order: int) -> list[Fraction]:

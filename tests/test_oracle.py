@@ -134,6 +134,34 @@ def annihilator_basis(A):
     ]
 
 
+def annihilator_solutions(A):
+    """{B : AB = BA = 0} as row-major entries, decided by reference products.
+
+    AB = 0 exactly when every column of B lies in ker A, so the candidates
+    are the matrices whose columns are the v with A v = 0 (v checked as a
+    one-column matrix); a candidate is kept when both products are zero.
+    """
+    n, p = A.n, A.p
+
+    def with_columns(columns):
+        return PrimeFieldMatrix(
+            n, p, tuple(columns[j][i] for i in range(n) for j in range(n))
+        )
+
+    zero = (0,) * n
+    kernel = [
+        v
+        for v in itertools.product(range(p), repeat=n)
+        if (A @ with_columns([v] + [zero] * (n - 1))).is_zero()
+    ]
+    found = set()
+    for columns in itertools.product(kernel, repeat=n):
+        B = with_columns(columns)
+        if (A @ B).is_zero() and (B @ A).is_zero():
+            found.add(B.entries)
+    return found
+
+
 def zero_data(A):
     """(m, d, Jordan type if A is nilpotent else None) from the ranks of A's powers."""
     rows, pk = packed_rows(A)
@@ -226,6 +254,22 @@ class TestAnnihilatorDimension:
         for vec in basis:
             B = PrimeFieldMatrix(2, 3, vec)
             assert (A @ B).is_zero() and (B @ A).is_zero()
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+    def test_basis_spans_exactly_the_annihilator(self, n, p):
+        # pass 1 reads only the nullity; this pins the kernel itself, so a
+        # kernel of another system with the same nullity (AB = BA^T = 0,
+        # say) fails here
+        for A in enumerate_matrices(n, p):
+            basis = annihilator_basis(A)
+            span = {
+                tuple(
+                    sum(c * v[t] for c, v in zip(cs, basis)) % p for t in range(n * n)
+                )
+                for cs in itertools.product(range(p), repeat=len(basis))
+            }
+            assert len(span) == p ** len(basis)  # the basis is independent
+            assert span == annihilator_solutions(A)
 
     def test_similarity_invariance(self):
         rng = random.Random(7)

@@ -162,37 +162,74 @@ def _statistics(parts, factors):
     d = 1
     for m in mults:
         d *= math.prod(factors[1 : m + 1])
+    size = sum(parts)
+    p_size = math.prod(factors[1 : size + 1])
+    assert p_size % d == 0
+    prefix = tuple(p for p in parts if p > 1)
     return (
-        parts,
-        sum(parts),
-        sum(c * c for c in Partition(parts).conjugate().parts),
-        parts.count(parts[-1]) if parts else 0,
+        prefix,
         parts.count(1),
+        size,
+        sum(c * c for c in Partition(parts).conjugate().parts),
         sum(m * (m + 1) // 2 for m in mults),
-        d,
+        p_size // d,
     )
+
+
+def _node_parts(node):
+    """The parts of a walk node: its prefix of parts >= 2, then m_1 ones."""
+    prefix, m1 = node[:2]
+    return prefix + (1,) * m1
 
 
 class TestWalk:
     def test_visits_every_partition_once_per_size(self):
-        sizes = Counter(node[1] for node in partitions._walk(26, (1,) * 27))
+        sizes = Counter(node[2] for node in partitions._walk(26, (1,) * 27))
         assert sizes[26] == 2436  # p(26)
         for s in range(27):
             assert sizes[s] == len(partitions_of(s)) == _count_partitions(s, s)
         assert set(sizes) == set(range(27))
 
+    def test_stack_holds_only_partitions_without_ones(self):
+        # 11,732 partitions of size <= 26; the p(26) = 2,436 of them with no
+        # part 1 are stacked, the 9,296 others are chain nodes
+        nodes = list(partitions._walk(26, (1,) * 27))
+        chained = sum(1 for node in nodes if node[1])
+        assert (len(nodes), len(nodes) - chained, chained) == (11732, 2436, 9296)
+        for node in nodes:
+            assert all(p >= 2 for p in node[0])
+
     def test_nodes_are_distinct_partitions(self):
-        parts = [node[0] for node in partitions._walk(14, (1,) * 15)]
+        parts = [_node_parts(node) for node in partitions._walk(14, (1,) * 15)]
         assert len(parts) == len(set(parts))
         for p in parts:
             Partition(p)  # weakly decreasing and positive
 
     @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 3)])
     def test_carried_statistics_match_direct_ones(self, q):
+        # the last entry is r = P_size / prod_i P_(m_i)
         a, b = q.numerator, q.denominator
         factors = [a**k - b**k for k in range(13)]
         for node in partitions._walk(12, factors):
-            assert node == _statistics(node[0], factors)
+            assert node == _statistics(_node_parts(node), factors)
+
+
+def _corrupt_one_division(monkeypatch, dividend, divisor):
+    """Add 1 to the dividend of the walk's checked division dividend / divisor.
+
+    Returns the list of the divisions corrupted so far.
+    """
+    real = partitions._exact
+    corrupted = []
+
+    def exact(n, d):
+        if (n, d) == (dividend, divisor):
+            corrupted.append((n, d))
+            n += 1
+        return real(n, d)
+
+    monkeypatch.setattr(partitions, "_exact", exact)
+    return corrupted
 
 
 class TestPartitionSum:
@@ -214,29 +251,45 @@ class TestPartitionSum:
         assert got == reference.partition_sum(q, 16, lam_exponent)
 
     def test_any_replaced_weight_is_summed_exactly(self):
-        # signed terms that share no structure with |Aut|: random numerators,
-        # powers of a of either sign in any order, and denominators that
-        # only divide the common denominator of their size
+        # signed numerators that share no structure with |Aut|, powers of a
+        # of either sign in any order, and common denominators of any shape
         rng = random.Random(17)
-        commons = [math.factorial(s) * 6**s for s in range(10)]
-        for a in (2, 3, 7):
-            terms = []
+        commons = [rng.randint(1, 10**9) for _ in range(10)]
+        for a in (2, 3, 7, 10):
+            sums = [{} for _ in commons]
+            want = [Fraction(0)] * len(commons)
             for _ in range(300):
-                s = rng.randrange(10)
-                d = rng.choice([k for k in range(1, 50) if commons[s] % k == 0])
-                terms.append((s, rng.randint(-9, 9), rng.randint(-(10**6), 10**6), d))
-            want = [Fraction(0)] * 10
-            for s, x, n, d in terms:
-                want[s] += Fraction(a) ** x * n / d
-            assert partitions._size_sums(terms, a, commons) == want
+                s = rng.randrange(len(commons))
+                x, n = rng.randint(-40, 40), rng.randint(-(10**30), 10**30)
+                sums[s][x] = sums[s].get(x, 0) + n
+                want[s] += Fraction(a) ** x * n / commons[s]
+            assert partitions._power_sums(sums, a, commons) == want
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             partitions._partition_sum(2, -1, EXPONENTS["weight"][0])
 
-    def test_denominator_must_divide_the_common_one(self):
+    @pytest.mark.parametrize(
+        "exponent", [lambda length, m1: -1, lambda length, m1: length * length + 1]
+    )
+    def test_rejects_exponent_outside_range(self, exponent):
+        with pytest.raises(ValueError):
+            partitions._partition_sum(2, 4, exponent)
+
+    @pytest.mark.parametrize("division", ["q-binomial", "edge"])
+    def test_a_corrupted_division_raises(self, division, monkeypatch):
+        # at q = 7/3, a^k - b^k = 4, 40, 316, ...: neither division is by 1
+        f = [7**k - 3**k for k in range(4)]
+        dividend, divisor = {
+            # [2; 2] = P_2 / (P_2 P_0), r of the chain node (1,1) below ()
+            "q-binomial": (f[1] * f[2], f[1] * f[2]),
+            # the stack edge () -> (3): r = P_3 / P_1
+            "edge": (f[1] * f[2] * f[3], f[1]),
+        }[division]
+        corrupted = _corrupt_one_division(monkeypatch, dividend, divisor)
         with pytest.raises(ArithmeticError):
-            partitions._size_sums([(1, 0, 1, 4)], 2, [1, 6])
+            partitions._partition_sum(Fraction(7, 3), 8, EXPONENTS["eq1"][0])
+        assert corrupted == [(dividend, divisor)]
 
 
 class TestClWeight:

@@ -3,10 +3,14 @@
 import hashlib
 import inspect
 import json
+import math
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from clpartitions import cli, oracle, partitions, sampler, series, verify
@@ -39,16 +43,19 @@ SERIES_ROUTES = {
 def _raise_n2(monkeypatch, parts):
     """Raise n2 by 1 for the partition *parts* in the middle's walk.
 
-    The term q^e / |Aut| of that partition is a^(e + M - n2) b^(n2 - e) / D
+    The term q^e / |Aut| of that partition is a^(e + M - n2) b^(n2 - e) r / P_s
     with q = a/b, so this multiplies its |Aut| by exactly q; the partitions
-    below it in the walk keep their own statistics.
+    below it in the walk keep their own statistics.  A node is its prefix
+    of parts >= 2 and its number m_1 of ones: (2,1) is the chain node
+    ((2,), 1) below (2,).
     """
     real = partitions._walk
 
     def perturbed(order, factors):
         for node in real(order, factors):
-            if node[0] == parts:
-                node = (node[0], node[1], node[2] + 1, *node[3:])
+            prefix, m1, size, n2, *rest = node
+            if prefix + (1,) * m1 == parts:
+                node = (prefix, m1, size, n2 + 1, *rest)
             yield node
 
     monkeypatch.setattr(partitions, "_walk", perturbed)
@@ -101,6 +108,32 @@ class TestRhsSeries:
         for order in range(13):
             assert eq1_rhs_series(q, order) == reference.eq1_rhs_series(q, order)
             assert eq2_rhs_series(q, order) == reference.eq2_rhs_series(q, order)
+
+
+@st.composite
+def lowest_terms_q(draw):
+    """q = a/b in lowest terms, 2 <= a <= 60 and 1 <= b < a."""
+    a = draw(st.integers(2, 60))
+    b = draw(st.integers(1, a - 1).filter(lambda b: math.gcd(a, b) == 1))
+    return Fraction(a, b)
+
+
+class TestRoutesMatchReferenceAtAnyQ:
+    @settings(max_examples=40, deadline=None)
+    @given(lowest_terms_q(), st.integers(0, 10))
+    def test_middles_and_rhs_match_term_by_term_constructions(self, q, order):
+        # each middle is one of three exponents of q per partition
+        weights = {
+            "eq1": lambda lam: lam.length**2,
+            "eq2": lambda lam: lam.length**2 - lam.multiplicity(1),
+            "weight": lambda lam: 0,
+        }
+        sums = {k: reference.partition_sum(q, order, e) for k, e in weights.items()}
+        assert partitions.eq1_middle_series(q, order) == list(accumulate(sums["eq1"]))
+        assert partitions.eq2_middle_series(q, order) == sums["eq2"]
+        assert partitions.unnormalized_weight_series(q, order) == sums["weight"]
+        assert eq1_rhs_series(q, order) == reference.eq1_rhs_series(q, order)
+        assert eq2_rhs_series(q, order) == reference.eq2_rhs_series(q, order)
 
 
 class TestChecks:
@@ -210,10 +243,11 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "old,new",
         [
-            # M grows by 1 for a repeated part too
-            ("big_m + m_p,", "big_m + 1,"),
-            # a repeated part's factor a^(m+1) - b^(m+1) is dropped from D
-            ("d * factors[m_p],", "d * factors[m_p] if m_p == 1 else d,"),
+            # M grows by 1 per appended one, not by k(k+1)/2 for k ones
+            ("big_m + triangular[k],", "big_m + k,"),
+            # the ones' factor P_k of D is cut to a - b: the chain's
+            # q-binomial [s+k; k] loses the repeated part's factors
+            ("_exact(rise[k], rises[0][k])", "_exact(rise[k], rises[0][min(k, 1)])"),
         ],
         ids=["wrong-M-increment", "dropped-multiplicity-factor"],
     )
