@@ -129,6 +129,62 @@ def eq2_rhs_series(q, order):
     return multiply(inverse(pochhammer_infinite_u_over_q(q, order)), total)
 
 
+def kernel_row_probabilities(a, q, u):
+    """K(a, b) = u^b (1/q)_a (u/q)_a / (q^{b^2} (1/q)_{a-b} (1/q)_b (u/q)_b), b = 0..a."""
+    q, u = Fraction(q), Fraction(u)
+    prefactor = pochhammer_scalar(1 / q, a, q) * pochhammer_scalar(u / q, a, q)
+    return tuple(
+        u**b
+        * prefactor
+        / (
+            q ** (b * b)
+            * pochhammer_scalar(1 / q, a - b, q)
+            * pochhammer_scalar(1 / q, b, q)
+            * pochhammer_scalar(u / q, b, q)
+        )
+        for b in range(a + 1)
+    )
+
+
+def u_over_q_infinite_value(q, u, tolerance):
+    """prod_{k=1..K}(1 - u/q^k) for the first K with u/q^K < tolerance, and K."""
+    q, u = Fraction(q), Fraction(u)
+    result = Fraction(1)
+    k = 1
+    while True:
+        term = u / q**k
+        result *= 1 - term
+        if term < tolerance:
+            return result, k
+        k += 1
+
+
+def cor1_part1(a, q, u, uq_inf):
+    """(u/q)_inf / (u/q)_a * u^a / (q^{a^2} (1/q)_a)."""
+    q, u = Fraction(q), Fraction(u)
+    return (
+        uq_inf
+        / pochhammer_scalar(u / q, a, q)
+        * u**a
+        / (q ** (a * a) * pochhammer_scalar(1 / q, a, q))
+    )
+
+
+def cor1_part2(a, b, q, u, uq_inf):
+    """u^{2a-b} (u/q)_inf / (q^{a^2+(a-b)^2} (1/q)_b (1/q)_{a-b} (u/q)_{a-b})."""
+    q, u = Fraction(q), Fraction(u)
+    return (
+        u ** (2 * a - b)
+        * uq_inf
+        / (
+            q ** (a * a + (a - b) * (a - b))
+            * pochhammer_scalar(1 / q, b, q)
+            * pochhammer_scalar(1 / q, a - b, q)
+            * pochhammer_scalar(u / q, a - b, q)
+        )
+    )
+
+
 @dataclass(frozen=True)
 class PrimeFieldMatrix:
     """n x n matrix over F_p, entries row-major in [0, p)."""

@@ -1,5 +1,6 @@
 """Tests for the exact Markov-kernel partition sampler."""
 
+import bisect
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clpartitions import cli, sampler
@@ -26,6 +27,7 @@ from clpartitions.sampler import (
     kernel_row_infinite,
     u_over_q_infinite_value,
 )
+import reference
 from reference import partition_bucket_counts
 
 U_HALF = Fraction(1, 2)
@@ -168,6 +170,46 @@ class TestCorollaryValues:
         total = sum(cor1_part1(a, 2, U_HALF, uq_inf) for a in range(15))
         assert abs(1 - total) < Fraction(1, 2**60)
 
+    def test_corollary_laws_refuse_negative_a(self):
+        uq_inf = u_over_q_infinite_value(2, U_HALF)
+        with pytest.raises(ValueError, match="requires a >= 0"):
+            cor1_part1(-1, 2, U_HALF, uq_inf)
+        for b in (-1, 0):
+            with pytest.raises(ValueError, match="requires 0 <= b <= a"):
+                cor1_part2(-1, b, 2, U_HALF, uq_inf)
+
+
+# rational q >= 3/2, so (u/q)_inf stops after at most ~140 factors
+RATIONAL_Q = st.builds(Fraction, st.integers(2, 12), st.integers(1, 4)).filter(
+    lambda q: q >= Fraction(3, 2)
+)
+# u = c/d with c > 1: at c = 1 a dropped power of c would go unseen
+RATIONAL_U = st.builds(Fraction, st.integers(2, 11), st.integers(3, 12)).filter(
+    lambda u: u < 1 and u.numerator > 1
+)
+
+
+class TestIntegerForms:
+    @settings(deadline=None)
+    @given(RATIONAL_Q, RATIONAL_U, st.integers(0, 12))
+    @example(Fraction(5, 2), Fraction(9, 10), 12)
+    @example(Fraction(5, 2), Fraction(2, 3), 7)
+    def test_laws_are_the_fraction_formulas(self, q, u, a):
+        value, factors = reference.u_over_q_infinite_value(
+            q, u, sampler.INFINITE_PRODUCT_REL_TOL
+        )
+        uq_inf = u_over_q_infinite_value(q, u)
+        assert uq_inf == value
+        # neighbouring partial products differ, so equality pins the last factor
+        assert value * (1 - u / q ** (factors + 1)) != value != value / (1 - u / q**factors)
+        assert kernel_row(a, q, u).probabilities == (
+            reference.kernel_row_probabilities(a, q, u)
+        )
+        assert cor1_part1(a, q, u, uq_inf) == reference.cor1_part1(a, q, u, uq_inf)
+        assert [cor1_part2(a, b, q, u, uq_inf) for b in range(a + 1)] == [
+            reference.cor1_part2(a, b, q, u, uq_inf) for b in range(a + 1)
+        ]
+
 
 class TestSampling:
     def test_determinism(self):
@@ -239,6 +281,45 @@ class TestDrawAlignment:
         loop_words, column_words = (g.words for g in generators)
         assert longest >= 3
         assert loop_words == column_words
+
+
+class ScriptedBits:
+    """Stands in for random.Random: draws the given words, then 0 forever."""
+
+    def __init__(self, words):
+        self._words = iter(words)
+        self.words = 0
+
+    def getrandbits(self, bits):
+        assert bits == 64
+        self.words += 1
+        return next(self._words, 0)
+
+
+class TestFirstThresholdShortcut:
+    @pytest.mark.parametrize("q,u", [(2, U_HALF), (3, Fraction(9, 10))])
+    def test_words_at_each_first_threshold(self, q, u, monkeypatch):
+        # the loop settles a word below a row's T_0 as a 0-draw without
+        # bisect; T_0 itself must still draw from the row
+        rows = sampler._row_table(q, u)
+        initial = rows[0]
+        words = [initial[0] - 1, initial[0], 0, 2**64 - 1, 0]
+        for a in range(1, len(rows)):
+            assert bisect.bisect_right(initial, initial[a - 1]) == a
+            for word in (rows[a][0] - 1, rows[a][0], 2**64 - 1):
+                # draw column a, then the boundary word from row a, then 0
+                words += [initial[a - 1], word, 0]
+        generators = []
+
+        def scripted(seed):
+            generators.append(ScriptedBits(words))
+            return generators[-1]
+
+        monkeypatch.setattr(sampler, "random", SimpleNamespace(Random=scripted))
+        cfg = SamplerConfig(q=q, u=u, seed=0, trials=len(words))
+        assert sampler._bucket_counts(cfg) == partition_bucket_counts(cfg)
+        loop, chain = generators
+        assert loop.words == chain.words
 
 
 @pytest.fixture(scope="module")

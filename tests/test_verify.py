@@ -61,13 +61,13 @@ def _raise_n2(monkeypatch, parts):
     monkeypatch.setattr(partitions, "_walk", perturbed)
 
 
-def _mutate_walk(monkeypatch, old, new):
-    """Replace partitions._walk by a copy of its source with *old* -> *new*."""
-    source = inspect.getsource(partitions._walk)
+def _mutated(function, old, new):
+    """A copy of *function* from its source with *old* -> *new*, in its module."""
+    source = inspect.getsource(function)
     assert source.count(old) == 1
-    namespace = dict(vars(partitions))
+    namespace = dict(function.__globals__)
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(partitions, "_walk", namespace["_walk"])
+    return namespace[function.__name__]
 
 
 class TestFormatting:
@@ -197,6 +197,44 @@ class TestFaultInjection:
         # a=3,b=1 has a larger z but exact probability below MIN_PROBABILITY
         assert report.detail == "bucket a=0,b=0: observed 1168/2000, exact 0.635334, z=4.77"
 
+    @pytest.mark.parametrize(
+        "factor,detail",
+        [
+            (2, "kernel row a=3 sums to {} != 1 at q=2, u=1/2"),
+            (-1, "negative kernel entry K(3,1) = {} at q=2, u=1/2"),
+        ],
+        ids=["doubled", "negated"],
+    )
+    def test_perturbed_kernel_entry_fails_rows(self, factor, detail, monkeypatch):
+        u = Fraction(1, 2)
+        entry = sampler.kernel_row(3, 2, u).probabilities[1]
+        # K(3, 1) is scaled before the row's sign and sum checks
+        old = "        if val < 0:"
+        new = f"        val *= {factor} if (a, b) == (3, 1) else 1\n{old}"
+        monkeypatch.setattr(verify, "kernel_row", _mutated(sampler.kernel_row, old, new))
+        report = verify.run_kernel_row_check(2, u)
+        assert report.check_name == "thm1-rows" and not report.passed
+        shown = 1 + entry if factor > 0 else -entry
+        assert report.detail == detail.format(shown)
+
+    def test_scaled_joint_law_fails_consistency(self, monkeypatch):
+        real = sampler.cor1_part2
+
+        def scaled(a, b, q, u, uq_inf):
+            val = real(a, b, q, u, uq_inf)
+            return val * Fraction(11, 10) if (a, b) == (4, 2) else val
+
+        monkeypatch.setattr(verify, "cor1_part2", scaled)
+        q, u = 2, Fraction(1, 2)
+        uq_inf = sampler.u_over_q_infinite_value(q, u)
+        part1 = sampler.cor1_part1(4, q, u, uq_inf)
+        part2_sum = part1 + real(4, 2, q, u, uq_inf) / 10
+        report = verify.run_corollary_consistency_check(q, u)
+        assert report.check_name == "cor1-part2" and not report.passed
+        assert report.detail == (
+            f"a=4: sum over b gives {fmt_rat(part2_sum)} != marginal {fmt_rat(part1)}"
+        )
+
     def test_corollary_total_mass_failure_keeps_check_id(self, monkeypatch):
         assert verify.run_corollary_consistency_check(2, Fraction(1, 2)).check_name == (
             "cor1-part2"
@@ -252,7 +290,7 @@ class TestFaultInjection:
         ids=["wrong-M-increment", "dropped-multiplicity-factor"],
     )
     def test_mutated_walk_fails_eq1_rational_q(self, old, new, monkeypatch):
-        _mutate_walk(monkeypatch, old, new)
+        monkeypatch.setattr(partitions, "_walk", _mutated(partitions._walk, old, new))
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
