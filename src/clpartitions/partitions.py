@@ -204,18 +204,10 @@ def aut_order(p: Partition, q: Rational) -> Fraction:
     numerator, big_m = 1, 0
     for part in set(parts):
         m = parts.count(part)
-        numerator *= _pochhammer_numerator(m, a, b)
+        for k in range(1, m + 1):
+            numerator *= a**k - b**k
         big_m += m * (m + 1) // 2
     return Fraction(numerator * a ** (n2 - big_m), b**n2)
-
-
-@lru_cache(maxsize=None)
-def _pochhammer_numerator(m: int, a: int, b: int) -> int:
-    """P_m = prod_{k=1..m} (a^k - b^k) = a^(m(m+1)/2) (1/q)_m at q = a/b."""
-    result = 1
-    for k in range(1, m + 1):
-        result *= a**k - b**k
-    return result
 
 
 def _power_sums(

@@ -56,12 +56,11 @@ class KernelRow:
 
     ``probabilities[b]`` is the transition probability to b; a finite row
     from column size a has exactly a+1 entries summing to 1, the initial
-    "infinite" row is truncated with ``truncated_mass`` folded into its
-    last entry.
+    "infinite" row is truncated with its tail mass folded into its last
+    entry.
     """
 
     probabilities: tuple[Fraction, ...]
-    truncated_mass: Fraction = Fraction(0)
 
     def thresholds(self) -> tuple[int, ...]:
         """T_b = ceil(c_b * 2^64) for the exact cumulative sums c_b; T_last = 2^64."""
@@ -237,7 +236,9 @@ def kernel_row_infinite(q: Rational, u: Rational) -> KernelRow:
     """Truncated initial row: entries cor1_part1(b) until tail mass < 2^-60.
 
     The unassigned tail is folded into the last entry so the row sums to
-    exactly 1 for inverse-CDF sampling.
+    exactly 1 for inverse-CDF sampling.  An entry below 2^-64 while the
+    tail mass is still >= 2^-60 means the entries do not sum to 1 (a
+    wrong law), and raises KernelDomainError rather than running on.
     """
     q, u = Fraction(q), Fraction(u)
     _validate(q, u)
@@ -254,9 +255,14 @@ def kernel_row_infinite(q: Rational, u: Rational) -> KernelRow:
         residual = 1 - total
         if residual < TAIL_MASS_BOUND:
             break
+        if val < Fraction(1, 2**64):
+            raise KernelDomainError(
+                f"initial-row entry {b} is below 2^-64 with tail mass >= 2^-60 left"
+                f" at q={q}, u={u}"
+            )
         b += 1
     probs[-1] += residual
-    return KernelRow(tuple(probs), truncated_mass=max(residual, Fraction(0)))
+    return KernelRow(tuple(probs))
 
 
 @dataclass(frozen=True)

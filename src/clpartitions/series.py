@@ -1,19 +1,25 @@
 """Exact truncated power series and q-Pochhammer machinery.
 
-Everything here is computed with ``fractions.Fraction``; there is no
-floating point anywhere.  A truncated series in u is the list of its
-coefficients of u^0..u^N; the list functions below keep that length and
-discard every term of degree > N.
+Every value here is an exact rational, a ``fractions.Fraction`` or an
+int; there is no floating point anywhere.  A truncated series in u is
+the list of its coefficients of u^0..u^N; the list functions below keep
+that length and discard every term of degree > N.
 
 The q-Pochhammer symbol used throughout is the descending one, for a
 rational x,
 
     (x)_i = (1 - x)(1 - x/q)(1 - x/q^2) ... (1 - x/q^(i-1)).
+
+The q-series at q = a/b in lowest terms are built from the integers
+P_j = prod_{k=1..j} (a^k - b^k): with T_j = j(j+1)/2, 1 - q^-k =
+(a^k - b^k) / a^k gives (1/q)_j = P_j / a^T_j.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import accumulate
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -62,59 +68,37 @@ def inverse(a: list[Fraction]) -> list[Fraction]:
     return out
 
 
-# (x, q) -> [(x)_0, (x)_1, ...], the running products computed so far
-_POCHHAMMER: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
-POCHHAMMER_MEMO_KEYS = 1024  # past this many (x, q), the oldest is dropped
-
-
-def pochhammer_scalar(x: Rational, i: int, q: Rational) -> Fraction:
-    """(x)_i = prod_{k=0}^{i-1} (1 - x/q^k) for rational x.
-
-    The running products (x)_0, (x)_1, ... are kept per (x, q), so a
-    new index costs one Fraction multiply per index past the longest
-    one asked for so far, and a known index none.
-    """
-    if i < 0:
-        raise ValueError("pochhammer index must be non-negative")
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    x = Fraction(x)
-    products = _POCHHAMMER.get((x, q))
-    if products is None:
-        if len(_POCHHAMMER) >= POCHHAMMER_MEMO_KEYS:
-            del _POCHHAMMER[next(iter(_POCHHAMMER))]
-        products = _POCHHAMMER[(x, q)] = [Fraction(1)]
-    while len(products) <= i:
-        k = len(products) - 1
-        products.append(products[k] * (1 - x / q**k))
-    return products[i]
-
-
-def sum_wellknown_identity_lhs(q: Rational, order: int) -> list[Fraction]:
-    """sum_{b>=0} u^b / (q^b (1/q)_b), truncated at *order*.
-
-    The term for b contributes only to the u^b coefficient, so the partial
-    sum over b = 0..order is exact.
-    """
+def _pochhammer_numerators(q: Rational, order: int) -> tuple[int, int, list[int]]:
+    """(a, b, [P_0, ..., P_order]) for q = a/b > 1 in lowest terms."""
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    return [1 / (q**b * pochhammer_scalar(1 / q, b, q)) for b in range(order + 1)]
+    a, b = q.numerator, q.denominator
+    factors = (a**k - b**k for k in range(1, order + 1))
+    return a, b, list(accumulate(factors, operator.mul, initial=1))
+
+
+def sum_wellknown_identity_lhs(q: Rational, order: int) -> list[Fraction]:
+    """The b-sum sum_{j>=0} u^j / (q^j (1/q)_j), truncated at *order*.
+
+    The term for j contributes only to the u^j coefficient, so the partial
+    sum over j = 0..order is exact.  Since q^j (1/q)_j = P_j / (b^j a^T_(j-1)),
+    the coefficient of u^j is b^j a^T_(j-1) / P_j.
+    """
+    a, b, ps = _pochhammer_numerators(q, order)
+    return [Fraction(b**j * a ** (j * (j - 1) // 2), ps[j]) for j in range(order + 1)]
 
 
 def pochhammer_infinite_u_over_q(q: Rational, order: int) -> list[Fraction]:
     """(u/q)_inf = prod_{k>=1}(1 - u/q^k), truncated at *order*.
 
     Euler's expansion: the coefficient of u^j is
-    (-1)^j q^{-j(j+1)/2} / (1/q)_j, a finite exact computation.
+    (-1)^j q^{-T_j} / (1/q)_j = (-1)^j b^T_j / P_j, a finite exact
+    computation.
     """
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("requires q > 1")
+    _, b, ps = _pochhammer_numerators(q, order)
     return [
-        (-1) ** j / (q ** (j * (j + 1) // 2) * pochhammer_scalar(1 / q, j, q))
-        for j in range(order + 1)
+        Fraction((-1) ** j * b ** (j * (j + 1) // 2), ps[j]) for j in range(order + 1)
     ]
 
 

@@ -14,12 +14,7 @@ from fractions import Fraction
 from clpartitions import oracle
 from clpartitions.partitions import Partition
 from clpartitions.sampler import PartitionSampler
-from clpartitions.series import (
-    inverse,
-    multiply,
-    pochhammer_infinite_u_over_q,
-    pochhammer_scalar,
-)
+from clpartitions.series import inverse, multiply
 
 
 def add(a, b):
@@ -71,8 +66,23 @@ def aut_order(lam, q):
     q = Fraction(q)
     result = q ** sum(c * c for c in lam.conjugate().parts)
     for part in set(lam.parts):
-        result *= pochhammer_scalar(1 / q, lam.multiplicity(part), q)
+        result *= pochhammer_direct(1 / q, lam.multiplicity(part), q)
     return result
+
+
+def euler_expansion(q, order):
+    """(u/q)_inf by Euler's expansion: u^j has (-1)^j / (q^{j(j+1)/2} (1/q)_j)."""
+    q = Fraction(q)
+    return [
+        (-1) ** j / (q ** (j * (j + 1) // 2) * pochhammer_direct(1 / q, j, q))
+        for j in range(order + 1)
+    ]
+
+
+def wellknown_b_sum(q, order):
+    """sum_b u^b / (q^b (1/q)_b), one term per coefficient."""
+    q = Fraction(q)
+    return [1 / (q**b * pochhammer_direct(1 / q, b, q)) for b in range(order + 1)]
 
 
 def partitions(n, largest=None):
@@ -115,7 +125,7 @@ def eq1_rhs_series(q, order):
     """(1/(1-u)) * sum_{a>=0} u^a / ((1/q)_a (u/q)_a)."""
     q = Fraction(q)
     total = _sum_of_inverted_products(
-        q, order, 1, lambda a: pochhammer_scalar(1 / q, a, q)
+        q, order, 1, lambda a: pochhammer_direct(1 / q, a, q)
     )
     return multiply([Fraction(1)] * (order + 1), total)
 
@@ -124,23 +134,23 @@ def eq2_rhs_series(q, order):
     """(1/(u/q)_inf) * sum_{c>=0} u^{2c} / (q^{c^2} (1/q)_c (u/q)_c)."""
     q = Fraction(q)
     total = _sum_of_inverted_products(
-        q, order, 2, lambda c: q ** (c * c) * pochhammer_scalar(1 / q, c, q)
+        q, order, 2, lambda c: q ** (c * c) * pochhammer_direct(1 / q, c, q)
     )
-    return multiply(inverse(pochhammer_infinite_u_over_q(q, order)), total)
+    return multiply(inverse(euler_expansion(q, order)), total)
 
 
 def kernel_row_probabilities(a, q, u):
     """K(a, b) = u^b (1/q)_a (u/q)_a / (q^{b^2} (1/q)_{a-b} (1/q)_b (u/q)_b), b = 0..a."""
     q, u = Fraction(q), Fraction(u)
-    prefactor = pochhammer_scalar(1 / q, a, q) * pochhammer_scalar(u / q, a, q)
+    prefactor = pochhammer_direct(1 / q, a, q) * pochhammer_direct(u / q, a, q)
     return tuple(
         u**b
         * prefactor
         / (
             q ** (b * b)
-            * pochhammer_scalar(1 / q, a - b, q)
-            * pochhammer_scalar(1 / q, b, q)
-            * pochhammer_scalar(u / q, b, q)
+            * pochhammer_direct(1 / q, a - b, q)
+            * pochhammer_direct(1 / q, b, q)
+            * pochhammer_direct(u / q, b, q)
         )
         for b in range(a + 1)
     )
@@ -164,9 +174,9 @@ def cor1_part1(a, q, u, uq_inf):
     q, u = Fraction(q), Fraction(u)
     return (
         uq_inf
-        / pochhammer_scalar(u / q, a, q)
+        / pochhammer_direct(u / q, a, q)
         * u**a
-        / (q ** (a * a) * pochhammer_scalar(1 / q, a, q))
+        / (q ** (a * a) * pochhammer_direct(1 / q, a, q))
     )
 
 
@@ -178,9 +188,9 @@ def cor1_part2(a, b, q, u, uq_inf):
         * uq_inf
         / (
             q ** (a * a + (a - b) * (a - b))
-            * pochhammer_scalar(1 / q, b, q)
-            * pochhammer_scalar(1 / q, a - b, q)
-            * pochhammer_scalar(u / q, a - b, q)
+            * pochhammer_direct(1 / q, b, q)
+            * pochhammer_direct(1 / q, a - b, q)
+            * pochhammer_direct(u / q, a - b, q)
         )
     )
 

@@ -121,8 +121,10 @@ def test_09_kernel_rows_and_corollary_consistency():
         for a in range(13):
             row = kernel_row(a, q, u)
             assert sum(row.probabilities) == 1
-        assert kernel_row_infinite(q, u).truncated_mass < TAIL_MASS_BOUND
         uq_inf = u_over_q_infinite_value(q, u)
+        row = kernel_row_infinite(q, u).probabilities
+        tail = 1 - sum(cor1_part1(b, q, u, uq_inf) for b in range(len(row)))
+        assert 0 <= tail < TAIL_MASS_BOUND
         for a in range(11):
             joint_sum = sum(cor1_part2(a, b, q, u, uq_inf) for b in range(a + 1))
             assert joint_sum == cor1_part1(a, q, u, uq_inf)

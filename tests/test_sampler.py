@@ -72,7 +72,23 @@ class TestInfiniteRow:
 
     def test_tail_mass_bound(self):
         for q, u in [(2, U_HALF), (3, Fraction(9, 10))]:
-            assert kernel_row_infinite(q, u).truncated_mass < TAIL_MASS_BOUND
+            row = kernel_row_infinite(q, u).probabilities
+            uq_inf = u_over_q_infinite_value(q, u)
+            law = [cor1_part1(b, q, u, uq_inf) for b in range(len(row))]
+            assert 0 <= 1 - sum(law) < TAIL_MASS_BOUND
+            assert row[:-1] == tuple(law[:-1]) and sum(row) == 1
+
+    def test_wrong_law_raises_rather_than_hangs(self, monkeypatch):
+        # without its factor c^a of u^a = c^a / d^a the law sums to less than
+        # 1, so the tail mass would never fall below 2^-60
+        real = sampler.cor1_part1
+
+        def dropped(a, q, u, uq_inf):
+            return real(a, q, u, uq_inf) / Fraction(u).numerator ** a
+
+        monkeypatch.setattr(sampler, "cor1_part1", dropped)
+        with pytest.raises(KernelDomainError, match="below 2\\^-64"):
+            kernel_row_infinite(3, Fraction(9, 10))
 
 
 # every finite row a <= 12 at q in {2, 3}, and the initial row at each (q, u)

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clpartitions import series
 from clpartitions.series import (
     gl_order,
     inverse,
     irreducible_count,
     multiply,
     pochhammer_infinite_u_over_q,
-    pochhammer_scalar,
     power,
     sum_wellknown_identity_lhs,
 )
@@ -35,14 +33,6 @@ rationals = st.fractions(
 )
 series_st = st.lists(rationals, min_size=ORDER + 1, max_size=ORDER + 1)
 invertible_series_st = series_st.filter(lambda s: s[0] != 0)
-# q with |q| > 1: integers of either sign, and proper fractions
-big_q_st = st.one_of(
-    st.integers(2, 12),
-    st.integers(-12, -2),
-    st.fractions(min_value=-12, max_value=12, max_denominator=7).filter(
-        lambda q: abs(q) > 1
-    ),
-)
 
 
 def one(order):
@@ -123,11 +113,11 @@ class TestPochhammer:
     def test_empty_product(self):
         u = monomial(1, 4)
         assert pochhammer_finite(u, 0, 2) == one(4)
-        assert pochhammer_scalar(Fraction(7, 3), 0, 2) == 1
+        assert pochhammer_direct(Fraction(7, 3), 0, 2) == 1
 
     def test_scalar_value(self):
         # (1/q)_2 at q=2: (1 - 1/2)(1 - 1/4)
-        assert pochhammer_scalar(Fraction(1, 2), 2, 2) == Fraction(3, 8)
+        assert pochhammer_direct(Fraction(1, 2), 2, 2) == Fraction(3, 8)
 
     def test_single_series_factor(self):
         u_over_q = monomial(1, 3, Fraction(1, 2))
@@ -140,37 +130,6 @@ class TestPochhammer:
         x = monomial(1, 6, Fraction(1, 3))
         extra = add(one(6), [-c / q**i for c in x])
         assert pochhammer_finite(x, i + 1, q) == multiply(pochhammer_finite(x, i, q), extra)
-
-
-class TestPochhammerMemo:
-    @settings(max_examples=60)
-    @given(rationals, big_q_st, st.integers(20, 40), st.data())
-    def test_memo_matches_direct_product(self, x, q, cold, data):
-        series._POCHHAMMER.clear()  # every example starts cold
-        rest = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=10))
-        # q as an int and as a Fraction is one memo key
-        forms = (int(q), Fraction(q)) if Fraction(q).denominator == 1 else (q,)
-        for i in [cold, *rest]:
-            got = pochhammer_scalar(x, i, data.draw(st.sampled_from(forms)))
-            assert type(got) is Fraction
-            assert got == pochhammer_direct(x, i, q)
-
-    def test_bad_arguments_raise_before_the_memo_is_touched(self):
-        before = {key: list(products) for key, products in series._POCHHAMMER.items()}
-        x = Fraction(17, 19)
-        with pytest.raises(ValueError):
-            pochhammer_scalar(x, -1, 3)
-        with pytest.raises(ValueError):
-            pochhammer_scalar(x, 4, 0)
-        with pytest.raises(ValueError):
-            pochhammer_scalar(x, 4, Fraction(0))
-        assert series._POCHHAMMER == before
-
-    def test_memo_keeps_at_most_its_key_bound(self):
-        for n in range(series.POCHHAMMER_MEMO_KEYS + 5):
-            x = Fraction(1, n + 2)
-            assert pochhammer_scalar(x, 3, 3) == pochhammer_direct(x, 3, 3)
-        assert len(series._POCHHAMMER) <= series.POCHHAMMER_MEMO_KEYS
 
 
 class TestInfiniteProduct:

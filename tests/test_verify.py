@@ -135,6 +135,14 @@ class TestRoutesMatchReferenceAtAnyQ:
         assert eq1_rhs_series(q, order) == reference.eq1_rhs_series(q, order)
         assert eq2_rhs_series(q, order) == reference.eq2_rhs_series(q, order)
 
+    @settings(max_examples=40, deadline=None)
+    @given(lowest_terms_q(), st.integers(0, 26))
+    def test_euler_expansion_and_b_sum_match_term_by_term_constructions(self, q, order):
+        euler = pochhammer_infinite_u_over_q(q, order)
+        assert euler == reference.euler_expansion(q, order)
+        b_sum = series.sum_wellknown_identity_lhs(q, order)
+        assert b_sum == reference.wellknown_b_sum(q, order)
+
 
 class TestChecks:
     def test_eq1_passes(self):
