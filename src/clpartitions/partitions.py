@@ -9,16 +9,16 @@ lambda,
 evaluated exactly at any rational q > 1 (the identities checked downstream
 are rational-function identities in q, so non-prime-power q is allowed).
 
-Every partition comes from one depth-first walk (`_walk`).  Its stack
-holds the partitions with no part 1, each built from its parent by
-appending a part >= 2; below each of them the walk yields the chain of
-partitions with k = 1, 2, ... ones appended, without stacking them.
-Every node carries its statistics and the integer r = P_|lambda| / D
+Every partition comes from one depth-first walk (`_walk`).  It visits
+the partitions with no part 1, each built from its parent by appending
+a part >= 2, and carries their statistics and the integer r = P_|lambda| / D
 (P_s = prod_{k<=s} (a^k - b^k), D = prod_m P_m over the multiplicities)
-from its parent.  `partitions_of` keeps the walk's nodes of one size,
-and the middle series add b^(n2 - e) * r into one integer per (size,
-power of a), every partition once, with no `Partition` built and no call
-to `aut_order`.  `aut_order` is the per-partition definition of the same
+from the parent.  Each reader appends the chain of ones itself:
+`partitions_of(n)` pads every node of size <= n with ones up to n, and
+the middle series expand each node's chain of k = 0, 1, ... ones in one
+loop, adding b^(n2 - e) * r into one integer per (size, power of a),
+every partition once, with no `Partition` built and no call to
+`aut_order`.  `aut_order` is the per-partition definition of the same
 weight, read by the checks that name single partitions.
 """
 
@@ -28,10 +28,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from typing import Callable, Iterator, Sequence
 
-from .series import Rational, irreducible_count, multiply, power
+from .series import Rational, _exact, irreducible_count, multiply, power
 
 
 @dataclass(frozen=True, order=True)
@@ -76,67 +76,43 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-# a node of the walk: (prefix, m1, size, n2, big_m, r), see _walk
+# a node of the walk: (parts, size, n2, m, big_m, r), see _walk
 _Node = tuple[tuple[int, ...], int, int, int, int, int]
 
 
 def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
-    """Every partition of size <= order once, with statistics from its parent.
+    """Every partition of size <= order with no part 1, once, with its statistics.
 
-    A node is (prefix, m1, size, n2, big_m, r).  The partition is the
-    parts >= 2 in prefix followed by m1 ones, and size is their sum.
-    n2 = sum_i (2i - 1) lambda_i (= sum_i (lambda'_i)^2, see aut_order) and
-    M = sum m(m+1)/2 over the multiplicities m of the parts.  With
+    A node is (parts, size, n2, m, big_m, r): the parts (all >= 2), their
+    sum, n2 = sum_i (2i - 1) lambda_i (= sum_i (lambda'_i)^2, see
+    aut_order), the multiplicity m of the last part and
+    M = sum m(m+1)/2 over the multiplicities of the parts.  With
     P_s = factors[1] * ... * factors[s] and D the product of P_m over the
     multiplicities m, r = P_size / D.  With factors[k] = a^k - b^k, D is
     aut_order's prod_m P_m, and r is an integer (see _partition_sum).
 
-    The stack holds only the partitions with no part 1 (m1 = 0).  A child
-    appends a part p >= 2, p <= the last part, at index i (from 0): n2
-    grows by (2i + 1) p.  If p repeats the last part, whose multiplicity
-    is m, M grows by m + 1 and D gains the factor factors[m + 1]; a new,
-    smaller part adds 1 to M and factors[1] to D.  Either way r becomes
-    r * P_(size+p) / P_size divided by D's new factor.
-
-    Below each stacked partition of length l and size s, the walk yields
-    the chain of k = 1, 2, ... appended ones in place: n2 grows by
-    (l + k)^2 - l^2, M by k(k+1)/2 and D by P_k, so r becomes r * [s+k; k]
-    with [n; k] = P_n / (P_k * P_(n-k)), the homogenised q-binomial, from
-    a table built once per walk.
-
-    Every division, on a stack edge or into the q-binomial table, is
-    checked and raises ArithmeticError if it leaves a remainder.  Each
-    stacked partition comes just before its chain, so the partitions of
-    one size do not come in lexicographic order; partitions_of sorts them.
+    A child appends a part p >= 2, p <= the last part, at index i (from
+    0): n2 grows by (2i + 1) p.  If p repeats the last part, whose
+    multiplicity is m, M grows by m + 1 and D gains the factor
+    factors[m + 1]; a new, smaller part adds 1 to M and factors[1] to D.
+    Either way r becomes r * P_(size+p) / P_size divided by D's new
+    factor, a division that is checked and raises ArithmeticError if it
+    leaves a remainder.  The partitions with ones are not visited: each
+    reader appends the chain of k = 1, 2, ... ones to every node itself.
     """
-    # rises[s][k] = P_(s+k) / P_s, so rises[0] is P_0..P_order
+    # rises[s][k] = P_(s+k) / P_s
     rises = [
         list(accumulate(factors[s + 1 :], operator.mul, initial=1))
         for s in range(order + 1)
     ]
-    # chains[s][k] = [s+k; k]
-    chains = [
-        [_exact(rise[k], rises[0][k]) for k in range(len(rise))] for rise in rises
-    ]
-    triangular = list(accumulate(range(order + 1)))  # k(k+1)/2
     stack = [((), 0, 0, 0, 0, 1)]
     while stack:
-        parts, size, n2, m, big_m, r = stack.pop()
-        yield parts, 0, size, n2, big_m, r
-        length = len(parts)
+        node = stack.pop()
+        yield node
+        parts, size, n2, m, big_m, r = node
         room = order - size
-        chain = chains[size]
-        for k in range(1, room + 1):
-            yield (
-                parts,
-                k,
-                size + k,
-                n2 + (2 * length + k) * k,
-                big_m + triangular[k],
-                r * chain[k],
-            )
         last = parts[-1] if parts else room
-        step = 2 * length + 1
+        step = 2 * len(parts) + 1
         rise = rises[size]
         for p in range(2, min(last, room) + 1):
             m_p = m + 1 if p == last else 1
@@ -152,24 +128,17 @@ def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
             )
 
 
-def _exact(n: int, d: int) -> int:
-    """n / d, which must be an integer; ArithmeticError if it is not."""
-    quotient, remainder = divmod(n, d)
-    if remainder:
-        raise ArithmeticError(f"{d} does not divide {n}")
-    return quotient
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order of parts.
 
-    They are the walk's nodes of size n, with every factor 1 (so r stays 1).
+    Each walk node of size s <= n, with n - s ones appended; every factor
+    is 1, so r stays 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     nodes = _walk(n, (1,) * (n + 1))
-    found = [Partition(parts + (1,) * m1) for parts, m1, size, *_ in nodes if size == n]
+    found = [Partition(parts + (1,) * (n - size)) for parts, size, *_ in nodes]
     return tuple(sorted(found, reverse=True))
 
 
@@ -244,7 +213,7 @@ def _partition_sum(
     (checked; ValueError otherwise), so e <= n2, since n2 >= (lambda'_1)^2.
     The exponents used here, (lambda'_1)^2, (lambda'_1)^2 - m_1 and 0, do.
 
-    One walk (`_walk`) visits every partition of size <= order once and
+    One walk (`_walk`) visits every partition with no part 1 once and
     carries n2, M and r = P_s / D from its parent, where s = |lambda|,
     P_s = prod_{k=1..s} (a^k - b^k) and D = prod_m P_m.  With q = a/b in
     lowest terms and aut_order's integer form,
@@ -255,33 +224,65 @@ def _partition_sum(
     P_l / prod_i P_(m_i) is the q-multinomial coefficient
     [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
     and P_l divides P_s.  The walk checks each division all the same.
-    So each partition adds the integer b^(n2 - e) * r to one running sum
-    per (size s, power of a), and `_power_sums` folds each size's sums
-    into one Fraction over a^K * P_s.  No Partition is built and
-    aut_order is not called; a test that replaces `_walk` reaches every
-    middle series.
+
+    Each walk node, of length l and size s, stands for itself and its
+    chain of k = 1, 2, ... appended ones, summed in one loop.  k ones add
+    (2l+k) k to n2, k(k+1)/2 to M and P_k to D, so r becomes
+    r * [s+k; k], with [n; k] = P_n / (P_k P_(n-k)) the homogenised
+    q-binomial (a checked division).  So with e_k = e(l+k, k), each
+    partition adds the integer r * b^(n2 - l^2) * [s+k; k] b^((l+k)^2 - e_k)
+    to the running sum of its size at the power
+    (M - n2) + e_k + k(k+1)/2 - (2l+k) k of a; one row of cells per
+    (s, l) holds each k's weight and the place of its sum.  The sums are
+    one list with a row per size t for the powers -t^2..t(t+1)/2 of a:
+    n2 <= t^2, and M <= l(l+1)/2 with l^2 <= n2 bounds e + M - n2 above.
+    `_power_sums` folds each size's sums into one Fraction over a^K P_s.
+    No Partition is built and aut_order is not called.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    exponents = [
-        [exponent(length, m1) for m1 in range(length + 1)] for length in range(order + 1)
-    ]
-    for length, row in enumerate(exponents):
-        if not all(0 <= e <= length * length for e in row):
-            raise ValueError(f"exponents at length {length} must lie in 0..{length**2}")
+    ones = []  # per length, for k ones: the powers of b and of a that they add
+    for length in range(order + 1):
+        es = [exponent(length + k, k) for k in range(order - length + 1)]
+        if not all(0 <= e <= (length + k) ** 2 for k, e in enumerate(es)):
+            raise ValueError(f"an exponent at length >= {length} is outside 0..l^2")
+        ones.append(
+            [
+                ((length + k) ** 2 - e, e + k * (k + 1) // 2 - (2 * length + k) * k)
+                for k, e in enumerate(es)
+            ]
+        )
     a, b = q.numerator, q.denominator
     factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
-    b_powers = [b**k for k in range(order * order + 1)]  # n2 - e <= n2 <= order^2
-    sums: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    for parts, m1, size, n2, big_m, r in _walk(order, factors):
-        e = exponents[len(parts) + m1][m1]
-        row, x = sums[size], e + big_m - n2
-        row[x] = row.get(x, 0) + b_powers[n2 - e] * r
     commons = list(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
-    return _power_sums(sums, a, commons)
+    b_powers = [b**k for k in range(order * order + 1)]  # n2 - e <= n2 <= order^2
+    binomials = [  # binomials[s][k] = [s+k; k]
+        [_exact(commons[s + k], commons[s] * commons[k]) for k in range(order - s + 1)]
+        for s in range(order + 1)
+    ]
+    # the sum of size t at the power x of a, -t^2 <= x <= t(t+1)/2: sums[zero[t] + x]
+    widths = (t * t + t * (t + 1) // 2 + 1 for t in range(order + 1))
+    starts = list(accumulate(widths, initial=0))
+    zero = [start + t * t for t, start in enumerate(starts)]
+    cells = [  # cells[s][l]: per k, (weight, place of its sum); l <= s/2, no part is 1
+        [
+            [(c * b_powers[y], z + x) for c, (y, x), z in zip(row, ones[l], zero[s:])]
+            for l in range(s // 2 + 1)
+        ]
+        for s, row in enumerate(binomials)
+    ]
+    sums = [0] * starts[-1]
+    for parts, size, n2, _, big_m, r in _walk(order, factors):
+        length = len(parts)
+        x, r = big_m - n2, r * b_powers[n2 - length * length]
+        for weight, i in cells[size][length]:
+            sums[x + i] += r * weight
+    rows = [sums[i:j] for i, j in zip(starts, starts[1:])]
+    rows = [dict(compress(zip(count(-t * t), row), row)) for t, row in enumerate(rows)]
+    return _power_sums(rows, a, commons)
 
 
 def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:

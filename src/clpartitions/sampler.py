@@ -43,6 +43,7 @@ from .series import Rational
 
 TAIL_MASS_BOUND = Fraction(1, 2**60)
 INFINITE_PRODUCT_REL_TOL = Fraction(1, 2**80)
+INFINITE_PRODUCT_MAX_FACTORS = 1024
 MIN_PROBABILITY = Fraction(1, 1000)  # Monte Carlo buckets below this are not gated
 
 
@@ -167,14 +168,19 @@ def u_over_q_infinite_value(q: Rational, u: Rational) -> Fraction:
     The factor u/q^k = c h^k / (d g^k) is below 2^-80 exactly when
     c h^k 2^80 < d g^k, and the first such k = K is the last factor
     kept; the partial product is (u/q)_K = U_K / (d^K g^(K(K+1)/2)).
+    K is found from running powers of h and g before any product is
+    built; past INFINITE_PRODUCT_MAX_FACTORS = 1,024 (near q = 1; integer
+    q >= 2 needs K <= 80, (11/10, 1/2) 575) it raises KernelDomainError.
     """
     q, u = Fraction(q), Fraction(u)
     table = _products(q, u)
     g, h, c, d = table.g, table.h, table.c, table.d
     tol = INFINITE_PRODUCT_REL_TOL
-    k = 1
-    while c * h**k * tol.denominator >= d * g**k * tol.numerator:
-        k += 1
+    k, top, bottom = 1, c * h * tol.denominator, d * g * tol.numerator
+    while top >= bottom:
+        if k == INFINITE_PRODUCT_MAX_FACTORS:
+            raise KernelDomainError(f"(u/q)_inf needs over {k} factors at q={q}, u={u}")
+        k, top, bottom = k + 1, top * h, bottom * g
     return Fraction(table.upto(k)[1][k], d**k * g ** (k * (k + 1) // 2))
 
 

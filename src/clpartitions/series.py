@@ -53,19 +53,12 @@ def power(a: list[Fraction], k: int) -> list[Fraction]:
     return result
 
 
-def inverse(a: list[Fraction]) -> list[Fraction]:
-    """The multiplicative inverse of a series up to its truncation order.
-
-    Standard recurrence: with a_0 != 0 and b = 1/a,
-    b_n = -(1/a_0) * sum_{i=1..n} a_i b_{n-i}.
-    """
-    if a[0] == 0:
-        raise ZeroDivisionError("cannot invert series with zero constant term")
-    out = [1 / Fraction(a[0])]
-    for n in range(1, len(a)):
-        s = sum((a[i] * out[n - i] for i in range(1, n + 1) if a[i]), Fraction(0))
-        out.append(-s / a[0])
-    return out
+def _exact(n: int, d: int) -> int:
+    """n / d, which must be an integer; ArithmeticError if it is not."""
+    quotient, remainder = divmod(n, d)
+    if remainder:
+        raise ArithmeticError(f"{d} does not divide {n}")
+    return quotient
 
 
 def _pochhammer_numerators(q: Rational, order: int) -> tuple[int, int, list[int]]:

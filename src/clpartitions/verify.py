@@ -28,8 +28,9 @@ from .partitions import (
 from .sampler import SamplerConfig, cor1_part1, cor1_part2, kernel_row
 from .series import (
     Rational,
+    _exact,
+    _pochhammer_numerators,
     gl_order,
-    inverse,
     multiply,
     pochhammer_infinite_u_over_q,
     sum_wellknown_identity_lhs,
@@ -66,13 +67,14 @@ class VerificationReport:
 
 def _sum_over_u_pochhammer(
     q: Fraction, order: int, step: int, q_exponent: Callable[[int], int]
-) -> list[Fraction]:
-    """Coefficients of sum_{i>=0} u^{step*i} / (q^{q_exponent(i)} (1/q)_i (u/q)_i).
+) -> tuple[list[int], list[int], list[int]]:
+    """sum_{i>=0} u^{step*i} / (q^{q_exponent(i)} (1/q)_i (u/q)_i) in integers.
 
-    The u^{step*i} prefactor kills all step*i > order below the
-    truncation, so the sum over i = 0..order // step is exact.  It is
-    summed in integers.  With q = a/b in lowest terms,
-    P_n = prod_{k=1..n} (a^k - b^k), T_i = i(i+1)/2 and E = q_exponent(i),
+    Returns (N, K, P): the coefficient of u^n is N_n / (a^K_n P_n), with
+    q = a/b in lowest terms and P_n = prod_{k=1..n} (a^k - b^k).  The
+    u^{step*i} prefactor kills all step*i > order below the truncation,
+    so the sum over i = 0..order // step is exact.  With T_i = i(i+1)/2
+    and E = q_exponent(i),
 
         1 / (q^E (1/q)_i) = b^E a^(T_i - E) / P_i,
         [u^j] 1/(u/q)_i   = X_j / a^(j i),
@@ -89,8 +91,7 @@ def _sum_over_u_pochhammer(
     to u^n, n = step*i + j.  The coefficient of u^n is one integer over
     the common denominator a^K P_n, where -K is the least power of a met
     at u^n (found before the sum): each term is scaled by P_n / P_i, a
-    product of consecutive factors a^k - b^k.  One Fraction is built per
-    coefficient.
+    product of consecutive factors a^k - b^k.
     """
     a, b = q.numerator, q.denominator
     terms = range(order // step + 1)
@@ -120,10 +121,30 @@ def _sum_over_u_pochhammer(
             n = step * i + j
             shift = bases[i] - j * i - lows[n]
             numerators[n] += weight * a_power(shift) * xs[j] * rise[n - i]
-    return [
-        Fraction(numerator, a_power(-low) * rises[0][n])
-        for n, (numerator, low) in enumerate(zip(numerators, lows))
+    return numerators, [-low for low in lows], rises[0]
+
+
+def _inverse_euler(q: Fraction, order: int) -> tuple[list[int], int, list[int], list]:
+    """(H, D, P, B): [u^n] 1/(u/q)_inf = H_n / (D P_n), and B[n][i] = [n; i].
+
+    Euler's expansion E (`pochhammer_infinite_u_over_q`) is read as the
+    integers e_i = E_i P_i, and [n; i] = P_n / (P_i P_(n-i)); both are
+    checked divisions.  Then G_n = H_n / (e_0^(N+1) P_n) inverts E, with
+    H_0 = e_0^N and H_n = -(sum_{i=1..n} e_i [n; i] H_(n-i)) / e_0 (checked).
+    Euler's e_i = (-1)^i b^(i(i+1)/2) give e_0 = 1 = D; any other e_0 still
+    inverts a wrong E exactly.  The b-sum, which equals 1/(u/q)_inf, is not read.
+    """
+    _, _, ps = _pochhammer_numerators(q, order)
+    binomials = [
+        [_exact(p, ps[i] * ps[n - i]) for i in range(n + 1)] for n, p in enumerate(ps)
     ]
+    euler = pochhammer_infinite_u_over_q(q, order)
+    es = [_exact(c.numerator * p, c.denominator) for c, p in zip(euler, ps)]
+    hs = [es[0] ** order]
+    for n, row in enumerate(binomials[1:], 1):
+        total = sum(es[i] * row[i] * hs[n - i] for i in range(1, n + 1))
+        hs.append(-_exact(total, es[0]))
+    return hs, es[0] * hs[0], ps, binomials
 
 
 def eq1_rhs_series(q: Rational, order: int) -> list[Fraction]:
@@ -134,19 +155,30 @@ def eq1_rhs_series(q: Rational, order: int) -> list[Fraction]:
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    return list(accumulate(_sum_over_u_pochhammer(q, order, 1, lambda a: 0)))
+    numerators, ks, ps = _sum_over_u_pochhammer(q, order, 1, lambda a: 0)
+    sums = (Fraction(t, q.numerator**k * p) for t, k, p in zip(numerators, ks, ps))
+    return list(accumulate(sums))
 
 
 def eq2_rhs_series(q: Rational, order: int) -> list[Fraction]:
     """(1/(u/q)_inf) * sum_{c>=0} u^{2c} / (q^{c^2} (1/q)_c (u/q)_c), truncated.
 
-    (u/q)_inf is Euler's expansion, inverted once.
+    Both factors are integers over P_n, and P_n / (P_i P_(n-i)) = [n; i],
+    so u^n of the product is one integer over D a^K_n P_n: K_j grows with
+    j, since a term at u^j reaches u^(j+1) over one more power of a.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
-    total = _sum_over_u_pochhammer(q, order, 2, lambda c: c * c)
-    return multiply(inverse(pochhammer_infinite_u_over_q(q, order)), total)
+    numerators, ks, _ = _sum_over_u_pochhammer(q, order, 2, lambda c: c * c)
+    hs, common, ps, binomials = _inverse_euler(q, order)
+    a_power = functools.cache(q.numerator.__pow__)
+    out = []
+    for n, (row, k) in enumerate(zip(binomials, ks)):
+        terms = zip(hs, row, reversed(numerators[: n + 1]), reversed(ks[: n + 1]))
+        total = sum(h * c * t * a_power(k - kt) for h, c, t, kt in terms)
+        out.append(Fraction(total, common * a_power(k) * ps[n]))
+    return out
 
 
 def _compare_routes(name: str, params: dict, routes: dict) -> VerificationReport:
@@ -238,12 +270,13 @@ def run_wellknown_identity_check(q: Rational, order: int) -> VerificationReport:
 def run_measure_normalization_check(q: Rational, order: int) -> VerificationReport:
     """Total-mass check: sum of 1/|Aut(lambda)| == 1/(u/q)_inf coefficientwise."""
     q = Fraction(q)
+    hs, common, ps, _ = _inverse_euler(q, order)
     return _compare_routes(
         "measure-normalization",
         {"q": fmt_rat(q), "N": order},
         {
             "middle": unnormalized_weight_series(q, order),
-            "rhs": inverse(pochhammer_infinite_u_over_q(q, order)),
+            "rhs": [Fraction(h, common * p) for h, p in zip(hs, ps)],
         },
     )
 
@@ -334,25 +367,30 @@ def run_kernel_row_check(
 def run_corollary_consistency_check(
     q: int, u: Rational, a_max: int = 10
 ) -> VerificationReport:
-    """sum_b joint(a, b) == marginal(a) exactly, plus near-unit total mass."""
+    """sum_b joint(a, b) == marginal(a) exactly, plus near-unit total mass.
+
+    Each law is (u/q)_inf times an integer quotient: the sums compare the
+    quotients, and (u/q)_inf multiplies back in for the mass and a detail.
+    """
     u = Fraction(u)
     params = {"q": q, "u": fmt_rat(u), "a_max": a_max}
     uq_inf = sampler.u_over_q_infinite_value(q, u)
     total = Fraction(0)
     for a in range(a_max + 1):
-        part1 = cor1_part1(a, q, u, uq_inf)
-        part2_sum = sum(cor1_part2(a, b, q, u, uq_inf) for b in range(a + 1))
+        part1 = cor1_part1(a, q, u, 1)
+        part2_sum = sum(cor1_part2(a, b, q, u, 1) for b in range(a + 1))
         if part1 != part2_sum:
             return VerificationReport(
                 "cor1-part2",
                 params,
                 "fail",
                 detail=(
-                    f"a={a}: sum over b gives {fmt_rat(part2_sum)} "
-                    f"!= marginal {fmt_rat(part1)}"
+                    f"a={a}: sum over b gives {fmt_rat(uq_inf * part2_sum)} "
+                    f"!= marginal {fmt_rat(uq_inf * part1)}"
                 ),
             )
         total += part1
+    total *= uq_inf
     if not abs(1 - total) < sampler.TAIL_MASS_BOUND * 2 ** (a_max + 4):
         return VerificationReport(
             "cor1-part2",

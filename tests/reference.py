@@ -14,7 +14,7 @@ from fractions import Fraction
 from clpartitions import oracle
 from clpartitions.partitions import Partition
 from clpartitions.sampler import PartitionSampler
-from clpartitions.series import inverse, multiply
+from clpartitions.series import multiply
 
 
 def add(a, b):
@@ -36,6 +36,21 @@ def monomial(degree, order, c=1):
     if degree <= order:
         cs[degree] = Fraction(c)
     return cs
+
+
+def inverse(a):
+    """The multiplicative inverse of a series up to its truncation order.
+
+    Standard recurrence: with a_0 != 0 and b = 1/a,
+    b_n = -(1/a_0) * sum_{i=1..n} a_i b_{n-i}.
+    """
+    if a[0] == 0:
+        raise ZeroDivisionError("cannot invert series with zero constant term")
+    out = [1 / Fraction(a[0])]
+    for n in range(1, len(a)):
+        s = sum((a[i] * out[n - i] for i in range(1, n + 1) if a[i]), Fraction(0))
+        out.append(-s / a[0])
+    return out
 
 
 def pochhammer_finite(x, i, q):

@@ -19,7 +19,7 @@ from clpartitions.partitions import (
     product_over_irreducibles_series,
     unnormalized_weight_series,
 )
-from clpartitions.series import gl_order, inverse, pochhammer_infinite_u_over_q
+from clpartitions.series import gl_order, pochhammer_infinite_u_over_q
 
 
 @lru_cache(maxsize=None)
@@ -161,26 +161,21 @@ def _statistics(parts, factors):
     size = sum(parts)
     p_size = math.prod(factors[1 : size + 1])
     assert p_size % d == 0
-    prefix = tuple(p for p in parts if p > 1)
     return (
-        prefix,
-        parts.count(1),
+        parts,
         size,
         sum(c * c for c in Partition(parts).conjugate().parts),
+        parts.count(parts[-1]) if parts else 0,
         sum(m * (m + 1) // 2 for m in mults),
         p_size // d,
     )
 
 
-def _node_parts(node):
-    """The parts of a walk node: its prefix of parts >= 2, then m_1 ones."""
-    prefix, m1 = node[:2]
-    return prefix + (1,) * m1
-
-
 class TestWalk:
     def test_visits_every_partition_once_per_size(self):
-        sizes = Counter(node[2] for node in partitions._walk(26, (1,) * 27))
+        # each node stands for itself with k = 0..26 - size ones appended
+        nodes = list(partitions._walk(26, (1,) * 27))
+        sizes = Counter(size + k for _, size, *_ in nodes for k in range(27 - size))
         assert sizes[26] == 2436  # p(26)
         for s in range(27):
             assert sizes[s] == len(partitions_of(s)) == _count_partitions(s, s)
@@ -188,15 +183,15 @@ class TestWalk:
 
     def test_stack_holds_only_partitions_without_ones(self):
         # 11,732 partitions of size <= 26; the p(26) = 2,436 of them with no
-        # part 1 are stacked, the 9,296 others are chain nodes
+        # part 1 are the walk's nodes, the 9,296 others their chains of ones
         nodes = list(partitions._walk(26, (1,) * 27))
-        chained = sum(1 for node in nodes if node[1])
-        assert (len(nodes), len(nodes) - chained, chained) == (11732, 2436, 9296)
+        chained = sum(26 - size for _, size, *_ in nodes)
+        assert (len(nodes) + chained, len(nodes), chained) == (11732, 2436, 9296)
         for node in nodes:
             assert all(p >= 2 for p in node[0])
 
     def test_nodes_are_distinct_partitions(self):
-        parts = [_node_parts(node) for node in partitions._walk(14, (1,) * 15)]
+        parts = [node[0] for node in partitions._walk(14, (1,) * 15)]
         assert len(parts) == len(set(parts))
         for p in parts:
             Partition(p)  # weakly decreasing and positive
@@ -207,7 +202,7 @@ class TestWalk:
         a, b = q.numerator, q.denominator
         factors = [a**k - b**k for k in range(13)]
         for node in partitions._walk(12, factors):
-            assert node == _statistics(_node_parts(node), factors)
+            assert node == _statistics(node[0], factors)
 
 
 def _corrupt_one_division(monkeypatch, dividend, divisor):
@@ -299,7 +294,7 @@ class TestClWeight:
         # summed weights match 1/(u/q)_inf coefficientwise: P_u is a
         # probability measure
         got = unnormalized_weight_series(q, 8)
-        assert got == inverse(pochhammer_infinite_u_over_q(q, 8))
+        assert got == reference.inverse(pochhammer_infinite_u_over_q(q, 8))
 
 
 class TestMiddleSeries:

@@ -4,6 +4,7 @@ import bisect
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -89,6 +90,21 @@ class TestInfiniteRow:
         monkeypatch.setattr(sampler, "cor1_part1", dropped)
         with pytest.raises(KernelDomainError, match="below 2\\^-64"):
             kernel_row_infinite(3, Fraction(9, 10))
+
+    def test_refuses_near_one_rather_than_runs_on(self):
+        # at q = 101/100 the factors u/q^k stay >= 2^-80 up to k = 5,503
+        start = time.perf_counter()
+        with pytest.raises(KernelDomainError, match="needs over 1024 factors"):
+            u_over_q_infinite_value(Fraction(101, 100), U_HALF)
+        assert time.perf_counter() - start < 1
+
+    def test_product_of_575_factors_is_still_built(self):
+        q = Fraction(11, 10)
+        value, factors = reference.u_over_q_infinite_value(
+            q, U_HALF, sampler.INFINITE_PRODUCT_REL_TOL
+        )
+        assert factors == 575 <= sampler.INFINITE_PRODUCT_MAX_FACTORS
+        assert u_over_q_infinite_value(q, U_HALF) == value
 
 
 # every finite row a <= 12 at q in {2, 3}, and the initial row at each (q, u)

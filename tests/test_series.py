@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from clpartitions.series import (
     gl_order,
-    inverse,
     irreducible_count,
     multiply,
     pochhammer_infinite_u_over_q,
@@ -20,6 +19,7 @@ from reference import (
     PrimeFieldMatrix,
     add,
     enumerate_matrices,
+    inverse,
     monomial,
     pochhammer_direct,
     pochhammer_finite,
@@ -63,6 +63,8 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             multiply(one(2), one(3))
 
+    # `inverse` is the reference's: the library inverts only Euler's
+    # expansion, in integers (see test_verify.TestInverseEuler)
     def test_inverse_geometric(self):
         one_minus_u = padded([1, -1], 5)
         assert inverse(one_minus_u) == [1] * 6

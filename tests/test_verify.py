@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference
 from clpartitions import cli, oracle, partitions, sampler, series, verify
-from clpartitions.series import inverse, multiply, pochhammer_infinite_u_over_q
+from clpartitions.series import multiply, pochhammer_infinite_u_over_q
 from clpartitions.verify import (
     VerificationReport,
     eq1_rhs_series,
@@ -31,7 +31,7 @@ SERIES_ROUTES = {
     "eq2-rational-q": ("eq2_middle_series", eq2_rhs_series),
     "measure-normalization": (
         "unnormalized_weight_series",
-        lambda q, N: inverse(pochhammer_infinite_u_over_q(q, N)),
+        lambda q, N: reference.inverse(reference.euler_expansion(q, N)),
     ),
     "irreducible-product": (
         "product_over_irreducibles_series",
@@ -40,25 +40,20 @@ SERIES_ROUTES = {
 }
 
 
-def _raise_n2(monkeypatch, parts):
-    """Raise n2 by 1 for the partition *parts* in the middle's walk.
+def _double_chain_coefficient(monkeypatch, size, ones):
+    """Double the q-binomial [size+ones; ones] in the middle's chain table.
 
-    The term q^e / |Aut| of that partition is a^(e + M - n2) b^(n2 - e) r / P_s
-    with q = a/b, so this multiplies its |Aut| by exactly q; the partitions
-    below it in the walk keep their own statistics.  A node is its prefix
-    of parts >= 2 and its number m_1 of ones: (2,1) is the chain node
-    ((2,), 1) below (2,).
+    Only the walk's nodes of *size* read that row of the table, each for
+    its partition with *ones* ones appended: the node () of size 0 gives
+    (1,) for one 1, and (2,), the only node of size 2, gives (2,1) for
+    one 1.  So exactly one partition's term doubles in every middle
+    series, as if its |Aut| were halved.
     """
-    real = partitions._walk
-
-    def perturbed(order, factors):
-        for node in real(order, factors):
-            prefix, m1, size, n2, *rest = node
-            if prefix + (1,) * m1 == parts:
-                node = (prefix, m1, size, n2 + 1, *rest)
-            yield node
-
-    monkeypatch.setattr(partitions, "_walk", perturbed)
+    old = "_exact(commons[s + k], commons[s] * commons[k])"
+    new = f"{old} * (2 if (s, k) == {(size, ones)} else 1)"
+    monkeypatch.setattr(
+        partitions, "_partition_sum", _mutated(partitions._partition_sum, old, new)
+    )
 
 
 def _mutated(function, old, new):
@@ -118,6 +113,36 @@ def lowest_terms_q(draw):
     return Fraction(a, b)
 
 
+class TestInverseEuler:
+    @settings(max_examples=40, deadline=None)
+    @given(lowest_terms_q(), st.integers(0, 26))
+    def test_integer_inverse_matches_fraction_inverse(self, q, order):
+        hs, common, ps, _ = verify._inverse_euler(q, order)
+        got = [Fraction(h, common * p) for h, p in zip(hs, ps)]
+        assert got == reference.inverse(reference.euler_expansion(q, order))
+
+    @pytest.mark.parametrize(
+        "route",
+        [eq2_rhs_series, verify.run_measure_normalization_check],
+        ids=["eq2-rhs", "measure-normalization"],
+    )
+    def test_a_corrupted_q_binomial_raises(self, route, monkeypatch):
+        # at q = 7/3, a^k - b^k = 4, 40, ...: [2; 1] = P_2 / (P_1 P_1) = 160 / 16
+        real = verify._exact
+        corrupted = []
+
+        def exact(n, d):
+            if (n, d) == (160, 16):
+                corrupted.append((n, d))
+                n += 1
+            return real(n, d)
+
+        monkeypatch.setattr(verify, "_exact", exact)
+        with pytest.raises(ArithmeticError):
+            route(Fraction(7, 3), 8)
+        assert corrupted == [(160, 16)]
+
+
 class TestRoutesMatchReferenceAtAnyQ:
     @settings(max_examples=40, deadline=None)
     @given(lowest_terms_q(), st.integers(0, 10))
@@ -167,8 +192,8 @@ class TestChecks:
 
 class TestFaultInjection:
     def test_perturbed_aut_order_is_caught(self, monkeypatch):
-        # wrong exponent for one specific type: |Aut (2,1)| times q
-        _raise_n2(monkeypatch, (2, 1))
+        # a wrong weight for one specific type: |Aut (2,1)| halved
+        _double_chain_coefficient(monkeypatch, 2, 1)
         middle = partitions.eq1_middle_series(2, 6)[3]
         rhs = eq1_rhs_series(2, 6)[3]
         assert middle != rhs
@@ -270,8 +295,8 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("check", SERIES_ROUTES)
     def test_series_check_shows_both_routes(self, check, monkeypatch):
-        # |Aut (2,1)| times q, at each q^d of irreducible-product too
-        _raise_n2(monkeypatch, (2, 1))
+        # |Aut (2,1)| halved, at each q^d of irreducible-product too
+        _double_chain_coefficient(monkeypatch, 2, 1)
         reports = [
             *run_rational_q_check(2, 6),
             verify.run_measure_normalization_check(2, 6),
@@ -289,16 +314,17 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "old,new",
         [
-            # M grows by 1 per appended one, not by k(k+1)/2 for k ones
-            ("big_m + triangular[k],", "big_m + k,"),
+            # the chain's a-offset counts M's growth as k, not k(k+1)/2, for k ones
+            ("k * (k + 1) // 2 - (2 * length", "k - (2 * length"),
             # the ones' factor P_k of D is cut to a - b: the chain's
             # q-binomial [s+k; k] loses the repeated part's factors
-            ("_exact(rise[k], rises[0][k])", "_exact(rise[k], rises[0][min(k, 1)])"),
+            ("commons[s] * commons[k])", "commons[s] * commons[min(k, 1)])"),
         ],
         ids=["wrong-M-increment", "dropped-multiplicity-factor"],
     )
     def test_mutated_walk_fails_eq1_rational_q(self, old, new, monkeypatch):
-        monkeypatch.setattr(partitions, "_walk", _mutated(partitions._walk, old, new))
+        mutant = _mutated(partitions._partition_sum, old, new)
+        monkeypatch.setattr(partitions, "_partition_sum", mutant)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
@@ -390,8 +416,8 @@ class TestFaultInjection:
         assert failed[0].detail == f"coefficient of u^3: lhs {fmt_rat(want)}, rhs 0"
 
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
-        # |Aut (1)| times q: times 2 at q = 2, times 3 at q = 3
-        _raise_n2(monkeypatch, (1,))
+        # |Aut (1)| halved
+        _double_chain_coefficient(monkeypatch, 0, 1)
         code = cli.main(["verify", "eq1", "--n-max", "1", "--order", "4"])
         assert code == cli.EXIT_FAIL
         out = capsys.readouterr().out
