@@ -41,7 +41,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
         for i, p in enumerate(self.parts):
             if p <= 0:
                 raise ValueError(f"parts must be positive, got {p}")

@@ -9,7 +9,7 @@ each successive column size b <= a from the finite row
 stopping when 0 is drawn.  All probabilities are exact rationals and
 finite rows sum to exactly 1.  Each kernel entry, and the partial
 product (u/q)_inf, is one ``Fraction`` of two integers built from the
-products P_j and U_j of ``_Products``; each Corollary 1 law is one such
+products P_j and U_j of ``_products``; each Corollary 1 law is one such
 ``Fraction`` times (u/q)_inf.  The only approximations anywhere are the
 truncation of the infinite first row (unassigned mass below 2^-60) and
 the near-exact numeric value of (u/q)_inf (directed partial product,
@@ -26,8 +26,7 @@ Both the sampler and the Monte Carlo check read one prebuilt table of
 threshold rows.  The check counts its buckets in one flat loop over
 trials that builds no partition and draws the same 64-bit words as
 ``PartitionSampler.columns``; a word below a row's T_0 is a 0-draw
-settled by one comparison.  At 10^5 trials the loop takes about 0.036 s
-in process on one CPU (0.069 s with a ``bisect`` per draw).
+settled by one comparison.
 """
 
 from __future__ import annotations
@@ -36,14 +35,13 @@ import bisect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .partitions import Partition
 from .series import Rational
 
 TAIL_MASS_BOUND = Fraction(1, 2**60)
 INFINITE_PRODUCT_REL_TOL = Fraction(1, 2**80)
-INFINITE_PRODUCT_MAX_FACTORS = 1024
+INFINITE_PRODUCT_MAX_BITS = 2**18  # bound on the bits of (u/q)_inf's denominator
 MIN_PROBABILITY = Fraction(1, 1000)  # Monte Carlo buckets below this are not gated
 
 
@@ -80,8 +78,10 @@ def _validate(q: Fraction, u: Fraction) -> None:
         raise KernelDomainError(f"requires 0 < u < 1, got {u}")
 
 
-class _Products:
-    """The integer products P_j and U_j at one (q, u), extended on demand.
+def _products(
+    q: Fraction, u: Fraction, j: int
+) -> tuple[int, int, int, int, list[int], list[int]]:
+    """Checks (q, u); returns g, h, c, d and the products P_0..P_j, U_0..U_j.
 
     With q = g/h and u = c/d in lowest terms, P_j = prod_{k=1..j}
     (g^k - h^k) and U_j = prod_{k=1..j} (d g^k - c h^k).  Since
@@ -89,37 +89,24 @@ class _Products:
 
         (1/q)_j = P_j / g^(j(j+1)/2),    (u/q)_j = U_j / (d^j g^(j(j+1)/2)).
 
-    The products are built here, apart from ``partitions.aut_order``'s,
-    because the tests check the chain's law against |Aut(lambda)|.
+    Each call builds them afresh, for the lengths it reads.  They are
+    built here rather than shared with ``partitions.aut_order``, because
+    the tests check the chain's law against |Aut(lambda)|.
     """
-
-    def __init__(self, g: int, h: int, c: int, d: int) -> None:
-        self.g, self.h, self.c, self.d = g, h, c, d
-        self.ps = [1]
-        self.us = [1]
-
-    def upto(self, j: int) -> tuple[list[int], list[int]]:
-        """(P, U) with P[i] = P_i and U[i] = U_i known for every i <= j."""
-        g, h, c, d = self.g, self.h, self.c, self.d
-        ps, us = self.ps, self.us
-        for k in range(len(ps), j + 1):
-            gk, hk = g**k, h**k
-            ps.append(ps[-1] * (gk - hk))
-            us.append(us[-1] * (d * gk - c * hk))
-        return ps, us
-
-
-@lru_cache(maxsize=256)
-def _products(q: Fraction, u: Fraction) -> _Products:
-    """The one table of products per (q, u) that the exact laws read."""
     _validate(q, u)
-    return _Products(q.numerator, q.denominator, u.numerator, u.denominator)
+    g, h, c, d = q.numerator, q.denominator, u.numerator, u.denominator
+    ps, us = [1], [1]
+    for k in range(1, j + 1):
+        gk, hk = g**k, h**k
+        ps.append(ps[-1] * (gk - hk))
+        us.append(us[-1] * (d * gk - c * hk))
+    return g, h, c, d, ps, us
 
 
 def kernel_row(a: int, q: Rational, u: Rational) -> KernelRow:
     """Exact transition probabilities K(a, b) for b = 0..a, built from integers.
 
-    With r = a - b and the products of ``_Products``, put T(j) = j(j+1)/2;
+    With r = a - b and the products of ``_products``, put T(j) = j(j+1)/2;
     then (1/q)_a = P_a / g^T(a), (u/q)_a = U_a / (d^a g^T(a)) and
     q^(b^2) = g^(b^2) / h^(b^2), so
 
@@ -137,9 +124,7 @@ def kernel_row(a: int, q: Rational, u: Rational) -> KernelRow:
     if a < 0:
         raise KernelDomainError("a must be non-negative")
     q, u = Fraction(q), Fraction(u)
-    table = _products(q, u)
-    g, h, c, d = table.g, table.h, table.c, table.d
-    ps, us = table.upto(a)
+    g, h, c, d, ps, us = _products(q, u, a)
     top, bottom = ps[a] * us[a], d**a
     probs = []
     for b in range(a + 1):
@@ -169,19 +154,26 @@ def u_over_q_infinite_value(q: Rational, u: Rational) -> Fraction:
     c h^k 2^80 < d g^k, and the first such k = K is the last factor
     kept; the partial product is (u/q)_K = U_K / (d^K g^(K(K+1)/2)).
     K is found from running powers of h and g before any product is
-    built; past INFINITE_PRODUCT_MAX_FACTORS = 1,024 (near q = 1; integer
-    q >= 2 needs K <= 80, (11/10, 1/2) 575) it raises KernelDomainError.
+    built.  The denominator d^K g^(K(K+1)/2) has at most
+    K bits(d) + K(K+1)/2 bits(g) bits; once that estimate passes
+    INFINITE_PRODUCT_MAX_BITS = 2^18 it raises KernelDomainError.  This
+    refuses q near 1 such as (11/10, 1/2) and admits (7/6, 1/2), with
+    K = 356, and every integer q >= 2, which needs K <= 80, unless d runs
+    to thousands of bits.
     """
     q, u = Fraction(q), Fraction(u)
-    table = _products(q, u)
-    g, h, c, d = table.g, table.h, table.c, table.d
+    g, h, c, d, _, _ = _products(q, u, 0)
+    d_bits, g_bits = d.bit_length(), g.bit_length()
     tol = INFINITE_PRODUCT_REL_TOL
     k, top, bottom = 1, c * h * tol.denominator, d * g * tol.numerator
     while top >= bottom:
-        if k == INFINITE_PRODUCT_MAX_FACTORS:
-            raise KernelDomainError(f"(u/q)_inf needs over {k} factors at q={q}, u={u}")
         k, top, bottom = k + 1, top * h, bottom * g
-    return Fraction(table.upto(k)[1][k], d**k * g ** (k * (k + 1) // 2))
+        if k * d_bits + k * (k + 1) // 2 * g_bits > INFINITE_PRODUCT_MAX_BITS:
+            raise KernelDomainError(
+                f"(u/q)_inf needs over {INFINITE_PRODUCT_MAX_BITS} denominator bits"
+                f" at q={q}, u={u}"
+            )
+    return Fraction(_products(q, u, k)[-1][k], d**k * g ** (k * (k + 1) // 2))
 
 
 def cor1_part1(a: int, q: Rational, u: Rational, uq_inf: Fraction) -> Fraction:
@@ -200,12 +192,8 @@ def cor1_part1(a: int, q: Rational, u: Rational, uq_inf: Fraction) -> Fraction:
     """
     if a < 0:
         raise ValueError("requires a >= 0")
-    q, u = Fraction(q), Fraction(u)
-    table = _products(q, u)
-    ps, us = table.upto(a)
-    return uq_inf * Fraction(
-        table.c**a * table.h ** (a * a) * table.g**a, us[a] * ps[a]
-    )
+    g, h, c, _, ps, us = _products(Fraction(q), Fraction(u), a)
+    return uq_inf * Fraction(c**a * h ** (a * a) * g**a, us[a] * ps[a])
 
 
 def cor1_part2(a: int, b: int, q: Rational, u: Rational, uq_inf: Fraction) -> Fraction:
@@ -224,17 +212,11 @@ def cor1_part2(a: int, b: int, q: Rational, u: Rational, uq_inf: Fraction) -> Fr
     """
     if not 0 <= b <= a:
         raise ValueError("requires 0 <= b <= a")
-    q, u = Fraction(q), Fraction(u)
-    table = _products(q, u)
-    ps, us = table.upto(a)
     r = a - b
+    g, h, c, d, ps, us = _products(Fraction(q), Fraction(u), max(b, r))
     return uq_inf * Fraction(
-        table.c ** (2 * a - b) * table.h ** (a * a + r * r),
-        table.d**a
-        * table.g ** (a * a - b * (b + 1) // 2 - r)
-        * ps[b]
-        * ps[r]
-        * us[r],
+        c ** (2 * a - b) * h ** (a * a + r * r),
+        d**a * g ** (a * a - b * (b + 1) // 2 - r) * ps[b] * ps[r] * us[r],
     )
 
 
@@ -247,7 +229,6 @@ def kernel_row_infinite(q: Rational, u: Rational) -> KernelRow:
     wrong law), and raises KernelDomainError rather than running on.
     """
     q, u = Fraction(q), Fraction(u)
-    _validate(q, u)
     uq_inf = u_over_q_infinite_value(q, u)
     probs: list[Fraction] = []
     total = Fraction(0)
@@ -348,75 +329,62 @@ class BucketComparison:
         self.zscore = abs(freq - pexact) / stderr if stderr > 0 else 0.0
 
 
-def _bucket_counts(
-    cfg: SamplerConfig,
-) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """Over cfg.trials draws, the counts of each a and of each pair (a, b).
+def _bucket_counts(cfg: SamplerConfig) -> list[list[int]]:
+    """Over cfg.trials draws, counts[a][second] of the first two columns.
 
-    a = lambda'_1 is the number of parts and b = lambda'_1 - lambda'_2 the
-    number of parts equal to 1, read off the first two drawn columns, a
-    missing column counting as 0; no partition is built.  Every column
-    is still drawn until 0, from the same row table, so the stream of
-    64-bit draws is word for word that of ``PartitionSampler.columns``.
-    A word below the row's T_0 draws 0, so the first and second columns
-    are compared with T_0 before any ``bisect``.  The pairs are counted
-    in a flat list by (a, second column).
+    a = lambda'_1 is the number of parts and second = lambda'_2, a
+    missing column counting as 0; no partition is built.  counts has one
+    row per first column the chain can draw, a < len(rows[0]), and row a
+    one entry per second <= a.  Every column is still drawn until 0,
+    from the same row table, so the stream of 64-bit draws is word for
+    word that of ``PartitionSampler.columns``.  A word below the row's
+    T_0 draws 0, so the first and second columns are compared with T_0
+    before any ``bisect``.
     """
     rows = _row_table(cfg.q, cfg.u)
     initial = rows[0]
-    width = len(initial)
     stops = [row[0] for row in rows]  # T_0 of each row: a word below it draws 0
     stop = stops[0]
     draw = random.Random(cfg.seed).getrandbits
     bisect_right = bisect.bisect_right
-    counts = [0] * (width * width)  # counts[a * width + second]
+    counts = [[0] * (a + 1) for a in range(len(initial))]
     for _ in range(cfg.trials):
         word = draw(64)
         if word < stop:
-            counts[0] += 1
+            counts[0][0] += 1
             continue
         a = bisect_right(initial, word)
         word = draw(64)
         if word < stops[a]:
-            counts[a * width] += 1
+            counts[a][0] += 1
             continue
         second = col = bisect_right(rows[a], word)
         while col:
             col = bisect_right(rows[col], draw(64))
-        counts[a * width + second] += 1
-    marg_counts: dict[int, int] = {}
-    joint_counts: dict[tuple[int, int], int] = {}
-    for a in range(width):
-        for second in range(a + 1):
-            count = counts[a * width + second]
-            if count:
-                joint_counts[(a, a - second)] = count
-                marg_counts[a] = marg_counts.get(a, 0) + count
-    return marg_counts, joint_counts
+        counts[a][second] += 1
+    return counts
 
 
 def empirical_vs_corollary(cfg: SamplerConfig) -> list[BucketComparison]:
     """Samples cfg.trials partitions and compares the gated bucket frequencies.
 
     Buckets are the values a of the first conjugate column size and the
-    pairs (a, b) of it with the number of parts equal to 1; only buckets
-    with exact probability >= MIN_PROBABILITY are returned.  The a = 0
-    bucket has probability (u/q)_inf > 0.28, so the list is never empty.
+    pairs (a, b) of it with the number of parts equal to 1, b = a - second;
+    every a the chain can draw is looked at, and only buckets with exact
+    probability >= MIN_PROBABILITY are returned.  The a = 0 bucket has
+    probability (u/q)_inf > 0.28, so the list is never empty.
     """
-    marg_counts, joint_counts = _bucket_counts(cfg)
+    counts = _bucket_counts(cfg)
     uq_inf = u_over_q_infinite_value(cfg.q, cfg.u)
     buckets = []
-    for a in range(max(marg_counts) + 1):
+    for a, row in enumerate(counts):
         exact = cor1_part1(a, cfg.q, cfg.u, uq_inf)
         if exact >= MIN_PROBABILITY:
-            buckets.append(
-                BucketComparison(f"a={a}", exact, marg_counts.get(a, 0), cfg.trials)
-            )
+            buckets.append(BucketComparison(f"a={a}", exact, sum(row), cfg.trials))
         for b in range(a + 1):
             exact_ab = cor1_part2(a, b, cfg.q, cfg.u, uq_inf)
             if exact_ab >= MIN_PROBABILITY:
-                observed = joint_counts.get((a, b), 0)
                 buckets.append(
-                    BucketComparison(f"a={a},b={b}", exact_ab, observed, cfg.trials)
+                    BucketComparison(f"a={a},b={b}", exact_ab, row[a - b], cfg.trials)
                 )
     return buckets

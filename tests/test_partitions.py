@@ -38,6 +38,10 @@ class TestPartitionType:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, 0))
+        with pytest.raises(TypeError):
+            Partition((2.5, 1.9))  # not truncated to (2,1)
+        with pytest.raises(TypeError):
+            Partition(("3", "1"))
 
     def test_conjugate_examples(self):
         assert Partition().conjugate() == Partition()

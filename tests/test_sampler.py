@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clpartitions import cli, sampler
+from clpartitions import cli, sampler, verify
 from clpartitions.partitions import Partition, aut_order, partitions_of
 from clpartitions.sampler import (
     MIN_PROBABILITY,
@@ -92,18 +92,21 @@ class TestInfiniteRow:
             kernel_row_infinite(3, Fraction(9, 10))
 
     def test_refuses_near_one_rather_than_runs_on(self):
-        # at q = 101/100 the factors u/q^k stay >= 2^-80 up to k = 5,503
-        start = time.perf_counter()
-        with pytest.raises(KernelDomainError, match="needs over 1024 factors"):
-            u_over_q_infinite_value(Fraction(101, 100), U_HALF)
-        assert time.perf_counter() - start < 1
+        # the partial product needs 5,504 factors at q = 101/100, 959 at
+        # 18/17 and 575 at 11/10; the last two took 13.7 s and 1.3 s to build
+        for q in map(Fraction, ("101/100", "18/17", "28/25", "11/10")):
+            start = time.perf_counter()
+            with pytest.raises(KernelDomainError, match="over 262144 denominator bits"):
+                u_over_q_infinite_value(q, U_HALF)
+            assert time.perf_counter() - start < 1
 
-    def test_product_of_575_factors_is_still_built(self):
-        q = Fraction(11, 10)
+    def test_product_of_356_factors_is_still_built(self):
+        q = Fraction(7, 6)
         value, factors = reference.u_over_q_infinite_value(
             q, U_HALF, sampler.INFINITE_PRODUCT_REL_TOL
         )
-        assert factors == 575 <= sampler.INFINITE_PRODUCT_MAX_FACTORS
+        assert factors == 356
+        assert value.denominator.bit_length() <= sampler.INFINITE_PRODUCT_MAX_BITS
         assert u_over_q_infinite_value(q, U_HALF) == value
 
 
@@ -269,6 +272,25 @@ class TestSampling:
             SamplerConfig(q=2, u=U_HALF, seed=0, trials=0)
 
 
+def count_table(cfg):
+    """reference.partition_bucket_counts as _bucket_counts' table, checked lossless.
+
+    Row a of the table holds at entry a - b the count of (a, b), b the
+    number of parts equal to 1, so a - b is the second column; there is
+    one row per a < len(rows[0]).  Every reference count must land in the
+    table and each marginal count must be its row's sum, so the table
+    says all that the two dicts do.
+    """
+    marg_counts, joint_counts = partition_bucket_counts(cfg)
+    width = len(sampler._row_table(cfg.q, cfg.u)[0])
+    table = [[0] * (a + 1) for a in range(width)]
+    for (a, b), count in joint_counts.items():
+        assert 0 <= b <= a < width and count > 0
+        table[a][a - b] = count
+    assert marg_counts == {a: sum(row) for a, row in enumerate(table) if sum(row)}
+    return table
+
+
 class TestBucketCounts:
     @pytest.mark.parametrize(
         "q,u,seed",
@@ -277,7 +299,7 @@ class TestBucketCounts:
     def test_column_counts_are_partition_counts(self, q, u, seed):
         # the Monte Carlo check reads a and b off the columns, not a Partition
         cfg = SamplerConfig(q=q, u=u, seed=seed, trials=5000)
-        assert sampler._bucket_counts(cfg) == partition_bucket_counts(cfg)
+        assert sampler._bucket_counts(cfg) == count_table(cfg)
 
 
 class CountingRandom(random.Random):
@@ -349,9 +371,30 @@ class TestFirstThresholdShortcut:
 
         monkeypatch.setattr(sampler, "random", SimpleNamespace(Random=scripted))
         cfg = SamplerConfig(q=q, u=u, seed=0, trials=len(words))
-        assert sampler._bucket_counts(cfg) == partition_bucket_counts(cfg)
+        assert sampler._bucket_counts(cfg) == count_table(cfg)
         loop, chain = generators
         assert loop.words == chain.words
+
+
+class TestGateCoverage:
+    @pytest.mark.parametrize("dropped", [{2}, set(range(2, 8))])
+    def test_an_undrawn_gated_bucket_fails(self, dropped, monkeypatch):
+        # P(a = 2) = 0.0367 at (2, 1/2): with its draws dropped the gate must
+        # fail there, also when no larger a is drawn
+        real = sampler._bucket_counts
+
+        def dropping(cfg):
+            counts = real(cfg)
+            assert len(counts) == 8
+            return [
+                [0] * len(row) if a in dropped else row for a, row in enumerate(counts)
+            ]
+
+        monkeypatch.setattr(sampler, "_bucket_counts", dropping)
+        cfg = SamplerConfig(q=2, u=U_HALF, seed=1, trials=100_000)
+        report = verify.run_sampler_check(cfg)
+        assert report.status == "fail"
+        assert report.detail.startswith("bucket a=2")
 
 
 @pytest.fixture(scope="module")
