@@ -7,7 +7,6 @@ Exit codes: 0 all checks pass, 1 any identity failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -133,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = VerifierConfig(
-        **{f.name: getattr(args, f.name) for f in dataclasses.fields(VerifierConfig)}
+        **{name: getattr(args, name) for name in VerifierConfig._fields}
     )
     reports = verify.run_all(config, args.suite)
     if not reports:

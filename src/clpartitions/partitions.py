@@ -25,28 +25,58 @@ weight, read by the checks that name single partitions.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, total_ordering
 from itertools import accumulate, compress, count
 from typing import Callable, Iterator, Sequence
 
 from .series import Rational, _exact, irreducible_count, multiply, power
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Partition:
-    """Weakly decreasing sequence of positive integers; may be empty."""
+    """Weakly decreasing sequence of positive integers; may be empty.
 
-    parts: tuple[int, ...] = ()
+    Immutable: ``parts`` is set once, checked, in ``__init__``.  Equality,
+    order and hash are those of the one-field tuple ``(parts,)``, and a
+    Partition equals no other type.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(map(operator.index, self.parts)))
-        for i, p in enumerate(self.parts):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Sequence[int] = ()) -> None:
+        parts = tuple(map(operator.index, parts))
+        for i, p in enumerate(parts):
             if p <= 0:
                 raise ValueError(f"parts must be positive, got {p}")
-            if i and self.parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+            if i and parts[i - 1] < p:
+                raise ValueError(f"parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __lt__(self, other: Partition) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts < other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @property
     def size(self) -> int:
@@ -65,12 +95,6 @@ class Partition:
             sum(1 for p in self.parts if p >= i) for i in range(1, self.parts[0] + 1)
         )
         return Partition(cols)
-
-    def multiplicity(self, i: int) -> int:
-        """m_i(lambda) = number of parts equal to i."""
-        if i < 1:
-            raise ValueError("part size must be >= 1")
-        return sum(1 for p in self.parts if p == i)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"

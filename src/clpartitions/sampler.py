@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import Partition
 from .series import Rational
@@ -49,8 +49,7 @@ class KernelDomainError(ValueError):
     """Parameters outside the verified domain of the transition kernel."""
 
 
-@dataclass(frozen=True)
-class KernelRow:
+class KernelRow(NamedTuple):
     """One row of the transition kernel.
 
     ``probabilities[b]`` is the transition probability to b; a finite row
@@ -252,22 +251,32 @@ def kernel_row_infinite(q: Rational, u: Rational) -> KernelRow:
     return KernelRow(tuple(probs))
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class _SamplerFields(NamedTuple):
     q: int
     u: Fraction
     seed: int
     trials: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", Fraction(self.u))
-        if not (isinstance(self.q, int) and self.q >= 2):
+
+class SamplerConfig(_SamplerFields):
+    """The chain's (q, u), the seed of its stream and a number of trials; checked.
+
+    Build it by calling the class: ``_make`` and ``_replace`` skip
+    ``__new__``, and so its checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, u: Rational, seed: int, trials: int) -> SamplerConfig:
+        u = Fraction(u)
+        if not (isinstance(q, int) and q >= 2):
             raise KernelDomainError("sampling requires integer q >= 2")
-        _validate(Fraction(self.q), self.u)
-        if self.trials < 1:
+        _validate(Fraction(q), u)
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        return super().__new__(cls, q, u, seed, trials)
 
 
 def _row_table(q: int, u: Fraction) -> list[tuple[int, ...]]:
@@ -312,21 +321,27 @@ class PartitionSampler:
         return [self.sample() for _ in range(count)]
 
 
-@dataclass
-class BucketComparison:
-    """Empirical vs exact probability for one observed bucket."""
-
+class _BucketFields(NamedTuple):
     label: str
     exact: Fraction
     observed: int
     trials: int
-    zscore: float = field(init=False)
+    zscore: float
 
-    def __post_init__(self) -> None:
-        pexact = float(self.exact)
-        freq = self.observed / self.trials
-        stderr = (pexact * (1 - pexact) / self.trials) ** 0.5
-        self.zscore = abs(freq - pexact) / stderr if stderr > 0 else 0.0
+
+class BucketComparison(_BucketFields):
+    """Empirical vs exact probability for one observed bucket, with its z-score."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, label: str, exact: Fraction, observed: int, trials: int
+    ) -> BucketComparison:
+        pexact = float(exact)
+        freq = observed / trials
+        stderr = (pexact * (1 - pexact) / trials) ** 0.5
+        zscore = abs(freq - pexact) / stderr if stderr > 0 else 0.0
+        return super().__new__(cls, label, exact, observed, trials, zscore)
 
 
 def _bucket_counts(cfg: SamplerConfig) -> list[list[int]]:

@@ -12,10 +12,9 @@ two headline identities are verified three ways where feasible:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import oracle, partitions, sampler
 from .partitions import (
@@ -43,8 +42,7 @@ def fmt_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_name: str
     parameters: dict
     status: str  # "pass" | "fail"
@@ -440,8 +438,7 @@ RATIONAL_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(10))
 WELLKNOWN_QS = (Fraction(2), Fraction(3), Fraction(5, 2))  # q of wellknown-identity
 
 
-@dataclass
-class VerifierConfig:
+class VerifierConfig(NamedTuple):
     """Parameters of the verification suites; each suite reads every field its checks use."""
 
     u: Fraction = Fraction(1, 2)

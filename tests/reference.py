@@ -76,12 +76,19 @@ def pochhammer_direct(x, i, q):
     return result
 
 
+def multiplicity(lam, i):
+    """m_i(lambda) = number of parts equal to i."""
+    if i < 1:
+        raise ValueError("part size must be >= 1")
+    return sum(1 for p in lam.parts if p == i)
+
+
 def aut_order(lam, q):
     """q^{sum_i (lambda'_i)^2} * prod_i (1/q)_{m_i}, term by term in Fractions."""
     q = Fraction(q)
     result = q ** sum(c * c for c in lam.conjugate().parts)
     for part in set(lam.parts):
-        result *= pochhammer_direct(1 / q, lam.multiplicity(part), q)
+        result *= pochhammer_direct(1 / q, multiplicity(lam, part), q)
     return result
 
 
@@ -346,13 +353,13 @@ def partition_bucket_counts(cfg):
     """The Monte Carlo check's counts from whole sampled partitions.
 
     Over cfg.trials ``sample()`` partitions, the counts of a = lambda.length
-    and of (a, b), b = lambda.multiplicity(1).
+    and of (a, b), b = multiplicity(lambda, 1).
     """
     sampler = PartitionSampler(cfg)
     marg_counts, joint_counts = {}, {}
     for _ in range(cfg.trials):
         lam = sampler.sample()
-        a, b = lam.length, lam.multiplicity(1)
+        a, b = lam.length, multiplicity(lam, 1)
         marg_counts[a] = marg_counts.get(a, 0) + 1
         joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
     return marg_counts, joint_counts

@@ -1,9 +1,12 @@
 """Tests for the verification harness and its CLI."""
 
+import functools
 import hashlib
 import inspect
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -150,7 +153,7 @@ class TestRoutesMatchReferenceAtAnyQ:
         # each middle is one of three exponents of q per partition
         weights = {
             "eq1": lambda lam: lam.length**2,
-            "eq2": lambda lam: lam.length**2 - lam.multiplicity(1),
+            "eq2": lambda lam: lam.length**2 - reference.multiplicity(lam, 1),
             "weight": lambda lam: 0,
         }
         sums = {k: reference.partition_sum(q, order, e) for k, e in weights.items()}
@@ -167,6 +170,76 @@ class TestRoutesMatchReferenceAtAnyQ:
         assert euler == reference.euler_expansion(q, order)
         b_sum = series.sum_wellknown_identity_lhs(q, order)
         assert b_sum == reference.wellknown_b_sum(q, order)
+
+
+def _package_calls(route, *args):
+    """The package functions that route(*args) calls, as "module.name".
+
+    Recorded with sys.setprofile.  Lambda, comprehension and generator
+    bodies (names in <>) are left out: each belongs to the function that
+    holds it.
+    """
+    called = set()
+
+    def profile(frame, event, arg):
+        module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+        if event == "call" and module.startswith("clpartitions.") and name[0] != "<":
+            called.add(f"{module.removeprefix('clpartitions.')}.{name}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        route(*args)
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+class TestRouteIndependence:
+    """No route borrows another's result or formula: each calls its own module.
+
+    Sharing ``series._exact``, a division that raises on a remainder,
+    borrows no result.
+    """
+
+    @pytest.mark.parametrize(
+        "route, own, outside",
+        [
+            (partitions.eq1_middle_series, "partitions", {"series._exact"}),
+            (partitions.eq2_middle_series, "partitions", {"series._exact"}),
+            (eq1_rhs_series, "verify", set()),
+            (
+                eq2_rhs_series,
+                "verify",
+                {
+                    "series._exact",
+                    "series._pochhammer_numerators",
+                    "series.pochhammer_infinite_u_over_q",
+                },
+            ),
+        ],
+        ids=["eq1-middle", "eq2-middle", "eq1-rhs", "eq2-rhs"],
+    )
+    def test_series_route_calls(self, route, own, outside):
+        called = _package_calls(route, Fraction(5, 2), 6)
+        assert f"{own}.{route.__name__}" in called
+        assert {f for f in called if not f.startswith(f"{own}.")} == outside
+
+    @pytest.mark.parametrize(
+        "count, worker",
+        [
+            (oracle.count_pairs, "_census"),
+            (oracle.count_nilpotent_pairs, "_nilpotent_annihilators"),
+        ],
+    )
+    def test_oracle_route_calls(self, count, worker, monkeypatch):
+        # empty caches, so that the census runs here; the shared ones are kept
+        for name in ("_census", "_nilpotent_annihilators"):
+            fresh = functools.lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__)
+            monkeypatch.setattr(oracle, name, fresh)
+        called = _package_calls(count, 2, 2)
+        assert f"oracle.{worker}" in called
+        assert {f for f in called if not f.startswith("oracle.")} == set()
 
 
 class TestChecks:
@@ -422,6 +495,61 @@ class TestFaultInjection:
         assert code == cli.EXIT_FAIL
         out = capsys.readouterr().out
         assert "FAIL" in out and "eq1" in out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# dataclasses and the modules that only it would bring in at start-up
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+# per VerifierConfig field, a value other than its default and the flags that give it
+NON_DEFAULT_FLAGS = {
+    "u": (Fraction(1, 3), ["--u", "1/3"]),
+    "order": (5, ["--order", "5"]),
+    "n_max": (2, ["--n-max", "2"]),
+    "trials": (7, ["--trials", "7"]),
+    "seed": (9, ["--seed", "9"]),
+    "budget": (123, ["--budget", "123"]),
+    "include_n4": (True, ["--include-n4"]),
+}
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # a fresh isolated interpreter, as a console-script start-up runs
+    script = "\n".join(
+        [
+            "import sys",
+            f"sys.path.insert(0, {str(SRC)!r})",
+            "before = set(sys.modules)",
+            "import clpartitions.cli",
+            "print(clpartitions.cli.__file__)",
+            "print(*sorted(set(sys.modules) - before))",
+        ]
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+    )
+    path, added = run.stdout.splitlines()
+    assert Path(path).is_relative_to(SRC)
+    assert "clpartitions.cli" in added.split()
+    assert HEAVY_MODULES.isdisjoint(added.split())
+
+
+@pytest.mark.parametrize("name", verify.VerifierConfig._fields)
+def test_every_config_field_is_an_honoured_verify_flag(name, monkeypatch, capsys):
+    value, flags = NON_DEFAULT_FLAGS[name]
+    default = verify.VerifierConfig()
+    assert getattr(default, name) != value
+    assert name in vars(cli.build_parser().parse_args(["verify", "all"]))
+    received = []
+
+    def run_all(config, suite):
+        received.append(config)
+        return [VerificationReport("stub", {}, "pass")]
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    assert cli.main(["verify", "all", *flags]) == cli.EXIT_OK
+    assert received == [default._replace(**{name: value})]
 
 
 class TestCli:
