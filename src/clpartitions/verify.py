@@ -405,16 +405,22 @@ def run_sampler_check(cfg: SamplerConfig) -> VerificationReport:
     Gates only on buckets with exact probability >= sampler.MIN_PROBABILITY;
     with that many buckets a global 4-sigma threshold is conservative even
     before any multiple-comparison (Bonferroni) adjustment.  A failure
-    names the worst gated bucket.
+    names the worst gated bucket; a law the chain cannot be built from
+    (see ``kernel_row_infinite``) fails with its message.
     """
-    buckets = sampler.empirical_vs_corollary(cfg)
-    worst = max(buckets, key=lambda c: c.zscore)
     params = {
         "q": cfg.q,
         "u": fmt_rat(cfg.u),
         "seed": cfg.seed,
         "trials": cfg.trials,
     }
+    try:
+        buckets = sampler.empirical_vs_corollary(cfg)
+    except sampler.KernelDomainError as exc:
+        return VerificationReport(
+            "cor1-part1", params, "fail", kind="statistical", detail=str(exc)
+        )
+    worst = max(buckets, key=lambda c: c.zscore)
     if worst.zscore <= Z_THRESHOLD:
         return VerificationReport(
             "cor1-part1", params, "pass", kind="statistical",

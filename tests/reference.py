@@ -4,14 +4,16 @@ Nothing in ``src/`` calls these.  Each is the slow, formula-shaped form of
 something the library computes another way: the tests pin the library
 to them by literal ``Fraction`` equality, or, for matrices over F_p, to
 plain entry-by-entry products, the walk over every matrix and a census
-that shares no work between matrices.
+that shares no work between matrices.  ``build_parser`` is the argparse
+parser the CLI read its command lines with before its command table.
 """
 
+import argparse
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from clpartitions import oracle
+from clpartitions import cli, oracle, verify
 from clpartitions.partitions import Partition
 from clpartitions.sampler import PartitionSampler
 from clpartitions.series import multiply
@@ -363,3 +365,66 @@ def partition_bucket_counts(cfg):
         marg_counts[a] = marg_counts.get(a, 0) + 1
         joint_counts[(a, b)] = joint_counts.get((a, b), 0) + 1
     return marg_counts, joint_counts
+
+
+def build_parser():
+    """The CLI's argparse parser, as it was before ``cli.COMMANDS`` replaced it.
+
+    argparse also accepts prefix abbreviations (``--ord`` for ``--order``),
+    which ``cli.parse_args`` refuses.
+    """
+    parser = argparse.ArgumentParser(prog="clpartitions")
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    defaults = verify.VerifierConfig()
+    p_verify = sub.add_parser("verify", help="run verification suites")
+    p_verify.add_argument(
+        "suite",
+        choices=[name for name in verify.SUITES if not name.startswith("_")] + ["all"],
+    )
+    p_verify.add_argument(
+        "--order",
+        type=cli.non_negative_int,
+        default=defaults.order,
+        help="series truncation order",
+    )
+    p_verify.add_argument(
+        "--n-max",
+        type=cli.non_negative_int,
+        default=defaults.n_max,
+        help="largest oracle dimension",
+    )
+    p_verify.add_argument("--budget", type=cli.non_negative_int, default=defaults.budget)
+    p_verify.add_argument("--u", type=cli.parse_rational, default=defaults.u)
+    p_verify.add_argument("--seed", type=int, default=defaults.seed)
+    p_verify.add_argument("--trials", type=int, default=defaults.trials)
+    p_verify.add_argument(
+        "--include-n4",
+        action="store_true",
+        help="add the long n=4, p=2 oracle runs when --n-max is below 4",
+    )
+    p_verify.set_defaults(run=cli._cmd_verify)
+
+    p_series = sub.add_parser("series", help="print exact series coefficients")
+    p_series.add_argument("which", choices=list(cli._series_builders()))
+    p_series.add_argument("--q", type=cli.parse_rational, required=True)
+    p_series.add_argument("--order", type=cli.non_negative_int, default=8)
+    p_series.set_defaults(run=cli._cmd_series)
+
+    p_oracle = sub.add_parser("oracle", help="brute-force matrix counts")
+    p_oracle.add_argument("which", choices=list(cli._oracle_counts()))
+    p_oracle.add_argument("--n", type=cli.non_negative_int, required=True)
+    p_oracle.add_argument("--p", type=int, required=True)
+    p_oracle.add_argument(
+        "--budget", type=cli.non_negative_int, default=oracle.DEFAULT_OUTER_BUDGET
+    )
+    p_oracle.set_defaults(run=cli._cmd_oracle)
+
+    p_sample = sub.add_parser("sample", help="draw random partitions")
+    p_sample.add_argument("--q", type=int, required=True)
+    p_sample.add_argument("--u", type=cli.parse_rational, required=True)
+    p_sample.add_argument("--seed", type=int, default=1)
+    p_sample.add_argument("--trials", type=int, default=10)
+    p_sample.set_defaults(run=cli._cmd_sample)
+    return parser

@@ -341,6 +341,28 @@ class TestFaultInjection:
             f"a=4: sum over b gives {fmt_rat(part2_sum)} != marginal {fmt_rat(part1)}"
         )
 
+    def test_law_below_one_fails_the_sampler_suite(self, monkeypatch, capsys):
+        # cor1_part1 times u^a sums below 1, so the chain's initial row
+        # cannot be built: the Monte Carlo fails instead of a usage error
+        real = sampler.cor1_part1
+
+        def shrunk(a, q, u, uq_inf):
+            return real(a, q, u, uq_inf) * Fraction(u) ** a
+
+        monkeypatch.setattr(sampler, "cor1_part1", shrunk)
+        monkeypatch.setattr(verify, "cor1_part1", shrunk)
+        args = ["--json", "verify", "sampler", "--u", "9/10", "--trials", "1000"]
+        assert cli.main(args) == cli.EXIT_FAIL
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports = json.loads(captured.out)
+        status = {}
+        for r in reports:
+            status.setdefault(r["check"], set()).add(r["status"])
+        assert status["cor1-part1"] == {"fail"} and "fail" in status["cor1-part2"]
+        (monte_carlo,) = [r for r in reports if r["check"] == "cor1-part1"]
+        assert monte_carlo["detail"].startswith("initial-row entry 8 is below 2^-64")
+
     def test_corollary_total_mass_failure_keeps_check_id(self, monkeypatch):
         assert verify.run_corollary_consistency_check(2, Fraction(1, 2)).check_name == (
             "cor1-part2"
@@ -499,8 +521,11 @@ class TestFaultInjection:
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# dataclasses and the modules that only it would bring in at start-up
-HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# dataclasses and the modules that only it would bring in, and argparse with
+# the modules it loads to build and run a parser
+HEAVY_MODULES = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale",
+}
 
 # per VerifierConfig field, a value other than its default and the flags that give it
 NON_DEFAULT_FLAGS = {
@@ -535,12 +560,36 @@ def test_cli_import_leaves_out_heavy_modules():
     assert HEAVY_MODULES.isdisjoint(added.split())
 
 
+def test_cli_call_leaves_out_heavy_modules():
+    # one whole series-deep call in a fresh interpreter: parsing, the series
+    # and its JSON output; the module list is the last line after the JSON
+    script = "\n".join(
+        [
+            "import sys",
+            f"sys.path.insert(0, {str(SRC)!r})",
+            "before = set(sys.modules)",
+            "from clpartitions import cli",
+            'argv = ["--json", "series", "eq1-middle", "--q", "5/2", "--order", "26"]',
+            "assert cli.main(argv) == 0",
+            "print(*sorted(set(sys.modules) - before))",
+        ]
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, check=True
+    )
+    *series, added = run.stdout.splitlines()
+    assert json.loads("\n".join(series))["series"] == "eq1-middle"
+    assert "clpartitions.cli" in added.split()
+    assert HEAVY_MODULES.isdisjoint(added.split())
+
+
 @pytest.mark.parametrize("name", verify.VerifierConfig._fields)
 def test_every_config_field_is_an_honoured_verify_flag(name, monkeypatch, capsys):
     value, flags = NON_DEFAULT_FLAGS[name]
     default = verify.VerifierConfig()
     assert getattr(default, name) != value
-    assert name in vars(cli.build_parser().parse_args(["verify", "all"]))
+    flag = cli.COMMANDS["verify"].flags["--" + name.replace("_", "-")]
+    assert flag.default == getattr(default, name)
     received = []
 
     def run_all(config, suite):
