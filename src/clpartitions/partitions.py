@@ -10,16 +10,19 @@ evaluated exactly at any rational q > 1 (the identities checked downstream
 are rational-function identities in q, so non-prime-power q is allowed).
 
 Every partition comes from one depth-first walk (`_walk`).  It visits
-the partitions with no part 1, each built from its parent by appending
-a part >= 2, and carries their statistics and the integer r = P_|lambda| / D
-(P_s = prod_{k<=s} (a^k - b^k), D = prod_m P_m over the multiplicities)
-from the parent.  Each reader appends the chain of ones itself:
-`partitions_of(n)` pads every node of size <= n with ones up to n, and
-the middle series expand each node's chain of k = 0, 1, ... ones in one
-loop, adding b^(n2 - e) * r into one integer per (size, power of a),
-every partition once, with no `Partition` built and no call to
-`aut_order`.  `aut_order` is the per-partition definition of the same
-weight, read by the checks that name single partitions.
+the partitions with every part >= 3, each built from its parent by
+appending a part >= 3, and carries their statistics and the integer
+r = P_|lambda| / D (P_s = prod_{k<=s} (a^k - b^k), D = prod_m P_m over
+the multiplicities) from the parent.  Every other partition is a node
+with j twos and then k ones appended, and each reader appends them
+itself: `partitions_of(n)` pads every node of size s <= n with j twos
+and n - s - 2j ones, and the middle series sum the nodes per (size,
+length), then expand each (size, length) sum into its chain of twos and
+the result into its chain of ones, in integers per power of a.  By the
+distributive law that is the sum over every partition, with no
+`Partition` built and no call to `aut_order`.  `aut_order` is the
+per-partition definition of the same weight, read by the checks that
+name single partitions.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache, lru_cache, total_ordering
-from itertools import accumulate, compress, count
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .series import Rational, _exact, irreducible_count, multiply, power
@@ -105,9 +108,9 @@ _Node = tuple[tuple[int, ...], int, int, int, int, int]
 
 
 def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
-    """Every partition of size <= order with no part 1, once, with its statistics.
+    """Every partition of size <= order with every part >= 3, once, with its statistics.
 
-    A node is (parts, size, n2, m, big_m, r): the parts (all >= 2), their
+    A node is (parts, size, n2, m, big_m, r): the parts (all >= 3), their
     sum, n2 = sum_i (2i - 1) lambda_i (= sum_i (lambda'_i)^2, see
     aut_order), the multiplicity m of the last part and
     M = sum m(m+1)/2 over the multiplicities of the parts.  With
@@ -115,14 +118,15 @@ def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
     multiplicities m, r = P_size / D.  With factors[k] = a^k - b^k, D is
     aut_order's prod_m P_m, and r is an integer (see _partition_sum).
 
-    A child appends a part p >= 2, p <= the last part, at index i (from
+    A child appends a part p >= 3, p <= the last part, at index i (from
     0): n2 grows by (2i + 1) p.  If p repeats the last part, whose
     multiplicity is m, M grows by m + 1 and D gains the factor
     factors[m + 1]; a new, smaller part adds 1 to M and factors[1] to D.
     Either way r becomes r * P_(size+p) / P_size divided by D's new
     factor, a division that is checked and raises ArithmeticError if it
-    leaves a remainder.  The partitions with ones are not visited: each
-    reader appends the chain of k = 1, 2, ... ones to every node itself.
+    leaves a remainder.  The partitions with a part 2 or 1 are not
+    visited: each reader appends to every node its j twos and then its
+    k ones itself.
     """
     # rises[s][k] = P_(s+k) / P_s
     rises = [
@@ -138,7 +142,7 @@ def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
         last = parts[-1] if parts else room
         step = 2 * len(parts) + 1
         rise = rises[size]
-        for p in range(2, min(last, room) + 1):
+        for p in range(3, min(last, room) + 1):
             m_p = m + 1 if p == last else 1
             stack.append(
                 (
@@ -156,13 +160,16 @@ def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order of parts.
 
-    Each walk node of size s <= n, with n - s ones appended; every factor
-    is 1, so r stays 1.
+    Each walk node of size s <= n, with j twos and then n - s - 2j ones
+    appended for every j <= (n - s)/2; every factor is 1, so r stays 1.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    nodes = _walk(n, (1,) * (n + 1))
-    found = [Partition(parts + (1,) * (n - size)) for parts, size, *_ in nodes]
+    found = [
+        Partition(parts + (2,) * j + (1,) * (n - size - 2 * j))
+        for parts, size, *_ in _walk(n, (1,) * (n + 1))
+        for j in range((n - size) // 2 + 1)
+    ]
     return tuple(sorted(found, reverse=True))
 
 
@@ -203,24 +210,32 @@ def aut_order(p: Partition, q: Rational) -> Fraction:
     return Fraction(numerator * a ** (n2 - big_m), b**n2)
 
 
+def _fold(row: dict[int, int], a_power: Callable[[int], int]) -> tuple[int, int]:
+    """(t, x_0) with sum_x a^x * row[x] = a^x_0 * t, by Horner's rule in a.
+
+    The integers are folded from the highest power of a present down to
+    the least, x_0, which may have either sign.  An empty row is (0, 0).
+    """
+    powers = sorted(row, reverse=True)
+    t, low = 0, powers[0] if powers else 0
+    for x in powers:
+        t = t * a_power(low - x) + row[x]
+        low = x
+    return t, low
+
+
 def _power_sums(
     sums: Sequence[dict[int, int]], a: int, commons: Sequence[int]
 ) -> list[Fraction]:
     """Per size s, the sum over x of a^x * sums[s][x] / commons[s].
 
-    The integers of one size are folded by Horner's rule in a, from the
-    highest power present down to the least, x_0, into one integer t
-    with sum_x a^x * sums[s][x] = a^x_0 * t, so one Fraction is built per
-    size.  x may have either sign.
+    Each size's integers are folded (`_fold`) into one integer times a
+    power of a, so one Fraction is built per size.
     """
     a_power = cache(a.__pow__)  # a^k, each k computed once
     totals = []
     for row, common in zip(sums, commons):
-        powers = sorted(row, reverse=True)
-        t, low = 0, powers[0] if powers else 0
-        for x in powers:
-            t = t * a_power(low - x) + row[x]
-            low = x
+        t, low = _fold(row, a_power)
         if low >= 0:
             totals.append(Fraction(t * a_power(low), common))
         else:
@@ -237,31 +252,37 @@ def _partition_sum(
     (checked; ValueError otherwise), so e <= n2, since n2 >= (lambda'_1)^2.
     The exponents used here, (lambda'_1)^2, (lambda'_1)^2 - m_1 and 0, do.
 
-    One walk (`_walk`) visits every partition with no part 1 once and
-    carries n2, M and r = P_s / D from its parent, where s = |lambda|,
-    P_s = prod_{k=1..s} (a^k - b^k) and D = prod_m P_m.  With q = a/b in
-    lowest terms and aut_order's integer form,
+    With s = |lambda|, P_s = prod_{k=1..s} (a^k - b^k), D = prod_m P_m,
+    r = P_s / D, q = a/b in lowest terms and aut_order's integer form,
 
         q^e / |Aut(lambda)| = a^(e + M - n2) * b^(n2 - e) * r / P_s.
 
     r is an integer: with l = sum m_i <= s the number of parts,
     P_l / prod_i P_(m_i) is the q-multinomial coefficient
     [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
-    and P_l divides P_s.  The walk checks each division all the same.
+    and P_l divides P_s.  Every division below is checked all the same.
 
-    Each walk node, of length l and size s, stands for itself and its
-    chain of k = 1, 2, ... appended ones, summed in one loop.  k ones add
-    (2l+k) k to n2, k(k+1)/2 to M and P_k to D, so r becomes
-    r * [s+k; k], with [n; k] = P_n / (P_k P_(n-k)) the homogenised
-    q-binomial (a checked division).  So with e_k = e(l+k, k), each
-    partition adds the integer r * b^(n2 - l^2) * [s+k; k] b^((l+k)^2 - e_k)
-    to the running sum of its size at the power
-    (M - n2) + e_k + k(k+1)/2 - (2l+k) k of a; one row of cells per
-    (s, l) holds each k's weight and the place of its sum.  The sums are
-    one list with a row per size t for the powers -t^2..t(t+1)/2 of a:
-    n2 <= t^2, and M <= l(l+1)/2 with l^2 <= n2 bounds e + M - n2 above.
-    `_power_sums` folds each size's sums into one Fraction over a^K P_s.
-    No Partition is built and aut_order is not called.
+    Every partition is a walk node (`_walk`, every part >= 3) with j
+    twos and then k ones appended, and the three are summed in turn:
+
+    * The nodes.  Each adds r * b^(n2 - l^2) to one integer per
+      (s, l, power M - n2 of a), and each (s, l) cell is folded by
+      Horner's rule in a (`_fold`) into one integer t times a^x.
+    * The twos.  j twos add 2lj + j^2 to n2 - l^2, j(j+1)/2 to M and P_j
+      to D, so r becomes r * P_(s+2j) / (P_s P_j), and x grows by
+      j(j+1)/2 - 4lj - 2j^2.  So each folded (s, l) cell feeds
+      (s + 2j, l + j) once per j, and those cells are folded in turn.
+    * The ones.  k ones add (2l+k) k to n2, k(k+1)/2 to M and P_k to D,
+      so r becomes r * [s+k; k], with [n; k] = P_n / (P_k P_(n-k)) the
+      homogenised q-binomial.  With e_k = e(l+k, k), each folded (s, l)
+      cell feeds the sum of size s + k, at the power
+      x + e_k + k(k+1)/2 - (2l+k) k of a, with the factor
+      [s+k; k] b^((l+k)^2 - e_k).
+
+    By the distributive law this is still the sum over every partition:
+    no closed form sums a chain, and the rhs is not read.  `_power_sums`
+    folds each size's sums into one Fraction over a^K P_s.  No Partition
+    is built and aut_order is not called.
     """
     q = Fraction(q)
     if q <= 1:
@@ -280,6 +301,7 @@ def _partition_sum(
             ]
         )
     a, b = q.numerator, q.denominator
+    a_power = cache(a.__pow__)  # a^k, each k computed once
     factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
     commons = list(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
     b_powers = [b**k for k in range(order * order + 1)]  # n2 - e <= n2 <= order^2
@@ -287,26 +309,42 @@ def _partition_sum(
         [_exact(commons[s + k], commons[s] * commons[k]) for k in range(order - s + 1)]
         for s in range(order + 1)
     ]
-    # the sum of size t at the power x of a, -t^2 <= x <= t(t+1)/2: sums[zero[t] + x]
-    widths = (t * t + t * (t + 1) // 2 + 1 for t in range(order + 1))
-    starts = list(accumulate(widths, initial=0))
-    zero = [start + t * t for t, start in enumerate(starts)]
-    cells = [  # cells[s][l]: per k, (weight, place of its sum); l <= s/2, no part is 1
+    twos = [  # twos[s][j] = P_(s+2j) / (P_s P_j)
         [
-            [(c * b_powers[y], z + x) for c, (y, x), z in zip(row, ones[l], zero[s:])]
-            for l in range(s // 2 + 1)
+            _exact(commons[s + 2 * j], commons[s] * commons[j])
+            for j in range((order - s) // 2 + 1)
         ]
-        for s, row in enumerate(binomials)
+        for s in range(order + 1)
     ]
-    sums = [0] * starts[-1]
+    # nodes[s][l]: per power M - n2 of a, the sum of r * b^(n2 - l^2) over
+    # the walk's nodes of size s and length l <= s/3
+    nodes = [[{} for _ in range(s // 3 + 1)] for s in range(order + 1)]
     for parts, size, n2, _, big_m, r in _walk(order, factors):
         length = len(parts)
-        x, r = big_m - n2, r * b_powers[n2 - length * length]
-        for weight, i in cells[size][length]:
-            sums[x + i] += r * weight
-    rows = [sums[i:j] for i, j in zip(starts, starts[1:])]
-    rows = [dict(compress(zip(count(-t * t), row), row)) for t, row in enumerate(rows)]
-    return _power_sums(rows, a, commons)
+        cell, x = nodes[size][length], big_m - n2
+        cell[x] = cell.get(x, 0) + r * b_powers[n2 - length * length]
+    # the same sums over the partitions with every part >= 2, l <= s/2
+    chains = [[{} for _ in range(s // 2 + 1)] for s in range(order + 1)]
+    for s, row in enumerate(nodes):
+        for length, cell in enumerate(row):
+            if not cell:
+                continue
+            t, low = _fold(cell, a_power)
+            for j, quotient in enumerate(twos[s]):
+                target = chains[s + 2 * j][length + j]
+                x = low + j * (j + 1) // 2 - (4 * length + 2 * j) * j
+                weight = quotient * b_powers[(2 * length + j) * j]
+                target[x] = target.get(x, 0) + t * weight
+    sums = [{} for _ in range(order + 1)]  # per size, per power of a
+    for s, row in enumerate(chains):
+        for length, cell in enumerate(row):
+            if not cell:
+                continue
+            t, low = _fold(cell, a_power)
+            for k, ((y, x), binomial) in enumerate(zip(ones[length], binomials[s])):
+                target, x = sums[s + k], low + x
+                target[x] = target.get(x, 0) + t * (binomial * b_powers[y])
+    return _power_sums(sums, a, commons)
 
 
 def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:

@@ -368,7 +368,9 @@ def run_corollary_consistency_check(
     """sum_b joint(a, b) == marginal(a) exactly, plus near-unit total mass.
 
     Each law is (u/q)_inf times an integer quotient: the sums compare the
-    quotients, and (u/q)_inf multiplies back in for the mass and a detail.
+    quotients, and (u/q)_inf multiplies back in for the mass.  A failing
+    sum shows the two quotients exactly and the two laws as floats: the
+    laws' exact values run to thousands of digits.
     """
     u = Fraction(u)
     params = {"q": q, "u": fmt_rat(u), "a_max": a_max}
@@ -383,8 +385,9 @@ def run_corollary_consistency_check(
                 params,
                 "fail",
                 detail=(
-                    f"a={a}: sum over b gives {fmt_rat(uq_inf * part2_sum)} "
-                    f"!= marginal {fmt_rat(uq_inf * part1)}"
+                    f"a={a}: sum over b gives {fmt_rat(part2_sum)} "
+                    f"!= marginal {fmt_rat(part1)} over (u/q)_inf; as laws "
+                    f"{float(uq_inf * part2_sum)} != {float(uq_inf * part1)}"
                 ),
             )
         total += part1

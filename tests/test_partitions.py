@@ -9,6 +9,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from clpartitions import partitions
@@ -202,22 +204,43 @@ def _statistics(parts, factors):
 
 class TestWalk:
     def test_visits_every_partition_once_per_size(self):
-        # each node stands for itself with k = 0..26 - size ones appended
+        # each node stands for itself with j twos and then k ones appended,
+        # 2j + k <= 26 - size
         nodes = list(partitions._walk(26, (1,) * 27))
-        sizes = Counter(size + k for _, size, *_ in nodes for k in range(27 - size))
+        reached = Counter(
+            parts + (2,) * j + (1,) * k
+            for parts, size, *_ in nodes
+            for j in range((26 - size) // 2 + 1)
+            for k in range(27 - size - 2 * j)
+        )
+        assert len(reached) == sum(reached.values()) == 11732  # each one once
+        for parts in reached:
+            Partition(parts)  # weakly decreasing and positive
+        sizes = Counter(map(sum, reached))
         assert sizes[26] == 2436  # p(26)
         for s in range(27):
             assert sizes[s] == len(partitions_of(s)) == _count_partitions(s, s)
         assert set(sizes) == set(range(27))
 
     def test_stack_holds_only_partitions_without_ones(self):
-        # 11,732 partitions of size <= 26; the p(26) = 2,436 of them with no
-        # part 1 are the walk's nodes, the 9,296 others their chains of ones
+        # 11,732 partitions of size <= 26; the 861 with every part >= 3 are
+        # the walk's nodes, the 10,871 others their chains of twos and ones
         nodes = list(partitions._walk(26, (1,) * 27))
-        chained = sum(26 - size for _, size, *_ in nodes)
-        assert (len(nodes) + chained, len(nodes), chained) == (11732, 2436, 9296)
+        chained = sum(
+            27 - size - 2 * j
+            for _, size, *_ in nodes
+            for j in range((26 - size) // 2 + 1)
+        ) - len(nodes)
+        assert (len(nodes) + chained, len(nodes), chained) == (11732, 861, 10871)
         for node in nodes:
-            assert all(p >= 2 for p in node[0])
+            assert all(p >= 3 for p in node[0])
+        # p(s) - p(s - 1) - p(s - 2) + p(s - 3) partitions of s have no part 1 or 2
+        sizes = Counter(size for _, size, *_ in nodes)
+        p = [_count_partitions(s, s) for s in range(27)]
+        for s in range(27):
+            assert sizes[s] == sum(
+                c * p[s - d] for d, c in enumerate((1, -1, -1, 1)) if d <= s
+            )
 
     def test_nodes_are_distinct_partitions(self):
         parts = [node[0] for node in partitions._walk(14, (1,) * 15)]
@@ -252,6 +275,19 @@ def _corrupt_one_division(monkeypatch, dividend, divisor):
     return corrupted
 
 
+@st.composite
+def exponent_tables(draw):
+    """(q, order, e) with q = n/m > 1 and e[L][k] in 0..L^2 for 0 <= k <= L <= order."""
+    m = draw(st.integers(1, 5))
+    q = Fraction(draw(st.integers(m + 1, 12)), m)
+    order = draw(st.integers(0, 10))
+    table = [
+        draw(st.lists(st.integers(0, L * L), min_size=L + 1, max_size=L + 1))
+        for L in range(order + 1)
+    ]
+    return q, order, table
+
+
 class TestPartitionSum:
     @pytest.mark.parametrize("exponent", EXPONENTS)
     @pytest.mark.parametrize(
@@ -269,6 +305,20 @@ class TestPartitionSum:
         walk_exponent, lam_exponent = EXPONENTS[exponent]
         got = partitions._partition_sum(q, 16, walk_exponent)
         assert got == reference.partition_sum(q, 16, lam_exponent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent_tables())
+    def test_any_exponent_table_matches_per_term_fraction_sum(self, drawn):
+        # an offset error in the powers of a or b that the three fixed exponents
+        # cancel shows for some table
+        q, order, table = drawn
+        got = partitions._partition_sum(q, order, lambda length, m1: table[length][m1])
+        want = reference.partition_sum(
+            q,
+            order,
+            lambda lam: table[lam.length][reference.multiplicity(lam, 1)],
+        )
+        assert got == want
 
     def test_any_replaced_weight_is_summed_exactly(self):
         # signed numerators that share no structure with |Aut|, powers of a

@@ -68,6 +68,19 @@ def _mutated(function, old, new):
     return namespace[function.__name__]
 
 
+def _run_sampler_with_shrunk_marginal(monkeypatch):
+    """Run ``--json verify sampler --u 9/10`` with cor1_part1 times u^a; it exits 1."""
+    real = sampler.cor1_part1
+
+    def shrunk(a, q, u, uq_inf):
+        return real(a, q, u, uq_inf) * Fraction(u) ** a
+
+    monkeypatch.setattr(sampler, "cor1_part1", shrunk)
+    monkeypatch.setattr(verify, "cor1_part1", shrunk)
+    args = ["--json", "verify", "sampler", "--u", "9/10", "--trials", "1000"]
+    assert cli.main(args) == cli.EXIT_FAIL
+
+
 class TestFormatting:
     def test_fmt_rat(self):
         assert fmt_rat(Fraction(20, 3)) == "20/3"
@@ -333,26 +346,21 @@ class TestFaultInjection:
         monkeypatch.setattr(verify, "cor1_part2", scaled)
         q, u = 2, Fraction(1, 2)
         uq_inf = sampler.u_over_q_infinite_value(q, u)
-        part1 = sampler.cor1_part1(4, q, u, uq_inf)
-        part2_sum = part1 + real(4, 2, q, u, uq_inf) / 10
+        # the detail's exact values are the laws over (u/q)_inf
+        part1 = sampler.cor1_part1(4, q, u, 1)
+        part2_sum = part1 + real(4, 2, q, u, 1) / 10
         report = verify.run_corollary_consistency_check(q, u)
         assert report.check_name == "cor1-part2" and not report.passed
         assert report.detail == (
             f"a=4: sum over b gives {fmt_rat(part2_sum)} != marginal {fmt_rat(part1)}"
+            f" over (u/q)_inf; as laws {float(uq_inf * part2_sum)}"
+            f" != {float(uq_inf * part1)}"
         )
 
     def test_law_below_one_fails_the_sampler_suite(self, monkeypatch, capsys):
         # cor1_part1 times u^a sums below 1, so the chain's initial row
         # cannot be built: the Monte Carlo fails instead of a usage error
-        real = sampler.cor1_part1
-
-        def shrunk(a, q, u, uq_inf):
-            return real(a, q, u, uq_inf) * Fraction(u) ** a
-
-        monkeypatch.setattr(sampler, "cor1_part1", shrunk)
-        monkeypatch.setattr(verify, "cor1_part1", shrunk)
-        args = ["--json", "verify", "sampler", "--u", "9/10", "--trials", "1000"]
-        assert cli.main(args) == cli.EXIT_FAIL
+        _run_sampler_with_shrunk_marginal(monkeypatch)
         captured = capsys.readouterr()
         assert captured.err == ""
         reports = json.loads(captured.out)
@@ -362,6 +370,16 @@ class TestFaultInjection:
         assert status["cor1-part1"] == {"fail"} and "fail" in status["cor1-part2"]
         (monte_carlo,) = [r for r in reports if r["check"] == "cor1-part1"]
         assert monte_carlo["detail"].startswith("initial-row entry 8 is below 2^-64")
+
+    def test_law_below_one_gives_short_consistency_details(self, monkeypatch, capsys):
+        # the same fault: each cor1-part2 detail names the first wrong a and
+        # stays legible, where the exact laws run to thousands of digits
+        _run_sampler_with_shrunk_marginal(monkeypatch)
+        reports = json.loads(capsys.readouterr().out)
+        details = [r["detail"] for r in reports if r["check"] == "cor1-part2"]
+        assert len(details) == 2  # q = 2 and q = 3
+        for detail in details:
+            assert detail.startswith("a=1: ") and len(detail) < 200
 
     def test_corollary_total_mass_failure_keeps_check_id(self, monkeypatch):
         assert verify.run_corollary_consistency_check(2, Fraction(1, 2)).check_name == (
@@ -429,6 +447,24 @@ class TestFaultInjection:
         assert middle[:2] == rhs[:2] and middle[2] != rhs[2]
         assert eq1.detail == (
             f"coefficient of u^2: middle {fmt_rat(middle[2])}, rhs {fmt_rat(rhs[2])}"
+        )
+
+    def test_mutated_twos_chain_fails_eq1_rational_q(self, monkeypatch):
+        # the twos' factor P_j of D is cut to a - b: the quotient
+        # P_(s+2j) / (P_s P_j) loses the repeated two's factors
+        old = "commons[s] * commons[j])"
+        new = "commons[s] * commons[min(j, 1)])"
+        mutant = _mutated(partitions._partition_sum, old, new)
+        monkeypatch.setattr(partitions, "_partition_sum", mutant)
+        q = Fraction(5, 2)
+        middle = partitions.eq1_middle_series(q, 6)
+        rhs = eq1_rhs_series(q, 6)
+        eq1, _ = run_rational_q_check(q, 6)
+        assert eq1.check_name == "eq1-rational-q" and not eq1.passed
+        # (2,2) is the first partition with two twos
+        assert middle[:4] == rhs[:4] and middle[4] != rhs[4]
+        assert eq1.detail == (
+            "coefficient of u^4: middle 1563390529/112223475, rhs 1449385729/112223475"
         )
 
     def test_perturbed_rhs_factor_is_caught(self, monkeypatch):
