@@ -16,9 +16,12 @@ r = P_|lambda| / D (P_s = prod_{k<=s} (a^k - b^k), D = prod_m P_m over
 the multiplicities) from the parent.  Every other partition is a node
 with j twos and then k ones appended, and each reader appends them
 itself: `partitions_of(n)` pads every node of size s <= n with j twos
-and n - s - 2j ones, and the middle series sum the nodes per (size,
-length), then expand each (size, length) sum into its chain of twos and
-the result into its chain of ones, in integers per power of a.  By the
+and n - s - 2j ones.  `_refined_sums` sums the nodes per (size,
+length), expands each (size, length) sum into its chain of twos and
+the result into its chain of ones, in integers per power of a, and so
+fills one table R[n][L][k] of the sums of 1/|Aut(lambda)| per size n,
+length L and number k of parts 1.  Each middle series reads R once,
+applying its power q^e with e = L^2, L^2 - k or 0 as it reads.  By the
 distributive law that is the sum over every partition, with no
 `Partition` built and no call to `aut_order`.  `aut_order` is the
 per-partition definition of the same weight, read by the checks that
@@ -103,6 +106,14 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def _rises(factors: Sequence[int]) -> list[list[int]]:
+    """rises[s][k] = factors[s+1] * ... * factors[s+k] = P_(s+k) / P_s."""
+    return [
+        list(accumulate(factors[s + 1 :], operator.mul, initial=1))
+        for s in range(len(factors))
+    ]
+
+
 # a node of the walk: (parts, size, n2, m, big_m, r), see _walk
 _Node = tuple[tuple[int, ...], int, int, int, int, int]
 
@@ -116,7 +127,7 @@ def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
     M = sum m(m+1)/2 over the multiplicities of the parts.  With
     P_s = factors[1] * ... * factors[s] and D the product of P_m over the
     multiplicities m, r = P_size / D.  With factors[k] = a^k - b^k, D is
-    aut_order's prod_m P_m, and r is an integer (see _partition_sum).
+    aut_order's prod_m P_m, and r is an integer (see _refined_sums).
 
     A child appends a part p >= 3, p <= the last part, at index i (from
     0): n2 grows by (2i + 1) p.  If p repeats the last part, whose
@@ -128,11 +139,7 @@ def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
     visited: each reader appends to every node its j twos and then its
     k ones itself.
     """
-    # rises[s][k] = P_(s+k) / P_s
-    rises = [
-        list(accumulate(factors[s + 1 :], operator.mul, initial=1))
-        for s in range(order + 1)
-    ]
+    rises = _rises(factors)
     stack = [((), 0, 0, 0, 0, 1)]
     while stack:
         node = stack.pop()
@@ -243,20 +250,22 @@ def _power_sums(
     return totals
 
 
-def _partition_sum(
-    q: Rational, order: int, exponent: Callable[[int, int], int]
-) -> list[Fraction]:
-    """Coefficients of sum_lambda q^e u^{|lambda|} / |Aut(lambda)| up to u^order.
+# R[n][L][k] = (t, x), see _refined_sums
+_Table = list[list[dict[int, tuple[int, int]]]]
 
-    e = exponent(l(lambda), m_1(lambda)) must satisfy 0 <= e <= l(lambda)^2
-    (checked; ValueError otherwise), so e <= n2, since n2 >= (lambda'_1)^2.
-    The exponents used here, (lambda'_1)^2, (lambda'_1)^2 - m_1 and 0, do.
 
-    With s = |lambda|, P_s = prod_{k=1..s} (a^k - b^k), D = prod_m P_m,
-    r = P_s / D, q = a/b in lowest terms and aut_order's integer form,
+def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
+    """(P_0..P_order, R): the partition sums per size n, length L and m_1 = k.
 
-        q^e / |Aut(lambda)| = a^(e + M - n2) * b^(n2 - e) * r / P_s.
+    With q = a/b in lowest terms, n = |lambda|, L = l(lambda),
+    P_n = prod_{k=1..n} (a^k - b^k), D = prod_m P_m over the
+    multiplicities, r = P_n / D and aut_order's integer form,
 
+        1 / |Aut(lambda)| = a^(M - n2) * b^(n2 - L^2) * r * b^(L^2) / P_n.
+
+    R[n][L] maps each k that occurs to (t, x), with t * a^x the sum of
+    a^(M - n2) b^(n2 - L^2) r over the partitions of n with L parts, k
+    of them 1; so t a^x b^(L^2) / P_n is their sum of 1 / |Aut(lambda)|.
     r is an integer: with l = sum m_i <= s the number of parts,
     P_l / prod_i P_(m_i) is the q-multinomial coefficient
     [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
@@ -268,54 +277,41 @@ def _partition_sum(
     * The nodes.  Each adds r * b^(n2 - l^2) to one integer per
       (s, l, power M - n2 of a), and each (s, l) cell is folded by
       Horner's rule in a (`_fold`) into one integer t times a^x.
+      n2 - l^2 <= l (s - l) <= s^2 / 4, since every column after the
+      first is at most l long and they hold s - l boxes.
     * The twos.  j twos add 2lj + j^2 to n2 - l^2, j(j+1)/2 to M and P_j
       to D, so r becomes r * P_(s+2j) / (P_s P_j), and x grows by
       j(j+1)/2 - 4lj - 2j^2.  So each folded (s, l) cell feeds
       (s + 2j, l + j) once per j, and those cells are folded in turn.
-    * The ones.  k ones add (2l+k) k to n2, k(k+1)/2 to M and P_k to D,
-      so r becomes r * [s+k; k], with [n; k] = P_n / (P_k P_(n-k)) the
-      homogenised q-binomial.  With e_k = e(l+k, k), each folded (s, l)
-      cell feeds the sum of size s + k, at the power
-      x + e_k + k(k+1)/2 - (2l+k) k of a, with the factor
-      [s+k; k] b^((l+k)^2 - e_k).
+      2lj + j^2 < (l + j)^2 <= (s + 2j)^2 / 4, as l + j <= (s + 2j) / 2.
+    * The ones.  k ones add (2l+k) k = (l+k)^2 - l^2 to n2, which leaves
+      n2 - L^2 as it was, k(k+1)/2 to M and P_k to D, so r becomes
+      r * [s+k; k].  So each folded (s, l) cell t * a^x fills
+      R[s+k][l+k][k] with t [s+k; k] at the power
+      x + k(k+1)/2 - (2l+k) k of a, which falls by 2l + k from k ones
+      to k + 1.
 
-    By the distributive law this is still the sum over every partition:
-    no closed form sums a chain, and the rhs is not read.  `_power_sums`
-    folds each size's sums into one Fraction over a^K P_s.  No Partition
-    is built and aut_order is not called.
+    The quotients P_(s+cj) / (P_s P_j) of the twos (c = 2) and of the
+    ones (c = 1, the homogenised q-binomial [s+j; j]) come from one
+    table builder.  By the distributive law this is still the sum over
+    every partition: no closed form sums a chain, and the rhs is not
+    read.  No Partition is built and aut_order is not called.
     """
     q = Fraction(q)
     if q <= 1:
         raise ValueError("requires q > 1")
     if order < 0:
         raise ValueError("order must be >= 0")
-    ones = []  # per length, for k ones: the powers of b and of a that they add
-    for length in range(order + 1):
-        es = [exponent(length + k, k) for k in range(order - length + 1)]
-        if not all(0 <= e <= (length + k) ** 2 for k, e in enumerate(es)):
-            raise ValueError(f"an exponent at length >= {length} is outside 0..l^2")
-        ones.append(
-            [
-                ((length + k) ** 2 - e, e + k * (k + 1) // 2 - (2 * length + k) * k)
-                for k, e in enumerate(es)
-            ]
-        )
     a, b = q.numerator, q.denominator
     a_power = cache(a.__pow__)  # a^k, each k computed once
     factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
     commons = list(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
-    b_powers = [b**k for k in range(order * order + 1)]  # n2 - e <= n2 <= order^2
-    binomials = [  # binomials[s][k] = [s+k; k]
-        [_exact(commons[s + k], commons[s] * commons[k]) for k in range(order - s + 1)]
-        for s in range(order + 1)
-    ]
-    twos = [  # twos[s][j] = P_(s+2j) / (P_s P_j)
-        [
-            _exact(commons[s + 2 * j], commons[s] * commons[j])
-            for j in range((order - s) // 2 + 1)
-        ]
-        for s in range(order + 1)
-    ]
+    rises = _rises(factors)
+    ones, twos = (  # [s][j] = P_(s+cj) / (P_s P_j) for c = 1 and c = 2
+        [[_exact(rise, commons[j]) for j, rise in enumerate(row[::c])] for row in rises]
+        for c in (1, 2)
+    )
+    b_powers = [b**k for k in range(order * order // 4 + 1)]  # <= order^2 / 4, above
     # nodes[s][l]: per power M - n2 of a, the sum of r * b^(n2 - l^2) over
     # the walk's nodes of size s and length l <= s/3
     nodes = [[{} for _ in range(s // 3 + 1)] for s in range(order + 1)]
@@ -335,15 +331,42 @@ def _partition_sum(
                 x = low + j * (j + 1) // 2 - (4 * length + 2 * j) * j
                 weight = quotient * b_powers[(2 * length + j) * j]
                 target[x] = target.get(x, 0) + t * weight
-    sums = [{} for _ in range(order + 1)]  # per size, per power of a
+    table = [[{} for _ in range(n + 1)] for n in range(order + 1)]
     for s, row in enumerate(chains):
         for length, cell in enumerate(row):
             if not cell:
                 continue
-            t, low = _fold(cell, a_power)
-            for k, ((y, x), binomial) in enumerate(zip(ones[length], binomials[s])):
-                target, x = sums[s + k], low + x
-                target[x] = target.get(x, 0) + t * (binomial * b_powers[y])
+            t, x = _fold(cell, a_power)
+            for k, binomial in enumerate(ones[s]):
+                table[s + k][length + k][k] = (t * binomial, x)
+                x -= 2 * length + k
+    return commons, table
+
+
+def _read(
+    q: Rational, order: int, exponent: Callable[[int, int], int]
+) -> list[Fraction]:
+    """Coefficients of sum_lambda q^e u^{|lambda|} / |Aut(lambda)| up to u^order.
+
+    e = exponent(L, k), with L = l(lambda), k = m_1(lambda) and
+    0 <= e <= L^2.  Since q^e = a^e b^(L^2 - e) / b^(L^2), each cell
+    (t, x) of R (`_refined_sums`) adds t * b^(L^2 - e) at the power
+    x + e of a to its size's sums, which `_power_sums` folds into one
+    Fraction over a^K P_n.
+    """
+    commons, table = _refined_sums(q, order)
+    a, b = Fraction(q).as_integer_ratio()
+    shifts = [  # shifts[L][k] = (e, b^(L^2 - e)) with e = exponent(L, k)
+        [(e, b ** (L * L - e)) for e in [exponent(L, k) for k in range(L + 1)]]
+        for L in range(order + 1)
+    ]
+    sums = [{} for _ in table]  # per size, per power of a
+    for target, row in zip(sums, table):
+        for cell, shift in zip(row, shifts):
+            for k, (t, x) in cell.items():
+                e, weight = shift[k]
+                x += e
+                target[x] = target.get(x, 0) + t * weight
     return _power_sums(sums, a, commons)
 
 
@@ -352,14 +375,12 @@ def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
 
     The factor 1/(1-u) is the prefix sum of the coefficients.
     """
-    return list(
-        accumulate(_partition_sum(q, order, lambda length, m1: length * length))
-    )
+    return list(accumulate(_read(q, order, lambda length, ones: length * length)))
 
 
 def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    return _partition_sum(q, order, lambda length, m1: length * length - m1)
+    return _read(q, order, lambda length, ones: length * length - ones)
 
 
 def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
@@ -368,7 +389,7 @@ def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
     Equals 1/(u/q)_inf coefficientwise; this is the statement that the
     Cohen-Lenstra measure P_u has total mass 1.
     """
-    return _partition_sum(q, order, lambda length, m1: 0)
+    return _read(q, order, lambda length, ones: 0)
 
 
 def product_over_irreducibles_series(q: int, order: int) -> list[Fraction]:
@@ -389,7 +410,6 @@ def product_over_irreducibles_series(q: int, order: int) -> list[Fraction]:
     for d in range(1, order + 1):
         count = irreducible_count(d, q) - (d == 1)  # exclude phi = z
         cs = [Fraction(0)] * (order + 1)
-        for s, c in enumerate(_partition_sum(q**d, order // d, lambda length, m1: 0)):
-            cs[d * s] = c
+        cs[::d] = unnormalized_weight_series(q**d, order // d)
         result = multiply(result, power(cs, count))
     return result

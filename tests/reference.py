@@ -163,6 +163,24 @@ def eq2_rhs_series(q, order):
     return multiply(inverse(euler_expansion(q, order)), total)
 
 
+def cor1_joint_series(q, order, a, b):
+    """u^{2a-b} / (q^{a^2+r^2} (1/q)_b (1/q)_r (u/q)_r), r = a - b, as a series.
+
+    The scalars are multiplied out by pochhammer_direct and (u/q)_r is
+    expanded and inverted as a series, so nothing reads the package's
+    q-binomials.
+    """
+    q, r = Fraction(q), a - b
+    scale = (
+        q ** (a * a + r * r)
+        * pochhammer_direct(1 / q, b, q)
+        * pochhammer_direct(1 / q, r, q)
+    )
+    u_over_q = monomial(1, order, 1 / q)
+    denom = [scale * c for c in pochhammer_finite(u_over_q, r, q)]
+    return multiply(monomial(2 * a - b, order), inverse(denom))
+
+
 def kernel_row_probabilities(a, q, u):
     """K(a, b) = u^b (1/q)_a (u/q)_a / (q^{b^2} (1/q)_{a-b} (1/q)_b (u/q)_b), b = 0..a."""
     q, u = Fraction(q), Fraction(u)

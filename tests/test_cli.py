@@ -177,6 +177,18 @@ def test_usage_errors(argv, message):
     assert err[0].startswith(f"usage error: {message}")
 
 
+@pytest.mark.parametrize("p", ["7", "4"])
+def test_oracle_refuses_p_outside_the_small_primes(p):
+    # the line parses; the oracle refuses p before it enumerates anything
+    argv = ["oracle", "count-pairs", "--n", "2", "--p", p]
+    assert cli.parse_args(argv)["p"] == int(p)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == cli.EXIT_USAGE and out.getvalue() == ""
+    assert "p must be a small prime" in err.getvalue()
+
+
 @pytest.mark.parametrize("name", [None, *cli.COMMANDS])
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 def test_help_lists_every_command_and_flag(name, flag, capsys):

@@ -171,8 +171,8 @@ class TestAutOrder:
                     assert aut_order(lam, q) == want
 
 
-# exponent of q per partition: as _partition_sum reads it, from the length
-# and m_1, and as the reference reads it, from the Partition
+# exponent of q per partition: as _read applies it, from the length and
+# m_1, and as the reference reads it, from the Partition
 EXPONENTS = {
     "eq1": (lambda length, m1: length * length, lambda lam: lam.length**2),
     "eq2": (
@@ -275,17 +275,48 @@ def _corrupt_one_division(monkeypatch, dividend, divisor):
     return corrupted
 
 
+def _rationals():
+    """q = n/m > 1 with n <= 12 and m <= 5."""
+    return st.integers(1, 5).flatmap(
+        lambda m: st.integers(m + 1, 12).map(lambda n: Fraction(n, m))
+    )
+
+
 @st.composite
 def exponent_tables(draw):
     """(q, order, e) with q = n/m > 1 and e[L][k] in 0..L^2 for 0 <= k <= L <= order."""
-    m = draw(st.integers(1, 5))
-    q = Fraction(draw(st.integers(m + 1, 12)), m)
+    q = draw(_rationals())
     order = draw(st.integers(0, 10))
     table = [
         draw(st.lists(st.integers(0, L * L), min_size=L + 1, max_size=L + 1))
         for L in range(order + 1)
     ]
     return q, order, table
+
+
+def _cell_values(q, order):
+    """R's cells (t, x) as t a^x b^(L^2) / P_n, keyed by (n, L, k)."""
+    a, b = q.numerator, q.denominator
+    commons, table = partitions._refined_sums(q, order)
+    assert commons == [
+        math.prod(a**i - b**i for i in range(1, n + 1)) for n in range(order + 1)
+    ]
+    return {
+        (n, L, k): Fraction(t * b ** (L * L)) * Fraction(a) ** x / commons[n]
+        for n, row in enumerate(table)
+        for L, cell in enumerate(row)
+        for k, (t, x) in cell.items()
+    }
+
+
+def _cell_sums(q, order):
+    """Per (n, L, k), the sum of 1/|Aut(lambda)| over the reference partitions."""
+    sums = {}
+    for n in range(order + 1):
+        for lam in reference.partitions(n):
+            key = (n, lam.length, reference.multiplicity(lam, 1))
+            sums[key] = sums.get(key, 0) + 1 / reference.aut_order(lam, q)
+    return sums
 
 
 class TestPartitionSum:
@@ -303,7 +334,7 @@ class TestPartitionSum:
     )
     def test_matches_per_term_fraction_sum(self, q, exponent):
         walk_exponent, lam_exponent = EXPONENTS[exponent]
-        got = partitions._partition_sum(q, 16, walk_exponent)
+        got = partitions._read(q, 16, walk_exponent)
         assert got == reference.partition_sum(q, 16, lam_exponent)
 
     @settings(max_examples=60, deadline=None)
@@ -312,7 +343,7 @@ class TestPartitionSum:
         # an offset error in the powers of a or b that the three fixed exponents
         # cancel shows for some table
         q, order, table = drawn
-        got = partitions._partition_sum(q, order, lambda length, m1: table[length][m1])
+        got = partitions._read(q, order, lambda length, m1: table[length][m1])
         want = reference.partition_sum(
             q,
             order,
@@ -337,29 +368,56 @@ class TestPartitionSum:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            partitions._partition_sum(2, -1, EXPONENTS["weight"][0])
-
-    @pytest.mark.parametrize(
-        "exponent", [lambda length, m1: -1, lambda length, m1: length * length + 1]
-    )
-    def test_rejects_exponent_outside_range(self, exponent):
-        with pytest.raises(ValueError):
-            partitions._partition_sum(2, 4, exponent)
+            partitions._refined_sums(2, -1)
 
     @pytest.mark.parametrize("division", ["q-binomial", "edge"])
     def test_a_corrupted_division_raises(self, division, monkeypatch):
         # at q = 7/3, a^k - b^k = 4, 40, 316, ...: neither division is by 1
         f = [7**k - 3**k for k in range(4)]
         dividend, divisor = {
-            # [2; 2] = P_2 / (P_2 P_0), r of the chain node (1,1) below ()
+            # [2; 2] = (P_2 / P_0) / P_2, r of the two ones (1,1) appended to ()
             "q-binomial": (f[1] * f[2], f[1] * f[2]),
             # the stack edge () -> (3): r = P_3 / P_1
             "edge": (f[1] * f[2] * f[3], f[1]),
         }[division]
         corrupted = _corrupt_one_division(monkeypatch, dividend, divisor)
         with pytest.raises(ArithmeticError):
-            partitions._partition_sum(Fraction(7, 3), 8, EXPONENTS["eq1"][0])
+            partitions._refined_sums(Fraction(7, 3), 8)
         assert corrupted == [(dividend, divisor)]
+
+
+class TestRefinedSums:
+    """R[n][L][k]: the sums of 1/|Aut(lambda)| per size, length and m_1."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [Fraction(2), Fraction(5, 2), Fraction(7, 3), Fraction(10), Fraction(3)],
+    )
+    def test_cells_match_per_term_sums(self, q):
+        # every (n, L, k) that some partition has is a cell, and no other is
+        assert _cell_values(q, 14) == _cell_sums(q, 14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rationals(), st.integers(0, 10))
+    def test_any_q_cells_match_per_term_sums(self, q, order):
+        assert _cell_values(q, order) == _cell_sums(q, order)
+
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 3)]
+    )
+    def test_cells_match_corollary_1(self, q):
+        # sum over lambda |- n with l(lambda) = a, m_1(lambda) = b of 1/|Aut|
+        # = [u^n] u^(2a-b) / (q^(a^2+r^2) (1/q)_b (1/q)_r (u/q)_r), r = a - b
+        order = 10
+        cells = _cell_values(q, order)
+        compared = 0
+        for a in range(order + 1):
+            for b in range(a + 1):
+                law = reference.cor1_joint_series(q, order, a, b)
+                for n in range(order + 1):
+                    assert cells.get((n, a, b), 0) == law[n], (n, a, b)
+                    compared += 1
+        assert compared == 726  # 66 pairs (a, b) at 11 orders each
 
 
 class TestClWeight:

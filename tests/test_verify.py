@@ -44,18 +44,20 @@ SERIES_ROUTES = {
 
 
 def _double_chain_coefficient(monkeypatch, size, ones):
-    """Double the q-binomial [size+ones; ones] in the middle's chain table.
+    """Double the q-binomial [size+ones; ones] in the middle's quotient table.
 
-    Only the walk's nodes of *size* read that row of the table, each for
-    its partition with *ones* ones appended: the node () of size 0 gives
-    (1,) for one 1, and (2,), the only node of size 2, gives (2,1) for
-    one 1.  So exactly one partition's term doubles in every middle
-    series, as if its |Aut| were halved.
+    The table for c = 1 holds [s+j; j] in row s, with s = order + 1 -
+    len(row).  Only the (size, length) cells of *size*, after the twos
+    fold, read that row, each for its partitions with *ones* ones
+    appended.  Size 0 holds only (), which gives (1,) for one 1.  Size 2
+    holds only (2,), the node () with one two, which gives (2,1) for one
+    1.  So exactly one partition's term doubles in every middle series,
+    as if its |Aut| were halved.
     """
-    old = "_exact(commons[s + k], commons[s] * commons[k])"
-    new = f"{old} * (2 if (s, k) == {(size, ones)} else 1)"
+    old = "_exact(rise, commons[j])"
+    new = f"{old} * (2 if (c, order + 1 - len(row), j) == {(1, size, ones)} else 1)"
     monkeypatch.setattr(
-        partitions, "_partition_sum", _mutated(partitions._partition_sum, old, new)
+        partitions, "_refined_sums", _mutated(partitions._refined_sums, old, new)
     )
 
 
@@ -427,17 +429,18 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "old,new",
         [
-            # the chain's a-offset counts M's growth as k, not k(k+1)/2, for k ones
-            ("k * (k + 1) // 2 - (2 * length", "k - (2 * length"),
+            # the chain's a-power counts M's growth as k, not k(k+1)/2, for k
+            # ones: from k ones to k + 1 it falls by 2l + 2k, not 2l + k
+            ("x -= 2 * length + k", "x -= 2 * length + 2 * k"),
             # the ones' factor P_k of D is cut to a - b: the chain's
             # q-binomial [s+k; k] loses the repeated part's factors
-            ("commons[s] * commons[k])", "commons[s] * commons[min(k, 1)])"),
+            ("commons[j])", "commons[min(j, 1) if c == 1 else j])"),
         ],
         ids=["wrong-M-increment", "dropped-multiplicity-factor"],
     )
     def test_mutated_walk_fails_eq1_rational_q(self, old, new, monkeypatch):
-        mutant = _mutated(partitions._partition_sum, old, new)
-        monkeypatch.setattr(partitions, "_partition_sum", mutant)
+        mutant = _mutated(partitions._refined_sums, old, new)
+        monkeypatch.setattr(partitions, "_refined_sums", mutant)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
@@ -452,10 +455,10 @@ class TestFaultInjection:
     def test_mutated_twos_chain_fails_eq1_rational_q(self, monkeypatch):
         # the twos' factor P_j of D is cut to a - b: the quotient
         # P_(s+2j) / (P_s P_j) loses the repeated two's factors
-        old = "commons[s] * commons[j])"
-        new = "commons[s] * commons[min(j, 1)])"
-        mutant = _mutated(partitions._partition_sum, old, new)
-        monkeypatch.setattr(partitions, "_partition_sum", mutant)
+        old = "commons[j])"
+        new = "commons[min(j, 1) if c == 2 else j])"
+        mutant = _mutated(partitions._refined_sums, old, new)
+        monkeypatch.setattr(partitions, "_refined_sums", mutant)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
