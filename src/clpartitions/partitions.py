@@ -9,23 +9,18 @@ lambda,
 evaluated exactly at any rational q > 1 (the identities checked downstream
 are rational-function identities in q, so non-prime-power q is allowed).
 
-Every partition comes from one depth-first walk (`_walk`).  It visits
-the partitions with every part >= 3, each built from its parent by
-appending a part >= 3, and carries their statistics and the integer
-r = P_|lambda| / D (P_s = prod_{k<=s} (a^k - b^k), D = prod_m P_m over
-the multiplicities) from the parent.  Every other partition is a node
-with j twos and then k ones appended, and each reader appends them
-itself: `partitions_of(n)` pads every node of size s <= n with j twos
-and n - s - 2j ones.  `_refined_sums` sums the nodes per (size,
-length), expands each (size, length) sum into its chain of twos and
-the result into its chain of ones, in integers per power of a, and so
-fills one table R[n][L][k] of the sums of 1/|Aut(lambda)| per size n,
-length L and number k of parts 1.  Each middle series reads R once,
-applying its power q^e with e = L^2, L^2 - k or 0 as it reads.  By the
-distributive law that is the sum over every partition, with no
+The partition sums place the parts one size at a time (`_refined_sums`):
+for p = order down to 2, every (size, length) cell of the partitions
+with all parts > p gains m parts p for each m >= 1, and each cell keeps
+its sum as one integer times a power of a (q = a/b).  The ones come
+last and fill one table R[n][L][k] of the sums of 1/|Aut(lambda)| per
+size n, length L and number k of parts 1.  Each middle series reads R
+once, applying its power q^e with e = L^2, L^2 - k or 0 as it reads.
+By the distributive law that is the sum over every partition, with no
 `Partition` built and no call to `aut_order`.  `aut_order` is the
 per-partition definition of the same weight, read by the checks that
-name single partitions.
+name single partitions, and `partitions_of(n)` lists the partitions of
+n for them.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ import operator
 from fractions import Fraction
 from functools import cache, lru_cache, total_ordering
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .series import Rational, _exact, irreducible_count, multiply, power
 
@@ -106,78 +101,23 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def _rises(factors: Sequence[int]) -> list[list[int]]:
-    """rises[s][k] = factors[s+1] * ... * factors[s+k] = P_(s+k) / P_s."""
-    return [
-        list(accumulate(factors[s + 1 :], operator.mul, initial=1))
-        for s in range(len(factors))
-    ]
-
-
-# a node of the walk: (parts, size, n2, m, big_m, r), see _walk
-_Node = tuple[tuple[int, ...], int, int, int, int, int]
-
-
-def _walk(order: int, factors: Sequence[int]) -> Iterator[_Node]:
-    """Every partition of size <= order with every part >= 3, once, with its statistics.
-
-    A node is (parts, size, n2, m, big_m, r): the parts (all >= 3), their
-    sum, n2 = sum_i (2i - 1) lambda_i (= sum_i (lambda'_i)^2, see
-    aut_order), the multiplicity m of the last part and
-    M = sum m(m+1)/2 over the multiplicities of the parts.  With
-    P_s = factors[1] * ... * factors[s] and D the product of P_m over the
-    multiplicities m, r = P_size / D.  With factors[k] = a^k - b^k, D is
-    aut_order's prod_m P_m, and r is an integer (see _refined_sums).
-
-    A child appends a part p >= 3, p <= the last part, at index i (from
-    0): n2 grows by (2i + 1) p.  If p repeats the last part, whose
-    multiplicity is m, M grows by m + 1 and D gains the factor
-    factors[m + 1]; a new, smaller part adds 1 to M and factors[1] to D.
-    Either way r becomes r * P_(size+p) / P_size divided by D's new
-    factor, a division that is checked and raises ArithmeticError if it
-    leaves a remainder.  The partitions with a part 2 or 1 are not
-    visited: each reader appends to every node its j twos and then its
-    k ones itself.
-    """
-    rises = _rises(factors)
-    stack = [((), 0, 0, 0, 0, 1)]
-    while stack:
-        node = stack.pop()
-        yield node
-        parts, size, n2, m, big_m, r = node
-        room = order - size
-        last = parts[-1] if parts else room
-        step = 2 * len(parts) + 1
-        rise = rises[size]
-        for p in range(3, min(last, room) + 1):
-            m_p = m + 1 if p == last else 1
-            stack.append(
-                (
-                    parts + (p,),
-                    size + p,
-                    n2 + step * p,
-                    m_p,
-                    big_m + m_p,
-                    _exact(r * rise[p], factors[m_p]),
-                )
-            )
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order of parts.
 
-    Each walk node of size s <= n, with j twos and then n - s - 2j ones
-    appended for every j <= (n - s)/2; every factor is 1, so r stays 1.
+    Each first part p from n down to 1, followed by each partition of
+    n - p with no part above p, in that size's own order.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    found = [
-        Partition(parts + (2,) * j + (1,) * (n - size - 2 * j))
-        for parts, size, *_ in _walk(n, (1,) * (n + 1))
-        for j in range((n - size) // 2 + 1)
-    ]
-    return tuple(sorted(found, reverse=True))
+    if not n:
+        return (Partition(),)
+    return tuple(
+        Partition((p, *rest.parts))
+        for p in range(n, 0, -1)
+        for rest in partitions_of(n - p)
+        if not rest.parts or rest.parts[0] <= p
+    )
 
 
 def aut_order(p: Partition, q: Rational) -> Fraction:
@@ -271,31 +211,31 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
     [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
     and P_l divides P_s.  Every division below is checked all the same.
 
-    Every partition is a walk node (`_walk`, every part >= 3) with j
-    twos and then k ones appended, and the three are summed in turn:
+    The parts are placed one size at a time, p = order down to 1, each
+    size below every part already placed.  Cell (s, l) holds t * a^x,
+    the sum of a^(M - n2) b^(n2 - l^2) r over the partitions of s with
+    l parts, all of them > p; at first only () is a cell, (1, 0).
 
-    * The nodes.  Each adds r * b^(n2 - l^2) to one integer per
-      (s, l, power M - n2 of a), and each (s, l) cell is folded by
-      Horner's rule in a (`_fold`) into one integer t times a^x.
-      n2 - l^2 <= l (s - l) <= s^2 / 4, since every column after the
-      first is at most l long and they hold s - l boxes.
-    * The twos.  j twos add 2lj + j^2 to n2 - l^2, j(j+1)/2 to M and P_j
-      to D, so r becomes r * P_(s+2j) / (P_s P_j), and x grows by
-      j(j+1)/2 - 4lj - 2j^2.  So each folded (s, l) cell feeds
-      (s + 2j, l + j) once per j, and those cells are folded in turn.
-      2lj + j^2 < (l + j)^2 <= (s + 2j)^2 / 4, as l + j <= (s + 2j) / 2.
-    * The ones.  k ones add (2l+k) k = (l+k)^2 - l^2 to n2, which leaves
-      n2 - L^2 as it was, k(k+1)/2 to M and P_k to D, so r becomes
-      r * [s+k; k].  So each folded (s, l) cell t * a^x fills
-      R[s+k][l+k][k] with t [s+k; k] at the power
-      x + k(k+1)/2 - (2l+k) k of a, which falls by 2l + k from k ones
-      to k + 1.
+    * A part size p >= 2.  m parts p, appended to a partition with l
+      parts, add p (2lm + m^2) = p ((l+m)^2 - l^2) to n2, so
+      (p - 1)(2lm + m^2) to n2 - l^2, m(m+1)/2 to M and P_m to D: r
+      becomes r * P_(s+pm) / (P_s P_m).  So cell (s, l) adds
+      t * P_(s+pm) / (P_s P_m) * b^((p-1)(2lm + m^2)) at the power
+      x + m(m+1)/2 - p (2lm + m^2) of a to cell (s + pm, l + m), for
+      each m >= 1.  The sizes s are visited downwards, so each cell
+      gains parts p from the cells as they stood before size p.  A cell
+      keeps one integer: a term at a higher power of a is scaled up to
+      the cell's power, and a term at a lower power scales the cell up
+      to its own.  n2 - l^2 <= l (s - l) <= s^2 / 4, since every column
+      after the first is at most l long and they hold s - l boxes.
+    * The ones (p = 1) leave n2 - L^2 as it was, so each cell (s, l)
+      fills R[s+k][l+k][k] with t [s+k; k] (the homogenised q-binomial
+      P_(s+k) / (P_s P_k)) at the power x + k(k+1)/2 - (2l+k) k of a,
+      which falls by 2l + k from k ones to k + 1.
 
-    The quotients P_(s+cj) / (P_s P_j) of the twos (c = 2) and of the
-    ones (c = 1, the homogenised q-binomial [s+j; j]) come from one
-    table builder.  By the distributive law this is still the sum over
-    every partition: no closed form sums a chain, and the rhs is not
-    read.  No Partition is built and aut_order is not called.
+    By the distributive law this is the sum over every partition: no
+    closed form sums a part size, and the rhs is not read.  No
+    Partition is built and aut_order is not called.
     """
     q = Fraction(q)
     if q <= 1:
@@ -306,38 +246,50 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
     a_power = cache(a.__pow__)  # a^k, each k computed once
     factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
     commons = list(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
-    rises = _rises(factors)
-    ones, twos = (  # [s][j] = P_(s+cj) / (P_s P_j) for c = 1 and c = 2
-        [[_exact(rise, commons[j]) for j, rise in enumerate(row[::c])] for row in rises]
-        for c in (1, 2)
-    )
+    rises = [  # rises[s][i] = P_(s+i) / P_s
+        list(accumulate(factors[s + 1 :], operator.mul, initial=1))
+        for s in range(order + 1)
+    ]
     b_powers = [b**k for k in range(order * order // 4 + 1)]  # <= order^2 / 4, above
-    # nodes[s][l]: per power M - n2 of a, the sum of r * b^(n2 - l^2) over
-    # the walk's nodes of size s and length l <= s/3
-    nodes = [[{} for _ in range(s // 3 + 1)] for s in range(order + 1)]
-    for parts, size, n2, _, big_m, r in _walk(order, factors):
-        length = len(parts)
-        cell, x = nodes[size][length], big_m - n2
-        cell[x] = cell.get(x, 0) + r * b_powers[n2 - length * length]
-    # the same sums over the partitions with every part >= 2, l <= s/2
-    chains = [[{} for _ in range(s // 2 + 1)] for s in range(order + 1)]
-    for s, row in enumerate(nodes):
-        for length, cell in enumerate(row):
-            if not cell:
+
+    def quotients(s: int, p: int) -> list[int]:
+        """[m] = P_(s+pm) / (P_s P_m) for s + pm <= order, each division checked."""
+        return [_exact(rise, commons[m]) for m, rise in enumerate(rises[s][::p])]
+
+    cells: list[list[tuple[int, int] | None]] = [
+        [None] * (s // 2 + 1) for s in range(order + 1)
+    ]
+    cells[0][0] = (1, 0)
+    for p in range(order, 1, -1):
+        for s in range(order - p, -1, -1):
+            if not any(cells[s]):
                 continue
-            t, low = _fold(cell, a_power)
-            for j, quotient in enumerate(twos[s]):
-                target = chains[s + 2 * j][length + j]
-                x = low + j * (j + 1) // 2 - (4 * length + 2 * j) * j
-                weight = quotient * b_powers[(2 * length + j) * j]
-                target[x] = target.get(x, 0) + t * weight
+            quotient = quotients(s, p)
+            for length, cell in enumerate(cells[s]):
+                if cell is None:
+                    continue
+                t, x = cell
+                for m in range(1, len(quotient)):
+                    grown = (2 * length + m) * m
+                    term = t * quotient[m] * b_powers[(p - 1) * grown]
+                    y = x + m * (m + 1) // 2 - p * grown
+                    row, at = cells[s + p * m], length + m
+                    if row[at] is None:
+                        row[at] = (term, y)
+                    else:
+                        u, z = row[at]
+                        if y >= z:
+                            row[at] = (u + term * a_power(y - z), z)
+                        else:
+                            row[at] = (u * a_power(z - y) + term, y)
     table = [[{} for _ in range(n + 1)] for n in range(order + 1)]
-    for s, row in enumerate(chains):
+    for s, row in enumerate(cells):
+        ones = quotients(s, 1)
         for length, cell in enumerate(row):
-            if not cell:
+            if cell is None:
                 continue
-            t, x = _fold(cell, a_power)
-            for k, binomial in enumerate(ones[s]):
+            t, x = cell
+            for k, binomial in enumerate(ones):
                 table[s + k][length + k][k] = (t * binomial, x)
                 x -= 2 * length + k
     return commons, table

@@ -134,5 +134,4 @@ def irreducible_count(d: int, q: int) -> int:
     if q < 2:
         raise ValueError("q must be >= 2")
     total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    assert total % d == 0
-    return total // d
+    return _exact(total, d)

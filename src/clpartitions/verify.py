@@ -93,10 +93,11 @@ def _sum_over_u_pochhammer(
     """
     a, b = q.numerator, q.denominator
     terms = range(order // step + 1)
+    factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
     rises = [[1] for _ in terms]  # rises[i][m] = P_(i+m) / P_i; rises[0] is P_n
     for i, rise in enumerate(rises):
-        for k in range(i + 1, order + 1):
-            rise.append(rise[-1] * (a**k - b**k))
+        for factor in factors[i + 1 :]:
+            rise.append(rise[-1] * factor)
     exponents = [q_exponent(i) for i in terms]
     bases = [i * (i + 1) // 2 - e for i, e in zip(terms, exponents)]  # T_i - E
     lows = [0] * (order + 1)  # -K per coefficient

@@ -112,8 +112,8 @@ def wellknown_b_sum(q, order):
 def partitions(n, largest=None):
     """Partitions of n with parts <= largest, by recursion on the first part.
 
-    Kept apart from the package's walk, so the reference sum does not
-    share its enumeration.
+    Kept apart from the package's `partitions_of`, so the reference sum
+    does not share its enumeration.
     """
     largest = n if largest is None else largest
     if n == 0:

@@ -4,7 +4,6 @@ import copy
 import math
 import pickle
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -117,6 +116,10 @@ class TestEnumeration:
             assert got == sorted(set(got), reverse=True)
             assert len(got) == _count_partitions(n, n)
 
+    @pytest.mark.parametrize("n", range(17))
+    def test_matches_reference_enumeration(self, n):
+        assert list(partitions_of(n)) == sorted(reference.partitions(n), reverse=True)
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_no_duplicates(self, n):
         lams = partitions_of(n)
@@ -183,82 +186,8 @@ EXPONENTS = {
 }
 
 
-def _statistics(parts, factors):
-    """The walk's node for *parts*, each statistic computed from the parts alone."""
-    mults = [parts.count(p) for p in sorted(set(parts))]
-    d = 1
-    for m in mults:
-        d *= math.prod(factors[1 : m + 1])
-    size = sum(parts)
-    p_size = math.prod(factors[1 : size + 1])
-    assert p_size % d == 0
-    return (
-        parts,
-        size,
-        sum(c * c for c in Partition(parts).conjugate().parts),
-        parts.count(parts[-1]) if parts else 0,
-        sum(m * (m + 1) // 2 for m in mults),
-        p_size // d,
-    )
-
-
-class TestWalk:
-    def test_visits_every_partition_once_per_size(self):
-        # each node stands for itself with j twos and then k ones appended,
-        # 2j + k <= 26 - size
-        nodes = list(partitions._walk(26, (1,) * 27))
-        reached = Counter(
-            parts + (2,) * j + (1,) * k
-            for parts, size, *_ in nodes
-            for j in range((26 - size) // 2 + 1)
-            for k in range(27 - size - 2 * j)
-        )
-        assert len(reached) == sum(reached.values()) == 11732  # each one once
-        for parts in reached:
-            Partition(parts)  # weakly decreasing and positive
-        sizes = Counter(map(sum, reached))
-        assert sizes[26] == 2436  # p(26)
-        for s in range(27):
-            assert sizes[s] == len(partitions_of(s)) == _count_partitions(s, s)
-        assert set(sizes) == set(range(27))
-
-    def test_stack_holds_only_partitions_without_ones(self):
-        # 11,732 partitions of size <= 26; the 861 with every part >= 3 are
-        # the walk's nodes, the 10,871 others their chains of twos and ones
-        nodes = list(partitions._walk(26, (1,) * 27))
-        chained = sum(
-            27 - size - 2 * j
-            for _, size, *_ in nodes
-            for j in range((26 - size) // 2 + 1)
-        ) - len(nodes)
-        assert (len(nodes) + chained, len(nodes), chained) == (11732, 861, 10871)
-        for node in nodes:
-            assert all(p >= 3 for p in node[0])
-        # p(s) - p(s - 1) - p(s - 2) + p(s - 3) partitions of s have no part 1 or 2
-        sizes = Counter(size for _, size, *_ in nodes)
-        p = [_count_partitions(s, s) for s in range(27)]
-        for s in range(27):
-            assert sizes[s] == sum(
-                c * p[s - d] for d, c in enumerate((1, -1, -1, 1)) if d <= s
-            )
-
-    def test_nodes_are_distinct_partitions(self):
-        parts = [node[0] for node in partitions._walk(14, (1,) * 15)]
-        assert len(parts) == len(set(parts))
-        for p in parts:
-            Partition(p)  # weakly decreasing and positive
-
-    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 3)])
-    def test_carried_statistics_match_direct_ones(self, q):
-        # the last entry is r = P_size / prod_i P_(m_i)
-        a, b = q.numerator, q.denominator
-        factors = [a**k - b**k for k in range(13)]
-        for node in partitions._walk(12, factors):
-            assert node == _statistics(node[0], factors)
-
-
 def _corrupt_one_division(monkeypatch, dividend, divisor):
-    """Add 1 to the dividend of the walk's checked division dividend / divisor.
+    """Add 1 to the dividend of the middle's checked division dividend / divisor.
 
     Returns the list of the divisions corrupted so far.
     """
@@ -333,8 +262,8 @@ class TestPartitionSum:
         ],
     )
     def test_matches_per_term_fraction_sum(self, q, exponent):
-        walk_exponent, lam_exponent = EXPONENTS[exponent]
-        got = partitions._read(q, 16, walk_exponent)
+        read_exponent, lam_exponent = EXPONENTS[exponent]
+        got = partitions._read(q, 16, read_exponent)
         assert got == reference.partition_sum(q, 16, lam_exponent)
 
     @settings(max_examples=60, deadline=None)
@@ -377,7 +306,7 @@ class TestPartitionSum:
         dividend, divisor = {
             # [2; 2] = (P_2 / P_0) / P_2, r of the two ones (1,1) appended to ()
             "q-binomial": (f[1] * f[2], f[1] * f[2]),
-            # the stack edge () -> (3): r = P_3 / P_1
+            # one part 3 placed on (): r = P_3 / (P_0 P_1)
             "edge": (f[1] * f[2] * f[3], f[1]),
         }[division]
         corrupted = _corrupt_one_division(monkeypatch, dividend, divisor)
@@ -396,6 +325,12 @@ class TestRefinedSums:
     def test_cells_match_per_term_sums(self, q):
         # every (n, L, k) that some partition has is a cell, and no other is
         assert _cell_values(q, 14) == _cell_sums(q, 14)
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 3)])
+    def test_cells_match_per_term_sums_at_order_20(self, q):
+        # every part size 2..20 gains up to 10 parts; the values are pinned,
+        # not R's (t, x), which a different fold may scale by a power of a
+        assert _cell_values(q, 20) == _cell_sums(q, 20)
 
     @settings(max_examples=60, deadline=None)
     @given(_rationals(), st.integers(0, 10))

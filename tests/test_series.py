@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clpartitions import series
 from clpartitions.series import (
     gl_order,
     irreducible_count,
@@ -237,3 +238,10 @@ class TestIrreducibleCount:
             e * irreducible_count(e, q) for e in range(1, d + 1) if d % e == 0
         )
         assert total == q**d
+
+    def test_uneven_total_raises_without_asserts(self, monkeypatch):
+        # mu = 1 everywhere: the d = 3 total q^3 + q = 10 at q = 2 is not a
+        # multiple of 3; the checked division raises even under python -O
+        monkeypatch.setattr(series, "_mobius", lambda n: 1)
+        with pytest.raises(ArithmeticError):
+            irreducible_count(3, 2)

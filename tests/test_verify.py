@@ -44,18 +44,17 @@ SERIES_ROUTES = {
 
 
 def _double_chain_coefficient(monkeypatch, size, ones):
-    """Double the q-binomial [size+ones; ones] in the middle's quotient table.
+    """Double the q-binomial [size+ones; ones] of the middle's chain of ones.
 
-    The table for c = 1 holds [s+j; j] in row s, with s = order + 1 -
-    len(row).  Only the (size, length) cells of *size*, after the twos
-    fold, read that row, each for its partitions with *ones* ones
-    appended.  Size 0 holds only (), which gives (1,) for one 1.  Size 2
-    holds only (2,), the node () with one two, which gives (2,1) for one
-    1.  So exactly one partition's term doubles in every middle series,
-    as if its |Aut| were halved.
+    The ones (p = 1) read the quotients P_(s+m) / (P_s P_m) of size s
+    once, after every larger part is placed, and each (size, length) cell
+    of *size* gains its *ones* ones with that row's entry m = *ones*.
+    Size 0 holds only (), which gives (1,) for one 1.  Size 2 holds only
+    (2,), which gives (2,1) for one 1.  So exactly one partition's term
+    doubles in every middle series, as if its |Aut| were halved.
     """
-    old = "_exact(rise, commons[j])"
-    new = f"{old} * (2 if (c, order + 1 - len(row), j) == {(1, size, ones)} else 1)"
+    old = "_exact(rise, commons[m])"
+    new = f"{old} * (2 if (p, s, m) == {(1, size, ones)} else 1)"
     monkeypatch.setattr(
         partitions, "_refined_sums", _mutated(partitions._refined_sums, old, new)
     )
@@ -434,7 +433,7 @@ class TestFaultInjection:
             ("x -= 2 * length + k", "x -= 2 * length + 2 * k"),
             # the ones' factor P_k of D is cut to a - b: the chain's
             # q-binomial [s+k; k] loses the repeated part's factors
-            ("commons[j])", "commons[min(j, 1) if c == 1 else j])"),
+            ("commons[m])", "commons[min(m, 1) if p == 1 else m])"),
         ],
         ids=["wrong-M-increment", "dropped-multiplicity-factor"],
     )
@@ -453,10 +452,10 @@ class TestFaultInjection:
         )
 
     def test_mutated_twos_chain_fails_eq1_rational_q(self, monkeypatch):
-        # the twos' factor P_j of D is cut to a - b: the quotient
-        # P_(s+2j) / (P_s P_j) loses the repeated two's factors
-        old = "commons[j])"
-        new = "commons[min(j, 1) if c == 2 else j])"
+        # the twos' factor P_m of D is cut to a - b: the quotient
+        # P_(s+2m) / (P_s P_m) loses the repeated two's factors
+        old = "commons[m])"
+        new = "commons[min(m, 1) if p == 2 else m])"
         mutant = _mutated(partitions._refined_sums, old, new)
         monkeypatch.setattr(partitions, "_refined_sums", mutant)
         q = Fraction(5, 2)
@@ -468,6 +467,26 @@ class TestFaultInjection:
         assert middle[:4] == rhs[:4] and middle[4] != rhs[4]
         assert eq1.detail == (
             "coefficient of u^4: middle 1563390529/112223475, rhs 1449385729/112223475"
+        )
+
+    def test_mutated_part_stage_fails_eq1_rational_q(self, monkeypatch):
+        # in every stage p >= 3, n2 - l^2 grows by 2lm + m^2, as for twos,
+        # not by (p - 1)(2lm + m^2): b's power is cut, which only b > 1 shows
+        old = "b_powers[(p - 1) * grown]"
+        new = "b_powers[min(p - 1, 1) * grown]"
+        mutant = _mutated(partitions._refined_sums, old, new)
+        monkeypatch.setattr(partitions, "_refined_sums", mutant)
+        assert all(r.passed for r in run_rational_q_check(2, 6))
+        q = Fraction(5, 2)
+        middle = partitions.eq1_middle_series(q, 6)
+        rhs = eq1_rhs_series(q, 6)
+        eq1, eq2 = run_rational_q_check(q, 6)
+        assert eq1.check_name == "eq1-rational-q" and not eq1.passed
+        assert eq2.check_name == "eq2-rational-q" and not eq2.passed
+        # (3) is the first partition with a part above 2
+        assert middle[:3] == rhs[:3] and middle[3] != rhs[3]
+        assert eq1.detail == (
+            f"coefficient of u^3: middle {fmt_rat(middle[3])}, rhs {fmt_rat(rhs[3])}"
         )
 
     def test_perturbed_rhs_factor_is_caught(self, monkeypatch):
