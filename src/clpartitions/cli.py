@@ -15,13 +15,16 @@ may begin with ``-`` only as a negative number (``--seed -1``) or in the
 ``-h``/``--help`` prints the usage built from the table.
 
 Exit codes: 0 all checks pass (or help printed), 1 any identity failure,
-2 usage error, 3 enumeration budget refusal.  A command line the table
-refuses prints one ``usage error:`` line and the command's usage line.
+2 usage error, 3 enumeration budget refusal, 141 (128 + SIGPIPE) standard
+output closed by its reader (``| head``), with no traceback.  A command
+line the table refuses prints one ``usage error:`` line and the
+command's usage line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 DESCRIPTION = (
     "Exact verification of generating-function identities for mutually annihilating\n"
@@ -375,7 +379,19 @@ def _parse_command(name: str, tokens: list[str], args: dict) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = _main(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left to write, and the flush at
+        # exit, go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
+
+
+def _main(argv: list[str]) -> int:
+    try:
+        args = parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}\n{_usage(exc.command)}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,12 @@ powers (:func:`_rank_sequence`): in pass 1 for A, and in pass 2 for each
 member B of A's annihilator.  Both run on packed rows: a row of p-adic
 entries is one Python int, entry t in bits [t*w, (t+1)*w), and a single
 forward-elimination routine (:func:`_eliminate`) serves every rank and
-nullspace computation.
+nullspace computation.  Pass 1 carries its eliminations down the walk,
+which chooses A one row at a time: (AB)_{ij} reads only row i of A, so
+the rows of B -> AB that a prefix of A's rows gives, and the prefix's own
+rows, are eliminated once per prefix (:func:`_descend`), and each visited
+matrix adds only its last row and the rows of B -> BA
+(:func:`_minimum_record`).
 n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
 which is nilpotent with an annihilator of dimension 0.
 
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterator, NamedTuple, Optional
 
 from .partitions import Partition
@@ -56,8 +62,9 @@ DEFAULT_OUTER_BUDGET = 2**26
 # nilpotent A.  It bounds pass 2's work from above: pass 2 enumerates one
 # space per nonzero nilpotent orbit, unweighted, and never ann(0)'s p^(n^2)
 INNER_BUDGET = 2**30
-
-_SMALL_PRIMES = {2, 3, 5}
+# entries of the tables a census builds (see _table_entries), read per call:
+# about 40 bytes and 1.5 us each, so 2^22 is about 170 MiB and 6 s
+TABLE_BUDGET = 2**22
 
 # (row-major entries of A, computed value, expected value), or None
 _Counterexample = Optional[tuple[tuple[int, ...], int, int]]
@@ -84,14 +91,16 @@ class _Packing(NamedTuple):
     most that an elimination step or a row of a matrix product makes, does
     not carry into the next lane, and :func:`_reduce` brings every lane back
     into [0, p) at once, using floor(x / p) == (x * mul) >> shift for
-    x <= bound.
+    x <= bound.  That holds once bound * e < 2^shift, e = mul * p - 2^shift
+    in [0, p): x * mul / 2^shift is x / p plus x * e / (p * 2^shift), less
+    than 1/p, and the fractional part of x / p is at most (p - 1) / p.
 
     A matrix is identified by its *row codes*: row i has code
     sum_k A[i][k] * p^(n-1-k), so lexicographic order of entry vectors is
     lexicographic order of code tuples.  The tables are indexed by code.
-    ``products[j][code]``, for row i of A with that code, is the row of the
+    ``products[code][j]``, for row i of A with that code, is the row of the
     system B -> AB that gives (AB)_{ij}; OR-ed over the rows i of A,
-    ``products[i][code]`` packs A^T, entry (k, i) in lane k*n + i.
+    ``products[code][i]`` packs A^T, entry (k, i) in lane k*n + i.
     """
 
     n: int
@@ -103,7 +112,7 @@ class _Packing(NamedTuple):
     quotient_mask: int  # the low (w - shift) bits of each of n^2 lanes
     inverse: tuple[int, ...]  # inverse[c] * c == 1 mod p, c in [1, p)
     row: tuple[int, ...]  # code -> packed row, entry k in lane k
-    products: tuple[tuple[int, ...], ...]  # [j][code] -> entry k in lane k*n + j
+    products: tuple[tuple[int, ...], ...]  # [code][j] -> entry k in lane k*n + j
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,7 +125,7 @@ def _packing(n: int, p: int) -> _Packing:
         shift = 0
         while True:
             mul = -(-(1 << shift) // p)
-            if all((x * mul) >> shift == x // p for x in range(bound + 1)):
+            if bound * (mul * p - (1 << shift)) < 1 << shift:
                 break
             shift += 1
         w = (bound * mul).bit_length()
@@ -134,8 +143,12 @@ def _packing(n: int, p: int) -> _Packing:
         inverse=(0,) + tuple(pow(c, p - 2, p) for c in range(1, p)),
         row=_row_table([[e << (k * w) for e in range(p)] for k in range(n)]),
         products=tuple(
-            _row_table([[e << ((k * n + j) * w) for e in range(p)] for k in range(n)])
-            for j in range(n)
+            zip(
+                *(
+                    _row_table([[e << ((k * n + j) * w) for e in range(p)] for k in range(n)])
+                    for j in range(n)
+                )
+            )
         ),
     )
 
@@ -158,16 +171,21 @@ def _reduce(x: int, pk: _Packing) -> int:
     return x - pk.p * (((x * pk.mul) >> pk.shift) & pk.quotient_mask)
 
 
-def _eliminate(rows, pk: _Packing) -> tuple[list[int], int]:
+def _eliminate(
+    rows, pk: _Packing, pivots: Optional[list[int]] = None, rank: int = 0
+) -> tuple[list[int], int]:
     """Forward elimination of packed rows over F_p: the one elimination routine.
 
     Returns (pivots, rank).  ``pivots[h]`` is 0 or the echelon row whose
     leading (highest) nonzero lane is h, scaled so that lane holds 1.
-    Once all n^2 lanes have a pivot, every row left would reduce to 0, so
-    the rest are skipped.
+    Given a state (pivots, rank) that an earlier call returned, the rows
+    are eliminated into it, and ``pivots`` is updated in place; without
+    one, into an empty echelon.  Once all n^2 lanes have a pivot, every
+    row left would reduce to 0, so the rest are skipped.
     """
-    w, nn = pk.w, pk.n * pk.n
-    pivots, rank = [0] * nn, 0
+    nn = pk.n * pk.n
+    if pivots is None:
+        pivots = [0] * nn
     if pk.p == 2:
         for r in rows:
             if rank == nn:
@@ -181,7 +199,7 @@ def _eliminate(rows, pk: _Packing) -> tuple[list[int], int]:
                     break
                 r ^= piv
         return pivots, rank
-    p, lane, inverse = pk.p, pk.lane, pk.inverse
+    p, w, lane, inverse = pk.p, pk.w, pk.lane, pk.inverse
     for r in rows:
         if rank == nn:
             break
@@ -246,10 +264,13 @@ def _matmul(X: list[int], Y: list[int], pk: _Packing) -> list[int]:
     return out
 
 
-def _rank_sequence(rows: list[int], pk: _Packing) -> list[int]:
-    """[n, rank A, rank A^2, ...] up to the first repeat or the first 0."""
+def _rank_sequence(rows: list[int], pk: _Packing, rank: Optional[int] = None) -> list[int]:
+    """[n, rank A, rank A^2, ...] up to the first repeat or the first 0.
+
+    ``rank``, when given, is rank A from an elimination of these rows.
+    """
     n = pk.n
-    ranks = [n, _eliminate(rows, pk)[1]]
+    ranks = [n, _eliminate(rows, pk)[1] if rank is None else rank]
     power = rows
     while ranks[-1] and ranks[-1] != ranks[-2]:  # strictly falling: < n products
         power = _matmul(power, rows, pk)
@@ -283,21 +304,23 @@ def _annihilator_rows(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     B_{ik} A_{kj}: A's column j in lanes k, moved to i*n, read from the
     packed A^T that the same table gives (see :class:`_Packing`).
     """
-    n, products = pk.n, pk.products
-    width = n * pk.w
-    col_mask = (1 << width) - 1
     At = 0
     for i, c in enumerate(codes):
-        At |= products[i][c]
-    cols = [(At >> (j * width)) & col_mask for j in range(n)]
-    return [ab[c] for c in codes for ab in products] + [
-        col << (i * width) for i in range(n) for col in cols
-    ]
+        At |= pk.products[c][i]
+    return [ab for c in codes for ab in pk.products[c]] + _right_rows(_columns(At, pk), pk)
 
 
-def _annihilator_nullity(codes: tuple[int, ...], pk: _Packing) -> int:
-    """F_p-dimension of {B : AB = BA = 0}, the nullity of the eliminated system."""
-    return pk.n * pk.n - _eliminate(_annihilator_rows(codes, pk), pk)[1]
+def _columns(At: int, pk: _Packing) -> list[int]:
+    """A's columns from A^T packed: column j with entry k in lane k."""
+    width = pk.n * pk.w
+    col_mask = (1 << width) - 1
+    return [(At >> (j * width)) & col_mask for j in range(pk.n)]
+
+
+def _right_rows(cols: list[int], pk: _Packing) -> list[int]:
+    """Rows of B -> BA: each column in ``cols`` moved to lanes i*n + k, for each i."""
+    width = pk.n * pk.w
+    return [col << (i * width) for i in range(pk.n) for col in cols]
 
 
 def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
@@ -398,8 +421,10 @@ def _orbit_maps(
     return tuple(maps)
 
 
-def _orbit_minima(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(row codes, orbit size) of every orbit minimum, in walk order.
+def _orbit_minima(
+    n: int, p: int, descend, root
+) -> Iterator[tuple[tuple[int, ...], int, object]]:
+    """(row codes, orbit size, state) of every orbit minimum, in walk order.
 
     A is the minimum of its G-orbit when key(A) <= key(gA) for every map g
     of :func:`_orbit_maps`; the orbit's size is |G| over the number of
@@ -411,15 +436,21 @@ def _orbit_minima(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
     the least that they can add is above 0 rules out the whole branch.
     Only the maps left open after A's first n - 1 rows are read per last
     row.  Mat_0(F_p) is its one matrix, the empty one.
+
+    The caller carries a state down the walk: the empty prefix has
+    ``root``, and each kept prefix of fewer than n rows has descend(its
+    parent's state, prefix), built once and shared by every minimum below
+    it.  Each minimum comes with the state of its first n - 1 rows (of no
+    rows when n = 0).
     """
     if n == 0:
-        yield (), 1
+        yield (), 1, root
         return
     maps = _orbit_maps(n, p)
     order = len(maps) + 1  # |G|: every map but the identity has its tables
     codes = range(p**n)
 
-    def settle(prefix, open_maps):
+    def settle(prefix, open_maps, state):
         i = len(prefix)
         if i < n - 1:
             for code in codes:
@@ -431,7 +462,8 @@ def _orbit_minima(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
                     if ahead + high[i + 1] >= 0:
                         kept.append((lead, low, high, ahead))
                 else:
-                    yield from settle(prefix + (code,), kept)
+                    below = prefix + (code,)
+                    yield from settle(below, kept, descend(state, below))
             return
         for last in codes:
             fixed = 1  # the identity
@@ -441,9 +473,53 @@ def _orbit_minima(n: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
                     break
                 fixed += not gap
             else:
-                yield prefix + (last,), order // fixed
+                yield prefix + (last,), order // fixed, state
 
-    yield from settle((), [(lead, low, high, 0) for lead, low, high in maps])
+    yield from settle((), [(lead, low, high, 0) for lead, low, high in maps], root)
+
+
+def _empty_prefix(pk: _Packing):
+    """:func:`_descend`'s state at the empty prefix: empty echelons and no rows."""
+    return [0] * (pk.n * pk.n), 0, [0] * pk.n, 0, 0, ()
+
+
+def _descend(state, prefix: tuple[int, ...], pk: _Packing):
+    """The census's state at a prefix of A's rows, from its parent's state.
+
+    The state is (pivots, rank) of the rows of B -> AB that the prefix
+    gives, (pivots, rank) of the prefix's own packed rows, the prefix
+    packed as A^T (see :class:`_Packing`), and its packed rows.  (AB)_{ij}
+    reads only row i of A, so the prefix's last row adds its n rows to the
+    first echelon and its packed row to the second, each eliminated into a
+    copy of the parent's.
+    """
+    pivots, rank, rows_pivots, rows_rank, At, rows = state
+    code = prefix[-1]
+    ab = pk.products[code]
+    row = (pk.row[code],)
+    pivots, rank = _eliminate(ab, pk, pivots[:], rank)
+    rows_pivots, rows_rank = _eliminate(row, pk, rows_pivots[:], rows_rank)
+    return pivots, rank, rows_pivots, rows_rank, At | ab[len(prefix) - 1], rows + row
+
+
+def _minimum_record(codes: tuple[int, ...], state, pk: _Packing) -> tuple[int, list[int]]:
+    """(annihilator nullity, rank sequence) of the orbit minimum A with these row codes.
+
+    ``state`` is :func:`_descend`'s at A's first n - 1 rows (at no rows
+    when n = 0).  :func:`_descend` adds the last row; then the rows of
+    B -> BA finish the annihilator system, unless its rank has reached
+    n^2.  They are built from an echelon basis of A's columns: every
+    column is a combination of the basis, so its n rows are the same
+    combinations of the basis's rows, and the span is that of all n^2.
+    """
+    nn = pk.n * pk.n
+    if codes:
+        state = _descend(state, codes, pk)
+    pivots, rank, _, rows_rank, At, rows = state
+    if rank < nn:
+        basis = list(filter(None, _eliminate(_columns(At, pk), pk, [0] * pk.n)[0]))
+        rank = _eliminate(_right_rows(basis, pk), pk, pivots, rank)[1]
+    return nn - rank, _rank_sequence(rows, pk, rows_rank)
 
 
 @functools.lru_cache(maxsize=None)
@@ -454,18 +530,19 @@ def _census(n: int, p: int) -> _Census:
     one matrix per orbit of G weighted by the orbit's size (see the module
     docstring).  The nilpotent list holds one entry per nilpotent orbit,
     its first matrix with m^2 - d and the orbit's size, in walk order,
-    which is lexicographic order.
+    which is lexicographic order.  The elimination of each prefix of rows
+    is carried down the walk (:func:`_descend`) and finished per minimum
+    (:func:`_minimum_record`).
     """
     pk = _packing(n, p)
-    packed_row = pk.row
     powers = [p**k for k in range(n * n + 1)]
     pairs = inner = 0
     lemma2 = None
     types: dict[tuple[int, ...], int] = {}
     nilpotent = []
-    for codes, weight in _orbit_minima(n, p):
-        ranks = _rank_sequence([packed_row[c] for c in codes], pk)
-        dim = _annihilator_nullity(codes, pk)
+    walk = _orbit_minima(n, p, functools.partial(_descend, pk=pk), _empty_prefix(pk))
+    for codes, weight, state in walk:
+        dim, ranks = _minimum_record(codes, state, pk)
         pairs += weight * powers[dim]
         if lemma2 is None and dim != (n - ranks[1]) ** 2:
             lemma2 = (_entries(codes, pk), dim, (n - ranks[1]) ** 2)
@@ -514,19 +591,39 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
 # -- counts over Mat_n(F_p) ---------------------------------------------------
 
 
+def _table_entries(n: int, p: int) -> int:
+    """Entries of the tables a census of Mat_n(F_p) builds, p >= 2.
+
+    The p inverses of :func:`_packing`, and n tables of p^n codes for each
+    of the |G| = 2(p - 1)^n n! maps of :func:`_orbit_maps` (none when
+    n = 0); the rest are smaller.
+    """
+    return p + 2 * (p - 1) ** n * math.factorial(n) * n * p**n
+
+
 def _check_outer_budget(n: int, p: int, budget: int) -> None:
+    """Refuse p^(n^2) matrices over *budget*, or tables over TABLE_BUDGET."""
     required = p ** (n * n)
     if required > budget:
         raise BudgetExceededError("outer enumeration too large", required, budget)
+    entries = _table_entries(n, p)
+    if entries > TABLE_BUDGET:
+        raise BudgetExceededError("oracle tables too large", entries, TABLE_BUDGET)
 
 
 def _checked_census(n: int, p: int, budget: int) -> _Census:
-    """The census, after refusing n, p or the outer budget (before the memo is read)."""
+    """The census, after refusing n, p or the budgets (before the memo is read).
+
+    p is tested for primality after the budgets, which bound it by
+    TABLE_BUDGET, so trial division stays short.
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if p not in _SMALL_PRIMES:
-        raise ValueError(f"p must be a small prime (one of {sorted(_SMALL_PRIMES)})")
+    if p < 2:
+        raise ValueError(f"p must be a prime, got {p}")
     _check_outer_budget(n, p, budget)
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
     return _census(n, p)
 
 

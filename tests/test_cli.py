@@ -7,6 +7,9 @@ and refuse the lines it refused.
 
 import contextlib
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -177,8 +180,8 @@ def test_usage_errors(argv, message):
     assert err[0].startswith(f"usage error: {message}")
 
 
-@pytest.mark.parametrize("p", ["7", "4"])
-def test_oracle_refuses_p_outside_the_small_primes(p):
+@pytest.mark.parametrize("p", ["0", "1", "4", "6"])
+def test_oracle_refuses_p_that_is_not_prime(p):
     # the line parses; the oracle refuses p before it enumerates anything
     argv = ["oracle", "count-pairs", "--n", "2", "--p", p]
     assert cli.parse_args(argv)["p"] == int(p)
@@ -186,7 +189,25 @@ def test_oracle_refuses_p_outside_the_small_primes(p):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code == cli.EXIT_USAGE and out.getvalue() == ""
-    assert "p must be a small prime" in err.getvalue()
+    assert f"p must be a prime, got {p}" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "which,count", [("count-pairs", "7105"), ("count-nilpotent-pairs", "385")]
+)
+def test_oracle_accepts_a_prime_beyond_five(which, count, capsys):
+    assert cli.main(["oracle", which, "--n", "2", "--p", "7"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"{count}\n"
+
+
+def test_oracle_refuses_tables_over_their_budget(capsys):
+    # 1,000,003 is prime and within the outer budget at n = 1, but the
+    # census's tables would hold about 2 * 10^12 entries
+    argv = ["oracle", "count-pairs", "--n", "1", "--p", "1000003"]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle tables too large" in captured.err
 
 
 @pytest.mark.parametrize("name", [None, *cli.COMMANDS])
@@ -198,3 +219,37 @@ def test_help_lists_every_command_and_flag(name, flag, capsys):
     assert out.startswith("usage: clpartitions")
     listed = cli.COMMANDS if name is None else cli.COMMANDS[name].flags
     assert all(f"\n  {word}" in out for word in listed)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # output small enough to wait in the 8 KiB buffer for the flush
+        ["--json", "verify", "all"],
+        # about 13 KiB, so print itself writes
+        ["--json", "sample", "--q", "2", "--u", "1/2", "--trials", "3000"],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the reader closes its end before the CLI writes anything
+    script = "\n".join(
+        [
+            "import sys",
+            f"sys.path.insert(0, {str(SRC)!r})",
+            "from clpartitions import cli",
+            "sys.exit(cli.main())",
+        ]
+    )
+    run = subprocess.Popen(
+        [sys.executable, "-I", "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    run.stdout.close()
+    err = run.stderr.read()
+    run.stderr.close()
+    assert run.wait() == cli.EXIT_PIPE == 141
+    assert err == b""

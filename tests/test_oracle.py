@@ -120,9 +120,39 @@ def rank(A):
     return oracle._eliminate(rows, pk)[1]
 
 
+def minima(n, p):
+    """(row codes, orbit size) of each orbit minimum of the walk, carrying no state."""
+    walk = oracle._orbit_minima(n, p, lambda state, prefix: None, None)
+    return [(codes, size) for codes, size, _ in walk]
+
+
+def census_record(A):
+    """The census kernel's (annihilator nullity, rank sequence) of A.
+
+    A's first n - 1 rows are carried by ``_descend`` from the empty prefix,
+    as the walk carries them, and ``_minimum_record`` finishes A.
+    """
+    pk = oracle._packing(A.n, A.p)
+    codes = row_codes(A)
+    state = oracle._empty_prefix(pk)
+    for i in range(1, A.n):
+        state = oracle._descend(state, codes[:i], pk)
+    return oracle._minimum_record(codes, state, pk)
+
+
+def uncarried_record(codes, pk):
+    """(nullity, rank sequence) of A by ``_eliminate`` from empty echelons.
+
+    The nullity is that of the whole 2n^2-row system of
+    ``_annihilator_rows``, and the rank sequence starts from all of A's rows.
+    """
+    nullity = pk.n * pk.n - oracle._eliminate(oracle._annihilator_rows(codes, pk), pk)[1]
+    return nullity, oracle._rank_sequence([pk.row[c] for c in codes], pk)
+
+
 def annihilator_dimension(A):
     """The census kernel's nullity of A's whole annihilator system."""
-    return oracle._annihilator_nullity(row_codes(A), oracle._packing(A.n, A.p))
+    return census_record(A)[0]
 
 
 def annihilator_basis(A):
@@ -206,7 +236,7 @@ class TestPackingTables:
             for j in range(n):
                 want = [0] * (n * n)
                 want[j :: n] = digits  # entry k in lane k*n + j
-                assert lanes(pk.products[j][code], n * n) == want
+                assert lanes(pk.products[code][j], n * n) == want
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 3), (2, 5)])
     def test_entries_round_trip_row_codes(self, n, p):
@@ -360,6 +390,47 @@ class TestCounts:
         assert count_nilpotent_pairs(n, p) == nilpotent_pairs
         assert find_lemma3_counterexample(n, p) is None
 
+    def test_prime_beyond_the_first_three(self):
+        # no table of primes: p = 7 is counted, and both identities' middle
+        # routes agree with its counts
+        assert count_pairs(2, 7) == 7105
+        assert count_nilpotent_pairs(2, 7) == 385
+        assert find_lemma2_counterexample(2, 7) is None
+        assert find_lemma3_counterexample(2, 7) is None
+        for name in ("eq1", "eq2"):
+            assert verify.run_eq_check(name, 7, 2, 2).passed, name
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, -3])
+    def test_p_that_is_not_prime_refused(self, p):
+        with pytest.raises(ValueError, match=f"p must be a prime, got {p}"):
+            count_pairs(2, p)
+
+    @pytest.mark.parametrize("n,p", [(1, 1000003), (2, 37), (2, 89), (0, 10**30)])
+    def test_tables_over_their_budget_refused(self, n, p, monkeypatch):
+        def never(n, p):
+            raise AssertionError("census ran despite refusal")
+
+        monkeypatch.setattr(oracle, "_census", never)
+        with pytest.raises(BudgetExceededError) as exc:
+            count_pairs(n, p)
+        assert exc.value.required == oracle._table_entries(n, p) > oracle.TABLE_BUDGET
+
+    def test_table_entries_count_what_the_census_builds(self):
+        # the inverses, and n tables of p^n codes per map of G but the identity
+        for n, p in [(1, 3), (2, 3), (3, 2), (2, 5)]:
+            pk = oracle._packing(n, p)
+            maps = oracle._orbit_maps(n, p)
+            built = len(pk.inverse) + sum(len(t) for lead, _, _ in maps for t in lead)
+            assert oracle._table_entries(n, p) == built + n * p**n
+
+    @pytest.mark.parametrize("n,p", [(1, 7), (2, 7), (3, 5), (5, 3), (2, 101)])
+    def test_packing_reduces_every_lane_value_up_to_its_bound(self, n, p):
+        pk = oracle._packing(n, p)
+        bound = max(p * (p - 1), n * (p - 1) ** 2)
+        for x in range(bound + 1):
+            assert (x * pk.mul) >> pk.shift == x // p, x
+            assert x < 1 << pk.w
+
     def test_by_type_n2_p2(self):
         counts = count_nilpotent_by_type(2, 2)
         assert counts == {Partition((2,)): 3, Partition((1, 1)): 1}
@@ -487,19 +558,19 @@ class TestSharedPrefix:
     def test_walk_visits_line_representatives(self, n, p, monkeypatch, fresh_census):
         # one matrix per orbit of G, its lexicographic minimum
         visited = []
-        real = oracle._annihilator_nullity
+        real = oracle._minimum_record
 
-        def recording(codes, packing):
+        def recording(codes, state, packing):
             visited.append(codes)
-            return real(codes, packing)
+            return real(codes, state, packing)
 
-        monkeypatch.setattr(oracle, "_annihilator_nullity", recording)
+        monkeypatch.setattr(oracle, "_minimum_record", recording)
         oracle._census(n, p)
         assert visited == orbit_representatives(n, p)
 
     @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (3, 3)])
     def test_walk_weights_are_reference_orbit_sizes(self, n, p):
-        visited = list(oracle._orbit_minima(n, p))
+        visited = minima(n, p)
         assert visited
         for codes, weight in visited:
             assert weight == len(orbit(from_codes(codes, n, p))), codes
@@ -507,7 +578,7 @@ class TestSharedPrefix:
     @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
     def test_walk_weights_sum_to_every_matrix(self, n, p):
         # the orbits of the visited matrices cover Mat_n(F_p) exactly once
-        weights = [w for _, w in oracle._orbit_minima(n, p)]
+        weights = [w for _, w in minima(n, p)]
         assert sum(weights) == p ** (n * n)
 
     @pytest.mark.parametrize(
@@ -543,6 +614,53 @@ class TestSharedPrefix:
         ]
 
 
+class TestCarriedElimination:
+    """Each prefix of A's rows is eliminated once, down the walk.
+
+    ``_descend`` carries the prefix and ``_minimum_record`` finishes each
+    minimum; the records equal those of ``_eliminate`` run from empty
+    echelons on the whole system.
+    """
+
+    @pytest.mark.parametrize("n,p", [(3, 3), (4, 2)])
+    def test_every_minimum_matches_uncarried_elimination(self, n, p):
+        pk = oracle._packing(n, p)
+        descend = functools.partial(oracle._descend, pk=pk)
+        seen = 0
+        for codes, _, state in oracle._orbit_minima(n, p, descend, oracle._empty_prefix(pk)):
+            assert oracle._minimum_record(codes, state, pk) == uncarried_record(codes, pk), codes
+            seen += 1
+        assert seen == len(orbit_representatives(n, p))
+
+    @pytest.mark.parametrize("n,p", [(0, 2), (1, 3), (2, 3), (2, 5), (3, 2)])
+    def test_every_matrix_matches_uncarried_elimination(self, n, p):
+        # the carried rows need not be a minimum's
+        pk = oracle._packing(n, p)
+        for A in enumerate_matrices(n, p):
+            assert census_record(A) == uncarried_record(row_codes(A), pk), A.entries
+
+    def test_minimum_record_leaves_the_shared_state(self):
+        # every minimum below a prefix reads the same state
+        pk = oracle._packing(3, 3)
+        descend = functools.partial(oracle._descend, pk=pk)
+        for codes, _, state in oracle._orbit_minima(3, 3, descend, oracle._empty_prefix(pk)):
+            pivots, rank, rows_pivots, rows_rank, At, rows = state
+            before = (pivots[:], rank, rows_pivots[:], rows_rank, At, rows)
+            oracle._minimum_record(codes, state, pk)
+            assert state == before, codes
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (2, 5)])
+    def test_eliminate_resumes_from_a_state(self, n, p):
+        rng = random.Random(10 * n + p)
+        pk = oracle._packing(n, p)
+        for _ in range(40):
+            codes = tuple(rng.randrange(p**n) for _ in range(n))
+            rows = oracle._annihilator_rows(codes, pk)
+            cut = rng.randrange(len(rows) + 1)
+            pivots, rank = oracle._eliminate(rows[:cut], pk)
+            assert oracle._eliminate(rows[cut:], pk, pivots, rank) == oracle._eliminate(rows, pk)
+
+
 class TestFaultInjection:
     def test_lemma2_names_first_perturbed_matrix(self, monkeypatch, fresh_census):
         # perturb two whole orbits; the minimum of the earlier one is the
@@ -550,12 +668,13 @@ class TestFaultInjection:
         first, later = M(2, 3, (0, 0), (1, 2)), M(2, 3, (0, 1), (2, 0))
         targets = orbit(first) | orbit(later)
         assert min(targets) == min(orbit(first)) == (0, 4)  # (0, 0, 1, 1)
-        real = oracle._annihilator_nullity
+        real = oracle._minimum_record
 
-        def perturbed(codes, packing):
-            return real(codes, packing) + (codes in targets)
+        def perturbed(codes, state, packing):
+            dim, ranks = real(codes, state, packing)
+            return dim + (codes in targets), ranks
 
-        monkeypatch.setattr(oracle, "_annihilator_nullity", perturbed)
+        monkeypatch.setattr(oracle, "_minimum_record", perturbed)
         report = verify.run_lemma2_check(2, 3)
         assert not report.passed
         want = (2 - rank(first)) ** 2
@@ -567,15 +686,41 @@ class TestFaultInjection:
         A = M(2, 3, (0, 0), (1, 0))
         targets = orbit(A)
         assert targets == {(0, 3), (0, 6), (1, 0), (2, 0)}
-        real = oracle._annihilator_nullity
+        real = oracle._minimum_record
 
-        def perturbed(codes, packing):
-            return real(codes, packing) + (codes in targets)
+        def perturbed(codes, state, packing):
+            dim, ranks = real(codes, state, packing)
+            return dim + (codes in targets), ranks
 
-        monkeypatch.setattr(oracle, "_annihilator_nullity", perturbed)
+        monkeypatch.setattr(oracle, "_minimum_record", perturbed)
         report = verify.run_lemma2_check(2, 3)
         assert not report.passed
         assert report.detail == "A=(0, 0, 1, 0): dimension 2 != 1"  # (2 - rank A)^2 = 1
+
+    def test_dropped_prefix_pivot_fails_lemma2_and_eq1(self, monkeypatch, fresh_census):
+        # the state carried at the rows (0, 0, 0), (0, 0, 1) of Mat_3(F_2)
+        # forgets its pivot at lane 2*3 + 0, (AB)_{10} = B_{20} = 0; the first
+        # minimum below that prefix, with last row (0, 1, 0), is the first
+        # whose nullity moves, and every minimum before it keeps its own
+        real = oracle._descend
+
+        def dropping(state, prefix, pk):
+            state = real(state, prefix, pk)
+            if (pk.n, prefix) == (3, (0, 1)):
+                pivots, rank, *rest = state
+                assert pivots[6]
+                pivots = pivots[:]
+                pivots[6] = 0
+                state = (pivots, rank - 1, *rest)
+            return state
+
+        monkeypatch.setattr(oracle, "_descend", dropping)
+        report = verify.run_lemma2_check(3, 2)
+        assert not report.passed
+        assert report.detail == "A=(0, 0, 0, 0, 0, 1, 0, 1, 0): dimension 2 != 1"
+        report = verify.run_eq_check("eq1", 2, 3, 6)
+        assert not report.passed
+        assert report.detail == "coefficient of u^3: oracle 51/4, middle 171/14, rhs 171/14"
 
     def test_lemma3_names_first_nilpotent_matrix(self, fresh_census, monkeypatch):
         # fresh_census comes first, so _census is restored before it is cleared.

@@ -568,6 +568,33 @@ class TestFaultInjection:
         want = real(q, 6)[3]  # S * E = 1, so the extra S_3 * E_0 is all that is left
         assert failed[0].detail == f"coefficient of u^3: lhs {fmt_rat(want)}, rhs 0"
 
+    def test_scaled_type_count_fails_counter_nilpotent(self, monkeypatch):
+        # the enumerated count of one Jordan type doubled at (3, 2)
+        real = oracle.count_nilpotent_by_type
+        lam = partitions.Partition((2, 1))
+
+        def scaled(n, p, budget):
+            counts = real(n, p, budget)
+            return {**counts, lam: 2 * counts[lam]}
+
+        monkeypatch.setattr(oracle, "count_nilpotent_by_type", scaled)
+        report = verify.run_jordan_type_count_check(3, 2)
+        assert not report.passed
+        assert report.detail == "type (2,1): enumerated 42 != 21"
+
+    def test_changed_total_fails_counter_nilpotent(self, monkeypatch):
+        # every type of size 3 keeps its count; one matrix of a type of
+        # size 4 raises the total past 2^(9 - 3)
+        real = oracle.count_nilpotent_by_type
+
+        def extra(n, p, budget):
+            return {**real(n, p, budget), partitions.Partition((n + 1,)): 1}
+
+        monkeypatch.setattr(oracle, "count_nilpotent_by_type", extra)
+        report = verify.run_jordan_type_count_check(3, 2)
+        assert not report.passed
+        assert report.detail == "total 65 != 64"
+
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
         # |Aut (1)| halved
         _double_chain_coefficient(monkeypatch, 0, 1)
@@ -688,7 +715,7 @@ class TestCli:
         assert "needs 1, budget 0" in capsys.readouterr().err
 
     def test_usage_exit_code(self, capsys):
-        assert cli.main(["oracle", "count-pairs", "--n", "2", "--p", "7"]) == cli.EXIT_USAGE
+        assert cli.main(["oracle", "count-pairs", "--n", "2", "--p", "9"]) == cli.EXIT_USAGE
         assert cli.main(["series", "eq1-rhs", "--q", "x", "--order", "2"]) == cli.EXIT_USAGE
 
     @pytest.mark.parametrize(
