@@ -55,7 +55,7 @@ import itertools
 import math
 from typing import Iterator, NamedTuple, Optional
 
-from .partitions import Partition
+from .series import Partition
 
 DEFAULT_OUTER_BUDGET = 2**26
 # census.inner, read per call: the weighted solution-space sizes of the

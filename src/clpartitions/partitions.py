@@ -1,8 +1,10 @@
-"""Integer partitions, automorphism orders, and partition-sum series.
+"""The middle route: partition sums weighted by 1/|Aut(lambda)|.
 
-A partition is stored as a weakly decreasing tuple of positive integers.
-The automorphism order here is that of a finite abelian q-group of type
-lambda,
+This module reads only the shared leaf ``series``, which also holds the
+`Partition` type (re-exported here), never the oracle, the sampler or
+the rhs route.  A partition is a weakly decreasing tuple of positive
+integers.  The automorphism order here is that of a finite abelian
+q-group of type lambda,
 
     |Aut(lambda)| = q^{sum_i (lambda'_i)^2} * prod_i (1/q)_{m_i(lambda)},
 
@@ -20,104 +22,42 @@ By the distributive law that is the sum over every partition, with no
 `Partition` built and no call to `aut_order`.  `aut_order` is the
 per-partition definition of the same weight, read by the checks that
 name single partitions, and `partitions_of(n)` lists the partitions of
-n for them.
+n for them.  The irreducible product groups the monic irreducibles over
+F_q by degree, so `irreducible_count` lives beside it.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache, lru_cache, total_ordering
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Callable, Sequence
 
-from .series import Rational, _exact, irreducible_count, multiply, power
-
-
-@total_ordering
-class Partition:
-    """Weakly decreasing sequence of positive integers; may be empty.
-
-    Immutable: ``parts`` is set once, checked, in ``__init__``.  Equality,
-    order and hash are those of the one-field tuple ``(parts,)``, and a
-    Partition equals no other type.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[int] = ()) -> None:
-        parts = tuple(map(operator.index, parts))
-        for i, p in enumerate(parts):
-            if p <= 0:
-                raise ValueError(f"parts must be positive, got {p}")
-            if i and parts[i - 1] < p:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Partition, (self.parts,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __lt__(self, other: Partition) -> bool:
-        if other.__class__ is not Partition:
-            return NotImplemented
-        return self.parts < other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
-    def __repr__(self) -> str:
-        return f"Partition(parts={self.parts!r})"
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        """Number of parts, l(lambda) = lambda'_1."""
-        return len(self.parts)
-
-    def conjugate(self) -> "Partition":
-        """Column sizes of the diagram."""
-        if not self.parts:
-            return Partition()
-        cols = tuple(
-            sum(1 for p in self.parts if p >= i) for i in range(1, self.parts[0] + 1)
-        )
-        return Partition(cols)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+from .series import Partition, Rational, _exact, multiply, power
 
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in reverse-lexicographic order of parts.
 
-    Each first part p from n down to 1, followed by each partition of
-    n - p with no part above p, in that size's own order.
+    By the recursion on (size, largest part): the partitions of s with
+    no part above k are those with first part k, each k followed by a
+    partition of s - k with no part above k, then those with no part
+    above k - 1.  The parts stay tuples until the last step, so each
+    partition of n is built and checked once, as a `Partition`.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if not n:
-        return (Partition(),)
-    return tuple(
-        Partition((p, *rest.parts))
-        for p in range(n, 0, -1)
-        for rest in partitions_of(n - p)
-        if not rest.parts or rest.parts[0] <= p
-    )
+    # capped[s][k]: the part tuples of the partitions of s with no part above k
+    capped = [[[()]]]
+    for s in range(1, n + 1):
+        row = [[]]
+        for k in range(1, s + 1):
+            led = [(k, *rest) for rest in capped[s - k][min(k, s - k)]]
+            row.append(led + row[k - 1])
+        capped.append(row)
+    return tuple(map(Partition, capped[n][n]))
 
 
 def aut_order(p: Partition, q: Rational) -> Fraction:
@@ -342,6 +282,36 @@ def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
     Cohen-Lenstra measure P_u has total mass 1.
     """
     return _read(q, order, lambda length, ones: 0)
+
+
+def _mobius(n: int) -> int:
+    if n == 1:
+        return 1
+    result = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def irreducible_count(d: int, q: int) -> int:
+    """Number of monic irreducible degree-d polynomials over F_q.
+
+    Necklace formula: (1/d) sum_{e | d} mu(e) q^{d/e}.
+    """
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
+    return _exact(total, d)
 
 
 def product_over_irreducibles_series(q: int, order: int) -> list[Fraction]:

@@ -36,8 +36,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .partitions import Partition
-from .series import Rational
+from .series import Partition, Rational
 
 TAIL_MASS_BOUND = Fraction(1, 2**60)
 INFINITE_PRODUCT_REL_TOL = Fraction(1, 2**80)

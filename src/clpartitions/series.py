@@ -1,26 +1,20 @@
-"""Exact truncated power series and q-Pochhammer machinery.
+"""The shared leaf: exact rationals, truncated series and the partition type.
 
-Every value here is an exact rational, a ``fractions.Fraction`` or an
-int; there is no floating point anywhere.  A truncated series in u is
-the list of its coefficients of u^0..u^N; the list functions below keep
-that length and discard every term of degree > N.
-
-The q-Pochhammer symbol used throughout is the descending one, for a
-rational x,
-
-    (x)_i = (1 - x)(1 - x/q)(1 - x/q^2) ... (1 - x/q^(i-1)).
-
-The q-series at q = a/b in lowest terms are built from the integers
-P_j = prod_{k=1..j} (a^k - b^k): with T_j = j(j+1)/2, 1 - q^-k =
-(a^k - b^k) / a^k gives (1/q)_j = P_j / a^T_j.
+Every route reads ``Rational``, ``_exact`` (a division that raises on a
+remainder), ``multiply``, ``power`` and ``Partition`` from here.  This
+module imports no other module of the package, so sharing it lends no
+route another's result or formula.  Every value is an exact rational, a
+``fractions.Fraction`` or an int.  A truncated series in u is the list
+of its coefficients of u^0..u^N; ``multiply`` and ``power`` keep that
+length and discard every term of degree > N.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import accumulate
-from typing import Union
+from functools import total_ordering
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -61,77 +55,68 @@ def _exact(n: int, d: int) -> int:
     return quotient
 
 
-def _pochhammer_numerators(q: Rational, order: int) -> tuple[int, int, list[int]]:
-    """(a, b, [P_0, ..., P_order]) for q = a/b > 1 in lowest terms."""
-    q = Fraction(q)
-    if q <= 1:
-        raise ValueError("requires q > 1")
-    a, b = q.numerator, q.denominator
-    factors = (a**k - b**k for k in range(1, order + 1))
-    return a, b, list(accumulate(factors, operator.mul, initial=1))
+@total_ordering
+class Partition:
+    """Weakly decreasing sequence of positive integers; may be empty.
 
-
-def sum_wellknown_identity_lhs(q: Rational, order: int) -> list[Fraction]:
-    """The b-sum sum_{j>=0} u^j / (q^j (1/q)_j), truncated at *order*.
-
-    The term for j contributes only to the u^j coefficient, so the partial
-    sum over j = 0..order is exact.  Since q^j (1/q)_j = P_j / (b^j a^T_(j-1)),
-    the coefficient of u^j is b^j a^T_(j-1) / P_j.
+    Immutable: ``parts`` is set once, checked, in ``__init__``.  Equality,
+    order and hash are those of the one-field tuple ``(parts,)``, and a
+    Partition equals no other type.
     """
-    a, b, ps = _pochhammer_numerators(q, order)
-    return [Fraction(b**j * a ** (j * (j - 1) // 2), ps[j]) for j in range(order + 1)]
 
+    __slots__ = ("parts",)
 
-def pochhammer_infinite_u_over_q(q: Rational, order: int) -> list[Fraction]:
-    """(u/q)_inf = prod_{k>=1}(1 - u/q^k), truncated at *order*.
+    def __init__(self, parts: Sequence[int] = ()) -> None:
+        parts = tuple(map(operator.index, parts))
+        for i, p in enumerate(parts):
+            if p <= 0:
+                raise ValueError(f"parts must be positive, got {p}")
+            if i and parts[i - 1] < p:
+                raise ValueError(f"parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
 
-    Euler's expansion: the coefficient of u^j is
-    (-1)^j q^{-T_j} / (1/q)_j = (-1)^j b^T_j / P_j, a finite exact
-    computation.
-    """
-    _, b, ps = _pochhammer_numerators(q, order)
-    return [
-        Fraction((-1) ** j * b ** (j * (j + 1) // 2), ps[j]) for j in range(order + 1)
-    ]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
-def gl_order(n: int, q: Rational) -> Fraction:
-    """Order of GL(n, q): prod_{i=0}^{n-1} (q^n - q^i); 1 for n = 0."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    q = Fraction(q)
-    result = Fraction(1)
-    qn = q**n
-    for i in range(n):
-        result *= qn - q**i
-    return result
+    def __reduce__(self):
+        return Partition, (self.parts,)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
 
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    def __lt__(self, other: Partition) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts < other.parts
 
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
-def irreducible_count(d: int, q: int) -> int:
-    """Number of monic irreducible degree-d polynomials over F_q.
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
-    Necklace formula: (1/d) sum_{e | d} mu(e) q^{d/e}.
-    """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    total = sum(_mobius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
-    return _exact(total, d)
+    @property
+    def size(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def length(self) -> int:
+        """Number of parts, l(lambda) = lambda'_1."""
+        return len(self.parts)
+
+    def conjugate(self) -> "Partition":
+        """Column sizes of the diagram."""
+        if not self.parts:
+            return Partition()
+        cols = tuple(
+            sum(1 for p in self.parts if p >= i) for i in range(1, self.parts[0] + 1)
+        )
+        return Partition(cols)
+
+    def __str__(self) -> str:
+        return "(" + ",".join(str(p) for p in self.parts) + ")"

@@ -1,4 +1,4 @@
-"""Verification harness: closed-form series, cross-checks, and reports.
+"""Verification harness: the rhs route, cross-checks, and reports.
 
 Each check produces a :class:`VerificationReport`; exact checks require
 literal equality of rationals, statistical checks gate on z-scores.  The
@@ -6,7 +6,11 @@ two headline identities are verified three ways where feasible:
 
   * oracle  — brute-force matrix counts over F_p, divided by |GL(n, p)|,
   * middle  — partition sums weighted by 1/|Aut(lambda)|,
-  * rhs     — the closed q-series form.
+  * rhs     — the closed q-series form, built here.
+
+The rhs code (``eq1_rhs_series``, ``eq2_rhs_series``, Euler's expansion,
+the b-sum and what they call) reads, of the package, only the leaf
+``series``: nothing this module imports from the other routes.
 """
 
 from __future__ import annotations
@@ -25,15 +29,7 @@ from .partitions import (
     unnormalized_weight_series,
 )
 from .sampler import SamplerConfig, cor1_part1, cor1_part2, kernel_row
-from .series import (
-    Rational,
-    _exact,
-    _pochhammer_numerators,
-    gl_order,
-    multiply,
-    pochhammer_infinite_u_over_q,
-    sum_wellknown_identity_lhs,
-)
+from .series import Rational, _exact, multiply
 
 
 def fmt_rat(x: Fraction) -> str:
@@ -61,6 +57,42 @@ class VerificationReport(NamedTuple):
             "kind": self.kind,
             "detail": self.detail,
         }
+
+
+def _pochhammer_numerators(q: Rational, order: int) -> tuple[int, int, list[int]]:
+    """(a, b, [P_0, ..., P_order]) for q = a/b > 1 in lowest terms."""
+    q = Fraction(q)
+    if q <= 1:
+        raise ValueError("requires q > 1")
+    a, b = q.numerator, q.denominator
+    ps = [1]
+    for k in range(1, order + 1):
+        ps.append(ps[-1] * (a**k - b**k))
+    return a, b, ps
+
+
+def sum_wellknown_identity_lhs(q: Rational, order: int) -> list[Fraction]:
+    """The b-sum sum_{j>=0} u^j / (q^j (1/q)_j), truncated at *order*.
+
+    The term for j contributes only to the u^j coefficient, so the partial
+    sum over j = 0..order is exact.  Since q^j (1/q)_j = P_j / (b^j a^T_(j-1)),
+    the coefficient of u^j is b^j a^T_(j-1) / P_j.
+    """
+    a, b, ps = _pochhammer_numerators(q, order)
+    return [Fraction(b**j * a ** (j * (j - 1) // 2), ps[j]) for j in range(order + 1)]
+
+
+def pochhammer_infinite_u_over_q(q: Rational, order: int) -> list[Fraction]:
+    """(u/q)_inf = prod_{k>=1}(1 - u/q^k), truncated at *order*.
+
+    Euler's expansion: the coefficient of u^j is
+    (-1)^j q^{-T_j} / (1/q)_j = (-1)^j b^T_j / P_j, a finite exact
+    computation.
+    """
+    _, b, ps = _pochhammer_numerators(q, order)
+    return [
+        Fraction((-1) ** j * b ** (j * (j + 1) // 2), ps[j]) for j in range(order + 1)
+    ]
 
 
 def _sum_over_u_pochhammer(
@@ -178,6 +210,18 @@ def eq2_rhs_series(q: Rational, order: int) -> list[Fraction]:
         total = sum(h * c * t * a_power(k - kt) for h, c, t, kt in terms)
         out.append(Fraction(total, common * a_power(k) * ps[n]))
     return out
+
+
+def gl_order(n: int, q: Rational) -> Fraction:
+    """Order of GL(n, q): prod_{i=0}^{n-1} (q^n - q^i); 1 for n = 0."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    q = Fraction(q)
+    result = Fraction(1)
+    qn = q**n
+    for i in range(n):
+        result *= qn - q**i
+    return result
 
 
 def _compare_routes(name: str, params: dict, routes: dict) -> VerificationReport:

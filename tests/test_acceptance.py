@@ -26,9 +26,9 @@ from clpartitions.sampler import (
     kernel_row_infinite,
     u_over_q_infinite_value,
 )
-from clpartitions.series import (
+from clpartitions.series import multiply
+from clpartitions.verify import (
     gl_order,
-    multiply,
     pochhammer_infinite_u_over_q,
     sum_wellknown_identity_lhs,
 )

@@ -22,7 +22,7 @@ from clpartitions.partitions import (
     product_over_irreducibles_series,
     unnormalized_weight_series,
 )
-from clpartitions.series import gl_order, pochhammer_infinite_u_over_q
+from clpartitions.verify import gl_order, pochhammer_infinite_u_over_q
 
 
 @lru_cache(maxsize=None)

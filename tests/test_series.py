@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clpartitions import series
-from clpartitions.series import (
+from clpartitions import partitions
+from clpartitions.partitions import irreducible_count
+from clpartitions.series import multiply, power
+from clpartitions.verify import (
     gl_order,
-    irreducible_count,
-    multiply,
     pochhammer_infinite_u_over_q,
-    power,
     sum_wellknown_identity_lhs,
 )
 
@@ -242,6 +241,6 @@ class TestIrreducibleCount:
     def test_uneven_total_raises_without_asserts(self, monkeypatch):
         # mu = 1 everywhere: the d = 3 total q^3 + q = 10 at q = 2 is not a
         # multiple of 3; the checked division raises even under python -O
-        monkeypatch.setattr(series, "_mobius", lambda n: 1)
+        monkeypatch.setattr(partitions, "_mobius", lambda n: 1)
         with pytest.raises(ArithmeticError):
             irreducible_count(3, 2)

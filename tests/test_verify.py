@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from clpartitions import cli, oracle, partitions, sampler, series, verify
-from clpartitions.series import multiply, pochhammer_infinite_u_over_q
+from clpartitions import cli, oracle, partitions, sampler, verify
+from clpartitions.series import multiply
 from clpartitions.verify import (
     VerificationReport,
     eq1_rhs_series,
     eq2_rhs_series,
     fmt_rat,
+    pochhammer_infinite_u_over_q,
     run_eq_check,
     run_rational_q_check,
     run_wellknown_identity_check,
@@ -182,7 +183,7 @@ class TestRoutesMatchReferenceAtAnyQ:
     def test_euler_expansion_and_b_sum_match_term_by_term_constructions(self, q, order):
         euler = pochhammer_infinite_u_over_q(q, order)
         assert euler == reference.euler_expansion(q, order)
-        b_sum = series.sum_wellknown_identity_lhs(q, order)
+        b_sum = verify.sum_wellknown_identity_lhs(q, order)
         assert b_sum == reference.wellknown_b_sum(q, order)
 
 
@@ -212,30 +213,52 @@ def _package_calls(route, *args):
 class TestRouteIndependence:
     """No route borrows another's result or formula: each calls its own module.
 
-    Sharing ``series._exact``, a division that raises on a remainder,
-    borrows no result.
+    Sharing the leaf ``series`` (``_exact``, a division that raises on a
+    remainder, and the series ``multiply`` and ``power``) borrows no
+    result.  ``tests/test_layout.py`` checks the same rule statically.
     """
 
     @pytest.mark.parametrize(
-        "route, own, outside",
+        "route, q, own, outside",
         [
-            (partitions.eq1_middle_series, "partitions", {"series._exact"}),
-            (partitions.eq2_middle_series, "partitions", {"series._exact"}),
-            (eq1_rhs_series, "verify", set()),
             (
-                eq2_rhs_series,
-                "verify",
-                {
-                    "series._exact",
-                    "series._pochhammer_numerators",
-                    "series.pochhammer_infinite_u_over_q",
-                },
+                partitions.eq1_middle_series,
+                Fraction(5, 2),
+                "partitions",
+                {"series._exact"},
             ),
+            (
+                partitions.eq2_middle_series,
+                Fraction(5, 2),
+                "partitions",
+                {"series._exact"},
+            ),
+            (
+                partitions.unnormalized_weight_series,
+                Fraction(5, 2),
+                "partitions",
+                {"series._exact"},
+            ),
+            (
+                partitions.product_over_irreducibles_series,
+                3,
+                "partitions",
+                {"series._exact", "series.multiply", "series.power"},
+            ),
+            (eq1_rhs_series, Fraction(5, 2), "verify", set()),
+            (eq2_rhs_series, Fraction(5, 2), "verify", {"series._exact"}),
         ],
-        ids=["eq1-middle", "eq2-middle", "eq1-rhs", "eq2-rhs"],
+        ids=[
+            "eq1-middle",
+            "eq2-middle",
+            "measure-normalization-middle",
+            "irreducible-product-middle",
+            "eq1-rhs",
+            "eq2-rhs",
+        ],
     )
-    def test_series_route_calls(self, route, own, outside):
-        called = _package_calls(route, Fraction(5, 2), 6)
+    def test_series_route_calls(self, route, q, own, outside):
+        called = _package_calls(route, q, 6)
         assert f"{own}.{route.__name__}" in called
         assert {f for f in called if not f.startswith(f"{own}.")} == outside
 
@@ -547,14 +570,12 @@ class TestFaultInjection:
             assert line.endswith("-- coefficient of u^0: oracle 1, middle 1, rhs 1/2")
 
     def test_perturbed_b_sum_fails_only_wellknown_identity(self, monkeypatch):
-        # the b-sum with u^3 doubled, wherever it is bound: no other route
-        # may read it
-        real = series.sum_wellknown_identity_lhs
+        # the b-sum with u^3 doubled: no other route may read it
+        real = verify.sum_wellknown_identity_lhs
 
         def perturbed(q, order):
             return [2 * c if k == 3 else c for k, c in enumerate(real(q, order))]
 
-        monkeypatch.setattr(series, "sum_wellknown_identity_lhs", perturbed)
         monkeypatch.setattr(verify, "sum_wellknown_identity_lhs", perturbed)
         q = Fraction(5, 2)
         reports = [
