@@ -328,16 +328,25 @@ def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
     return _nullspace(_eliminate(_annihilator_rows(codes, pk), pk)[0], pk)
 
 
-def _span(vectors: list[int], pk: _Packing) -> list[int]:
-    """Every F_p-combination of the packed vectors."""
-    out = [0]
+def _lines(vectors: list[int], pk: _Packing) -> list[int]:
+    """One member of each line {cB : c != 0} of the span of independent vectors.
+
+    The members whose last nonzero coefficient is 1: each vector plus
+    every combination of the vectors before it.  cB runs over the line
+    as c runs over F_p^x, so the span is 0 and (p - 1) members per line.
+    Over F_2 each line is one member, and the lines are the span but 0.
+    """
+    lines, span = [], [0]
     for v in vectors:
         if pk.p == 2:
-            out += [x ^ v for x in out]
+            led = [x ^ v for x in span]
+            span += led
         else:
-            multiples = [_reduce(c * v, pk) for c in range(1, pk.p)]
-            out += [_reduce(x + m, pk) for m in multiples for x in out]
-    return out
+            led = [_reduce(x + v, pk) for x in span]
+            multiples = [_reduce(c * v, pk) for c in range(2, pk.p)]
+            span += led + [_reduce(x + m, pk) for m in multiples for x in span]
+        lines += led
+    return lines
 
 
 # -- the census ---------------------------------------------------------------
@@ -563,10 +572,13 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     ann(0) is all of Mat_n(F_p), so the zero matrix's count is the number
     of nilpotent matrices the census enumerated, the sum of its orbit
     sizes; the empty matrix of n = 0 is the zero matrix.  Every other
-    orbit's annihilator is enumerated from a nullspace basis, and B counts
-    when the ranks of its powers reach 0 (:func:`_rank_sequence`, pass 1's
-    test of A).  A's count, weighted by the orbit's size, stands for the
-    orbit's (see the module docstring).
+    orbit's annihilator is enumerated from a nullspace basis, one member
+    per line {cB : c != 0} (:func:`_lines`), and B counts when the ranks
+    of its powers reach 0 (:func:`_rank_sequence`, pass 1's test of A).
+    (cB)^k = c^k B^k has the rank of B^k, so a nilpotent B stands for the
+    p - 1 members of its line, and B = 0 for itself.  A's count,
+    weighted by the orbit's size, stands for the orbit's (see the module
+    docstring).
     """
     pk = _packing(n, p)
     nilpotent = _census(n, p).nilpotent
@@ -576,10 +588,11 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     lemma3 = None
     for codes, exponent, size in nilpotent:
         if any(codes):
-            found = 0
-            for v in _span(_annihilator_basis(codes, pk), pk):
+            lines = 0
+            for v in _lines(_annihilator_basis(codes, pk), pk):
                 rows = [(v >> (k * width)) & row_mask for k in range(n)]  # B's rows
-                found += not _rank_sequence(rows, pk)[-1]
+                lines += not _rank_sequence(rows, pk)[-1]
+            found = 1 + (p - 1) * lines
         else:
             found = sum(orbit_size for _, _, orbit_size in nilpotent)
         total += size * found

@@ -11,15 +11,18 @@ q-group of type lambda,
 evaluated exactly at any rational q > 1 (the identities checked downstream
 are rational-function identities in q, so non-prime-power q is allowed).
 
-The partition sums place the parts one size at a time (`_refined_sums`):
-for p = order down to 2, every (size, length) cell of the partitions
-with all parts > p gains m parts p for each m >= 1, and each cell keeps
-its sum as one integer times a power of a (q = a/b).  The ones come
-last and fill one table R[n][L][k] of the sums of 1/|Aut(lambda)| per
-size n, length L and number k of parts 1.  Each middle series reads R
-once, applying its power q^e with e = L^2, L^2 - k or 0 as it reads.
-By the distributive law that is the sum over every partition, with no
-`Partition` built and no call to `aut_order`.  `aut_order` is the
+The partition sums place the parts one size at a time (`_cells`): for
+p = order down to 2, every (size, length) cell of the partitions with
+all parts > p gains m parts p for each m >= 1, and each cell keeps its
+sum as one integer times a power of a (q = a/b).  The ones come last.
+For eq1 and eq2 (`_ones_placed`) the power of a that a cell reaches
+with k ones depends on its length l only through l^2, so each size's
+cells are summed once and the ones are placed once per size.  The
+weight series, whose b^(L^2) ties l to k, fills one table R[n][L][k]
+of the sums of 1/|Aut(lambda)| per size n, length L and number k of
+parts 1 (`_refined_sums`) and reads each entry.  By the distributive
+law each is the sum over every partition, with no `Partition` built
+and no call to `aut_order`.  `aut_order` is the
 per-partition definition of the same weight, read by the checks that
 name single partitions, and `partitions_of(n)` lists the partitions of
 n for them.  The irreducible product groups the monic irreducibles over
@@ -130,12 +133,15 @@ def _power_sums(
     return totals
 
 
-# R[n][L][k] = (t, x), see _refined_sums
+# cells[s][l] = (t, x) or None, see _cells; R[n][L][k] = (t, x), see _refined_sums
+_Cells = list[list[tuple[int, int] | None]]
 _Table = list[list[dict[int, tuple[int, int]]]]
 
 
-def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
-    """(P_0..P_order, R): the partition sums per size n, length L and m_1 = k.
+def _cells(
+    q: Rational, order: int
+) -> tuple[list[int], Callable[[int, int], list[int]], _Cells]:
+    """(P_0..P_order, quotients, cells): the partitions with no part 1.
 
     With q = a/b in lowest terms, n = |lambda|, L = l(lambda),
     P_n = prod_{k=1..n} (a^k - b^k), D = prod_m P_m over the
@@ -143,35 +149,34 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
 
         1 / |Aut(lambda)| = a^(M - n2) * b^(n2 - L^2) * r * b^(L^2) / P_n.
 
-    R[n][L] maps each k that occurs to (t, x), with t * a^x the sum of
-    a^(M - n2) b^(n2 - L^2) r over the partitions of n with L parts, k
-    of them 1; so t a^x b^(L^2) / P_n is their sum of 1 / |Aut(lambda)|.
     r is an integer: with l = sum m_i <= s the number of parts,
     P_l / prod_i P_(m_i) is the q-multinomial coefficient
     [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
     and P_l divides P_s.  Every division below is checked all the same.
 
-    The parts are placed one size at a time, p = order down to 1, each
+    quotients(s, p)[m] = P_(s+pm) / (P_s P_m) for s + pm <= order: the
+    factor by which r grows when m parts p join a partition of s, each
+    division checked.  At p = 1 it is the homogenised q-binomial
+    [s+m; m], which places the ones (`_refined_sums`, `_ones_placed`).
+
+    The parts are placed one size at a time, p = order down to 2, each
     size below every part already placed.  Cell (s, l) holds t * a^x,
     the sum of a^(M - n2) b^(n2 - l^2) r over the partitions of s with
-    l parts, all of them > p; at first only () is a cell, (1, 0).
-
-    * A part size p >= 2.  m parts p, appended to a partition with l
-      parts, add p (2lm + m^2) = p ((l+m)^2 - l^2) to n2, so
-      (p - 1)(2lm + m^2) to n2 - l^2, m(m+1)/2 to M and P_m to D: r
-      becomes r * P_(s+pm) / (P_s P_m).  So cell (s, l) adds
-      t * P_(s+pm) / (P_s P_m) * b^((p-1)(2lm + m^2)) at the power
-      x + m(m+1)/2 - p (2lm + m^2) of a to cell (s + pm, l + m), for
-      each m >= 1.  The sizes s are visited downwards, so each cell
-      gains parts p from the cells as they stood before size p.  A cell
-      keeps one integer: a term at a higher power of a is scaled up to
-      the cell's power, and a term at a lower power scales the cell up
-      to its own.  n2 - l^2 <= l (s - l) <= s^2 / 4, since every column
-      after the first is at most l long and they hold s - l boxes.
-    * The ones (p = 1) leave n2 - L^2 as it was, so each cell (s, l)
-      fills R[s+k][l+k][k] with t [s+k; k] (the homogenised q-binomial
-      P_(s+k) / (P_s P_k)) at the power x + k(k+1)/2 - (2l+k) k of a,
-      which falls by 2l + k from k ones to k + 1.
+    l parts, all of them > p; at first only () is a cell, (1, 0).  m
+    parts p, appended to a partition with l parts, add
+    p (2lm + m^2) = p ((l+m)^2 - l^2) to n2, so (p - 1)(2lm + m^2) to
+    n2 - l^2, m(m+1)/2 to M and P_m to D: r becomes
+    r * P_(s+pm) / (P_s P_m).  So cell (s, l) adds
+    t * quotients(s, p)[m] * b^((p-1)(2lm + m^2)) at the power
+    x + m(m+1)/2 - p (2lm + m^2) of a to cell (s + pm, l + m), for each
+    m >= 1.  The sizes s are visited downwards, so each cell gains parts
+    p from the cells as they stood before size p.  A cell keeps one
+    integer: a term at a higher power of a is scaled up to the cell's
+    power, and a term at a lower power scales the cell up to its own.
+    n2 - l^2 <= l (s - l) <= s^2 / 4, since every column after the
+    first is at most l long and they hold s - l boxes.  After p = 2 the
+    cells hold every partition with no part 1; a size with none (s = 1)
+    holds no cell.
 
     By the distributive law this is the sum over every partition: no
     closed form sums a part size, and the rhs is not read.  No
@@ -196,9 +201,7 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
         """[m] = P_(s+pm) / (P_s P_m) for s + pm <= order, each division checked."""
         return [_exact(rise, commons[m]) for m, rise in enumerate(rises[s][::p])]
 
-    cells: list[list[tuple[int, int] | None]] = [
-        [None] * (s // 2 + 1) for s in range(order + 1)
-    ]
+    cells: _Cells = [[None] * (s // 2 + 1) for s in range(order + 1)]
     cells[0][0] = (1, 0)
     for p in range(order, 1, -1):
         for s in range(order - p, -1, -1):
@@ -222,6 +225,23 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
                             row[at] = (u + term * a_power(y - z), z)
                         else:
                             row[at] = (u * a_power(z - y) + term, y)
+    return commons, quotients, cells
+
+
+def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
+    """(P_0..P_order, R): the partition sums per size n, length L and m_1 = k.
+
+    R[n][L] maps each k that occurs to (t, x), with t * a^x the sum of
+    a^(M - n2) b^(n2 - L^2) r over the partitions of n with L parts, k
+    of them 1 (see `_cells` for the notation); so t a^x b^(L^2) / P_n is
+    their sum of 1 / |Aut(lambda)|.
+
+    The ones leave n2 - L^2 as it was, so each cell (s, l) of `_cells`
+    fills R[s+k][l+k][k] with t [s+k; k] (quotients(s, 1)[k]) at the
+    power x_k = x + k(k+1)/2 - (2l+k) k of a, which falls by 2l + k from
+    k ones to k + 1: the chain of ones, one entry of R per cell and k.
+    """
+    commons, quotients, cells = _cells(q, order)
     table = [[{} for _ in range(n + 1)] for n in range(order + 1)]
     for s, row in enumerate(cells):
         ones = quotients(s, 1)
@@ -235,30 +255,48 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
     return commons, table
 
 
-def _read(
-    q: Rational, order: int, exponent: Callable[[int, int], int]
+def _ones_placed(
+    q: Rational, order: int, shift: Callable[[int], int]
 ) -> list[Fraction]:
-    """Coefficients of sum_lambda q^e u^{|lambda|} / |Aut(lambda)| up to u^order.
+    """Coefficients of sum_lambda q^(L^2 - c(k)) u^{|lambda|} / |Aut(lambda)|.
 
-    e = exponent(L, k), with L = l(lambda), k = m_1(lambda) and
-    0 <= e <= L^2.  Since q^e = a^e b^(L^2 - e) / b^(L^2), each cell
-    (t, x) of R (`_refined_sums`) adds t * b^(L^2 - e) at the power
-    x + e of a to its size's sums, which `_power_sums` folds into one
+    L = l(lambda), k = m_1(lambda), c = shift and 0 <= c(k) <= k^2, so
+    0 <= L^2 - c(k) <= L^2.  Cell (s, l) of `_cells` with k ones
+    appended is R[s+k][l+k][k] = (t [s+k; k], x_k), with
+    x_k = x - 2lk - k(k-1)/2 (`_refined_sums`).  Since
+    q^e = a^e b^(L^2 - e) / b^(L^2), read at e = (l+k)^2 - c(k) it adds
+    t [s+k; k] b^c(k) at the power
+
+        x_k + (l+k)^2 - c(k) = (x + l^2) + k(k+1)/2 - c(k)
+
+    of a to size s + k.  Only x + l^2 depends on l, so each size's cells
+    fold (`_fold`) into one integer S_s a^(y_s) = sum_l t a^(x + l^2)
+    before any one is placed, and each (s, k) adds
+    S_s [s+k; k] b^c(k) at the power y_s + k(k+1)/2 - c(k).  eq1 takes
+    c(k) = 0 and eq2 c(k) = k.  `_power_sums` folds each size into one
     Fraction over a^K P_n.
     """
-    commons, table = _refined_sums(q, order)
+    commons, quotients, cells = _cells(q, order)
     a, b = Fraction(q).as_integer_ratio()
-    shifts = [  # shifts[L][k] = (e, b^(L^2 - e)) with e = exponent(L, k)
-        [(e, b ** (L * L - e)) for e in [exponent(L, k) for k in range(L + 1)]]
-        for L in range(order + 1)
+    a_power = cache(a.__pow__)  # a^k, each k computed once
+    placed = [  # placed[k] = (the a-power k(k+1)/2 - c(k), b^c(k))
+        (k * (k + 1) // 2 - c, b**c)
+        for k, c in enumerate(map(shift, range(order + 1)))
     ]
-    sums = [{} for _ in table]  # per size, per power of a
-    for target, row in zip(sums, table):
-        for cell, shift in zip(row, shifts):
-            for k, (t, x) in cell.items():
-                e, weight = shift[k]
-                x += e
-                target[x] = target.get(x, 0) + t * weight
+    sums = [{} for _ in cells]  # per size, per power of a
+    for s, row in enumerate(cells):
+        powers = {}  # the size's cells, per power x + l^2 of a
+        for length, cell in enumerate(row):
+            if cell is not None:
+                t, x = cell
+                x += length * length
+                powers[x] = powers.get(x, 0) + t
+        if not powers:
+            continue
+        total, low = _fold(powers, a_power)
+        for k, (binomial, (offset, weight)) in enumerate(zip(quotients(s, 1), placed)):
+            y, target = low + offset, sums[s + k]
+            target[y] = target.get(y, 0) + total * binomial * weight
     return _power_sums(sums, a, commons)
 
 
@@ -267,21 +305,33 @@ def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
 
     The factor 1/(1-u) is the prefix sum of the coefficients.
     """
-    return list(accumulate(_read(q, order, lambda length, ones: length * length)))
+    return list(accumulate(_ones_placed(q, order, lambda ones: 0)))
 
 
 def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    return _read(q, order, lambda length, ones: length * length - ones)
+    return _ones_placed(q, order, lambda ones: ones)
 
 
 def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| truncated at *order*.
 
     Equals 1/(u/q)_inf coefficientwise; this is the statement that the
-    Cohen-Lenstra measure P_u has total mass 1.
+    Cohen-Lenstra measure P_u has total mass 1.  Since
+    q^0 = b^(L^2) / b^(L^2), each cell (t, x) of R (`_refined_sums`)
+    adds t * b^(L^2) at the power x of a to its size's sums, which
+    `_power_sums` folds into one Fraction over a^K P_n.  b^(L^2) ties L
+    to k, so each entry of R is read, not each size.
     """
-    return _read(q, order, lambda length, ones: 0)
+    commons, table = _refined_sums(q, order)
+    a, b = Fraction(q).as_integer_ratio()
+    weights = [b ** (L * L) for L in range(order + 1)]
+    sums = [{} for _ in table]  # per size, per power of a
+    for target, row in zip(sums, table):
+        for cell, weight in zip(row, weights):
+            for t, x in cell.values():
+                target[x] = target.get(x, 0) + t * weight
+    return _power_sums(sums, a, commons)
 
 
 def _mobius(n: int) -> int:

@@ -6,6 +6,7 @@ Mat_n(F_p) that the counts are checked against.
 """
 
 import functools
+import inspect
 import itertools
 import random
 
@@ -300,6 +301,22 @@ class TestAnnihilatorDimension:
             }
             assert len(span) == p ** len(basis)  # the basis is independent
             assert span == annihilator_solutions(A)
+
+    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_lines_meet_every_nonzero_solution_once(self, n, p):
+        # pass 2 tests one B per line {cB}: the p - 1 multiples of the lines
+        # are every nonzero member of the annihilator, each once
+        pk = oracle._packing(n, p)
+        rng = random.Random(n * p)
+        for A in rng.sample(list(enumerate_matrices(n, p)), 40):
+            lines = oracle._lines(oracle._annihilator_basis(row_codes(A), pk), pk)
+            members = [
+                tuple(c * ((v >> (t * pk.w)) & pk.lane) % p for t in range(n * n))
+                for v in lines
+                for c in range(1, p)
+            ]
+            assert len(members) == len(set(members))
+            assert {(0,) * (n * n), *members} == annihilator_solutions(A)
 
     def test_similarity_invariance(self):
         rng = random.Random(7)
@@ -737,13 +754,14 @@ class TestFaultInjection:
     def test_pass2_nilpotency_fault_fails_lemma3_and_eq2(
         self, monkeypatch, fresh_census
     ):
-        # pass 2 calls B = 2A non-nilpotent in ann(A), A = E_21 over F_3, and
-        # the census, memoized first, is left as it was
+        # pass 2 calls B = A non-nilpotent in ann(A), A = E_21 over F_3, and
+        # the census, memoized first, is left as it was.  A is the member of
+        # the line {A, 2A} that pass 2 tests, so the whole line drops out
         for n in range(3):
             oracle._census(n, 3)
         pk = oracle._packing(2, 3)
         A = M(2, 3, (0, 0), (1, 0))
-        target = [pk.row[c] for c in row_codes(scaled(A, 2))]
+        target = [pk.row[c] for c in row_codes(A)]
         real = oracle._rank_sequence
 
         def perturbed(rows, packing):
@@ -752,12 +770,33 @@ class TestFaultInjection:
         monkeypatch.setattr(oracle, "_rank_sequence", perturbed)
         report = verify.run_lemma3_check(2, 3)
         assert not report.passed
-        # ann(A) = {0, A, 2A}; 3^(m^2 - d), m = 1, d = 0
-        assert report.detail == "A=(0, 0, 1, 0): count 2 != 3"
-        # A's orbit has 4 matrices, so the count is 33 - 4 over |GL_2(F_3)| = 48
+        # ann(A) = {0, A, 2A}, and only 0 is left; 3^(m^2 - d), m = 1, d = 0
+        assert report.detail == "A=(0, 0, 1, 0): count 1 != 3"
+        # A's orbit has 4 matrices, each 2 short, so the count is 33 - 8 over
+        # |GL_2(F_3)| = 48
         report = verify.run_eq_check("eq2", 3, 2, 6)
         assert not report.passed
-        assert report.detail == "coefficient of u^2: oracle 29/48, middle 11/16, rhs 11/16"
+        assert report.detail == "coefficient of u^2: oracle 25/48, middle 11/16, rhs 11/16"
+
+    def test_dropped_line_weight_fails_lemma3_and_eq2(self, monkeypatch):
+        # pass 2 counts each nilpotent line {cB} once, not p - 1 times: over
+        # F_3, ann(E_21) = {0, A, 2A} counts 0 and the line of A
+        source = inspect.getsource(oracle._nilpotent_annihilators)
+        old = "found = 1 + (p - 1) * lines"
+        assert source.count(old) == 1
+        namespace = dict(vars(oracle))
+        exec(source.replace(old, "found = 1 + lines"), namespace)
+        monkeypatch.setattr(
+            oracle, "_nilpotent_annihilators", namespace["_nilpotent_annihilators"]
+        )
+        assert verify.run_lemma3_check(2, 2).passed  # one member per line at p = 2
+        report = verify.run_lemma3_check(2, 3)
+        assert not report.passed
+        assert report.detail == "A=(0, 0, 1, 0): count 2 != 3"
+        # each of the 8 nonzero nilpotent A counts 2, not 3: 33 - 8 over 48
+        report = verify.run_eq_check("eq2", 3, 2, 6)
+        assert not report.passed
+        assert report.detail == "coefficient of u^2: oracle 25/48, middle 11/16, rhs 11/16"
 
     def test_lemma3_names_first_matrix_of_perturbed_line(
         self, monkeypatch, fresh_census

@@ -174,15 +174,20 @@ class TestAutOrder:
                     assert aut_order(lam, q) == want
 
 
-# exponent of q per partition: as _read applies it, from the length and
-# m_1, and as the reference reads it, from the Partition
+# per middle, the sum of q^e u^|lambda| / |Aut(lambda)| as the package reads it
+# and the exponent e of q per partition as the reference reads it, from the
+# Partition: eq1 and eq2 place the ones once per size with the shift
+# c(k) = 0 or k of e = L^2 - c(k), the weight series reads each entry of R
 EXPONENTS = {
-    "eq1": (lambda length, m1: length * length, lambda lam: lam.length**2),
+    "eq1": (
+        lambda q, order: partitions._ones_placed(q, order, lambda m1: 0),
+        lambda lam: lam.length**2,
+    ),
     "eq2": (
-        lambda length, m1: length * length - m1,
+        lambda q, order: partitions._ones_placed(q, order, lambda m1: m1),
         lambda lam: lam.length**2 - reference.multiplicity(lam, 1),
     ),
-    "weight": (lambda length, m1: 0, lambda lam: 0),
+    "weight": (partitions.unnormalized_weight_series, lambda lam: 0),
 }
 
 
@@ -212,15 +217,12 @@ def _rationals():
 
 
 @st.composite
-def exponent_tables(draw):
-    """(q, order, e) with q = n/m > 1 and e[L][k] in 0..L^2 for 0 <= k <= L <= order."""
+def ones_shifts(draw):
+    """(q, order, c) with q = n/m > 1 and c[k] in 0..k^2 for 0 <= k <= order."""
     q = draw(_rationals())
     order = draw(st.integers(0, 10))
-    table = [
-        draw(st.lists(st.integers(0, L * L), min_size=L + 1, max_size=L + 1))
-        for L in range(order + 1)
-    ]
-    return q, order, table
+    shifts = [draw(st.integers(0, k * k)) for k in range(order + 1)]
+    return q, order, shifts
 
 
 def _cell_values(q, order):
@@ -262,21 +264,21 @@ class TestPartitionSum:
         ],
     )
     def test_matches_per_term_fraction_sum(self, q, exponent):
-        read_exponent, lam_exponent = EXPONENTS[exponent]
-        got = partitions._read(q, 16, read_exponent)
-        assert got == reference.partition_sum(q, 16, lam_exponent)
+        read, lam_exponent = EXPONENTS[exponent]
+        assert read(q, 16) == reference.partition_sum(q, 16, lam_exponent)
 
     @settings(max_examples=60, deadline=None)
-    @given(exponent_tables())
+    @given(ones_shifts())
     def test_any_exponent_table_matches_per_term_fraction_sum(self, drawn):
-        # an offset error in the powers of a or b that the three fixed exponents
-        # cancel shows for some table
-        q, order, table = drawn
-        got = partitions._read(q, order, lambda length, m1: table[length][m1])
+        # the exponents e = L^2 - c(k) that the ones can be placed with once
+        # per size: an offset error in the powers of a or b that eq1's and
+        # eq2's shifts cancel shows for some c
+        q, order, shifts = drawn
+        got = partitions._ones_placed(q, order, shifts.__getitem__)
         want = reference.partition_sum(
             q,
             order,
-            lambda lam: table[lam.length][reference.multiplicity(lam, 1)],
+            lambda lam: lam.length**2 - shifts[reference.multiplicity(lam, 1)],
         )
         assert got == want
 
@@ -310,9 +312,16 @@ class TestPartitionSum:
             "edge": (f[1] * f[2] * f[3], f[1]),
         }[division]
         corrupted = _corrupt_one_division(monkeypatch, dividend, divisor)
-        with pytest.raises(ArithmeticError):
-            partitions._refined_sums(Fraction(7, 3), 8)
-        assert corrupted == [(dividend, divisor)]
+        # the ones are placed per cell into R, and per size for eq1 and eq2
+        middles = [
+            partitions._refined_sums,
+            partitions.eq1_middle_series,
+            partitions.eq2_middle_series,
+        ]
+        for middle in middles:
+            with pytest.raises(ArithmeticError):
+                middle(Fraction(7, 3), 8)
+        assert corrupted == [(dividend, divisor)] * len(middles)
 
 
 class TestRefinedSums:

@@ -44,21 +44,22 @@ SERIES_ROUTES = {
 }
 
 
-def _double_chain_coefficient(monkeypatch, size, ones):
-    """Double the q-binomial [size+ones; ones] of the middle's chain of ones.
+def _double_ones_binomial(monkeypatch, size, ones):
+    """Double the q-binomial [size+ones; ones] that places the middle's ones.
 
-    The ones (p = 1) read the quotients P_(s+m) / (P_s P_m) of size s
-    once, after every larger part is placed, and each (size, length) cell
-    of *size* gains its *ones* ones with that row's entry m = *ones*.
-    Size 0 holds only (), which gives (1,) for one 1.  Size 2 holds only
-    (2,), which gives (2,1) for one 1.  So exactly one partition's term
-    doubles in every middle series, as if its |Aut| were halved.
+    Every middle places the ones (p = 1) after every larger part, with
+    the quotients P_(s+m) / (P_s P_m) of size s that ``_cells`` builds:
+    eq1 and eq2 once per size (``_ones_placed``), the weight series once
+    per (size, length) cell (``_refined_sums``).  Entry m = *ones* of
+    the row of *size* places *ones* ones on every partition of *size*
+    with no part 1.  Size 0 holds only (), which gives (1,) for one 1.
+    Size 2 holds only (2,), which gives (2,1) for one 1.  So exactly one
+    partition's term doubles in every middle series, as if its |Aut|
+    were halved.
     """
     old = "_exact(rise, commons[m])"
     new = f"{old} * (2 if (p, s, m) == {(1, size, ones)} else 1)"
-    monkeypatch.setattr(
-        partitions, "_refined_sums", _mutated(partitions._refined_sums, old, new)
-    )
+    monkeypatch.setattr(partitions, "_cells", _mutated(partitions._cells, old, new))
 
 
 def _mutated(function, old, new):
@@ -303,7 +304,7 @@ class TestChecks:
 class TestFaultInjection:
     def test_perturbed_aut_order_is_caught(self, monkeypatch):
         # a wrong weight for one specific type: |Aut (2,1)| halved
-        _double_chain_coefficient(monkeypatch, 2, 1)
+        _double_ones_binomial(monkeypatch, 2, 1)
         middle = partitions.eq1_middle_series(2, 6)[3]
         rhs = eq1_rhs_series(2, 6)[3]
         assert middle != rhs
@@ -433,7 +434,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("check", SERIES_ROUTES)
     def test_series_check_shows_both_routes(self, check, monkeypatch):
         # |Aut (2,1)| halved, at each q^d of irreducible-product too
-        _double_chain_coefficient(monkeypatch, 2, 1)
+        _double_ones_binomial(monkeypatch, 2, 1)
         reports = [
             *run_rational_q_check(2, 6),
             verify.run_measure_normalization_check(2, 6),
@@ -449,20 +450,32 @@ class TestFaultInjection:
         )
 
     @pytest.mark.parametrize(
-        "old,new",
+        "name,old,new,detail",
         [
-            # the chain's a-power counts M's growth as k, not k(k+1)/2, for k
-            # ones: from k ones to k + 1 it falls by 2l + 2k, not 2l + k
-            ("x -= 2 * length + k", "x -= 2 * length + 2 * k"),
-            # the ones' factor P_k of D is cut to a - b: the chain's
-            # q-binomial [s+k; k] loses the repeated part's factors
-            ("commons[m])", "commons[min(m, 1) if p == 1 else m])"),
+            # the ones' a-power counts M's growth as k, not k(k+1)/2, for k
+            # ones: k(k+1)/2 - c(k) becomes k - c(k)
+            (
+                "_ones_placed",
+                "k * (k + 1) // 2 - c",
+                "k - c",
+                "coefficient of u^2: middle 235/63, rhs 335/63",
+            ),
+            # the ones' factor P_k of D is cut to a - b: the q-binomial
+            # [s+k; k] that places them loses the repeated part's factors
+            (
+                "_cells",
+                "commons[m])",
+                "commons[min(m, 1) if p == 1 else m])",
+                "coefficient of u^2: middle 45, rhs 335/63",
+            ),
         ],
         ids=["wrong-M-increment", "dropped-multiplicity-factor"],
     )
-    def test_mutated_walk_fails_eq1_rational_q(self, old, new, monkeypatch):
-        mutant = _mutated(partitions._refined_sums, old, new)
-        monkeypatch.setattr(partitions, "_refined_sums", mutant)
+    def test_mutated_walk_fails_eq1_rational_q(
+        self, name, old, new, detail, monkeypatch
+    ):
+        mutant = _mutated(getattr(partitions, name), old, new)
+        monkeypatch.setattr(partitions, name, mutant)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
@@ -470,7 +483,7 @@ class TestFaultInjection:
         assert eq1.check_name == "eq1-rational-q" and not eq1.passed
         # (1,1) is the first partition with a repeated part
         assert middle[:2] == rhs[:2] and middle[2] != rhs[2]
-        assert eq1.detail == (
+        assert eq1.detail == detail == (
             f"coefficient of u^2: middle {fmt_rat(middle[2])}, rhs {fmt_rat(rhs[2])}"
         )
 
@@ -479,8 +492,8 @@ class TestFaultInjection:
         # P_(s+2m) / (P_s P_m) loses the repeated two's factors
         old = "commons[m])"
         new = "commons[min(m, 1) if p == 2 else m])"
-        mutant = _mutated(partitions._refined_sums, old, new)
-        monkeypatch.setattr(partitions, "_refined_sums", mutant)
+        mutant = _mutated(partitions._cells, old, new)
+        monkeypatch.setattr(partitions, "_cells", mutant)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
@@ -497,8 +510,8 @@ class TestFaultInjection:
         # not by (p - 1)(2lm + m^2): b's power is cut, which only b > 1 shows
         old = "b_powers[(p - 1) * grown]"
         new = "b_powers[min(p - 1, 1) * grown]"
-        mutant = _mutated(partitions._refined_sums, old, new)
-        monkeypatch.setattr(partitions, "_refined_sums", mutant)
+        mutant = _mutated(partitions._cells, old, new)
+        monkeypatch.setattr(partitions, "_cells", mutant)
         assert all(r.passed for r in run_rational_q_check(2, 6))
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
@@ -513,19 +526,22 @@ class TestFaultInjection:
         )
 
     def test_perturbed_rhs_factor_is_caught(self, monkeypatch):
-        # 1/(1-u) with the u^3 coefficient doubled: a wrong factor of eq1's rhs
-        def perturbed(coeffs):
-            coeffs = list(coeffs)
-            return multiply(coeffs, [2 if k == 3 else 1 for k in range(len(coeffs))])
+        # eq1's factor 1/(1-u) with its u^3 coefficient doubled, a wrong factor
+        # of eq1's rhs, wrapped around the route's result:
+        # 1/(1-u) + u^3 = (1 + u^3 - u^4) / (1-u)
+        def perturbed(q, order):
+            factor = [1, 0, 0, 1, -1] + [0] * order
+            return multiply(eq1_rhs_series(q, order), factor[: order + 1])
 
-        monkeypatch.setattr(verify, "accumulate", perturbed)
+        monkeypatch.setattr(verify, "eq1_rhs_series", perturbed)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)[3]
-        rhs = eq1_rhs_series(q, 6)[3]
+        rhs = perturbed(q, 6)[3]
         assert middle != rhs
         eq1, eq2 = run_rational_q_check(q, 6)
         assert eq2.passed
         assert not eq1.passed and eq1.check_name == "eq1-rational-q"
+        assert eq1.detail == "coefficient of u^3: middle 324878/36855, rhs 361733/36855"
         assert eq1.detail == (
             f"coefficient of u^3: middle {fmt_rat(middle)}, rhs {fmt_rat(rhs)}"
         )
@@ -618,7 +634,7 @@ class TestFaultInjection:
 
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
         # |Aut (1)| halved
-        _double_chain_coefficient(monkeypatch, 0, 1)
+        _double_ones_binomial(monkeypatch, 0, 1)
         code = cli.main(["verify", "eq1", "--n-max", "1", "--order", "4"])
         assert code == cli.EXIT_FAIL
         out = capsys.readouterr().out
