@@ -9,7 +9,9 @@ computations are checked, so no closed-form shortcuts are taken here.
 The five public counts read one memoized census per (n, p): pass 1
 walks Mat_n(F_p) once and records every aggregate they need, and pass 2
 enumerates the annihilator solution spaces of the nonzero nilpotent
-matrices only.  One routine decides nilpotency, the ranks of a matrix's
+matrices only, each back-substituted (:func:`_nullspace`) from the echelon
+of B -> (AB, BA) that pass 1 finished and stored, so each system is
+eliminated once.  One routine decides nilpotency, the ranks of a matrix's
 powers (:func:`_rank_sequence`): in pass 1 for A, and in pass 2 for each
 member B of A's annihilator.  Both run on packed rows: a row of p-adic
 entries is one Python int, entry t in bits [t*w, (t+1)*w), and a single
@@ -296,38 +298,6 @@ def _zero_block_counts(cols: tuple[int, ...]) -> tuple[int, int]:
     return m, d
 
 
-def _annihilator_rows(codes: tuple[int, ...], pk: _Packing) -> list[int]:
-    """Packed rows of the map B -> (AB, BA) on vec(B), B[k][j] in lane k*n + j.
-
-    2n^2 rows (one per entry of AB then BA), n^2 lanes each.  (AB)_{ij} =
-    sum_k A_{ik} B_{kj}: A's row i in lanes k*n + j.  (BA)_{ij} = sum_k
-    B_{ik} A_{kj}: A's column j in lanes k, moved to i*n, read from the
-    packed A^T that the same table gives (see :class:`_Packing`).
-    """
-    At = 0
-    for i, c in enumerate(codes):
-        At |= pk.products[c][i]
-    return [ab for c in codes for ab in pk.products[c]] + _right_rows(_columns(At, pk), pk)
-
-
-def _columns(At: int, pk: _Packing) -> list[int]:
-    """A's columns from A^T packed: column j with entry k in lane k."""
-    width = pk.n * pk.w
-    col_mask = (1 << width) - 1
-    return [(At >> (j * width)) & col_mask for j in range(pk.n)]
-
-
-def _right_rows(cols: list[int], pk: _Packing) -> list[int]:
-    """Rows of B -> BA: each column in ``cols`` moved to lanes i*n + k, for each i."""
-    width = pk.n * pk.w
-    return [col << (i * width) for i in range(pk.n) for col in cols]
-
-
-def _annihilator_basis(codes: tuple[int, ...], pk: _Packing) -> list[int]:
-    """Packed basis of {B : AB = BA = 0}, B[k][j] in lane k*n + j."""
-    return _nullspace(_eliminate(_annihilator_rows(codes, pk), pk)[0], pk)
-
-
 def _lines(vectors: list[int], pk: _Packing) -> list[int]:
     """One member of each line {cB : c != 0} of the span of independent vectors.
 
@@ -358,8 +328,10 @@ class _Census(NamedTuple):
     pairs: int  # sum of p^dim over every A
     lemma2: _Counterexample  # first (A, dim, (n - rank)^2) that differ
     types: tuple[tuple[tuple[int, ...], int], ...]  # (conjugate type, count), nilpotent A
-    # (first A, m^2 - d, orbit size) per nilpotent orbit
-    nilpotent: tuple[tuple[tuple[int, ...], int, int], ...]
+    # (first A, m^2 - d, orbit size, echelon of A's annihilator system) per
+    # nilpotent orbit; the echelon is _minimum_record's pivots, which pass 2
+    # back-substitutes
+    nilpotent: tuple[tuple[tuple[int, ...], int, int, tuple[int, ...]], ...]
     inner: int  # sum of p^dim over the nilpotent A
 
 
@@ -511,8 +483,10 @@ def _descend(state, prefix: tuple[int, ...], pk: _Packing):
     return pivots, rank, rows_pivots, rows_rank, At | ab[len(prefix) - 1], rows + row
 
 
-def _minimum_record(codes: tuple[int, ...], state, pk: _Packing) -> tuple[int, list[int]]:
-    """(annihilator nullity, rank sequence) of the orbit minimum A with these row codes.
+def _minimum_record(
+    codes: tuple[int, ...], state, pk: _Packing
+) -> tuple[int, list[int], list[int]]:
+    """(annihilator nullity, rank sequence, echelon) of the orbit minimum A with these codes.
 
     ``state`` is :func:`_descend`'s at A's first n - 1 rows (at no rows
     when n = 0).  :func:`_descend` adds the last row; then the rows of
@@ -520,15 +494,24 @@ def _minimum_record(codes: tuple[int, ...], state, pk: _Packing) -> tuple[int, l
     n^2.  They are built from an echelon basis of A's columns: every
     column is a combination of the basis, so its n rows are the same
     combinations of the basis's rows, and the span is that of all n^2.
+    So the echelon, :func:`_eliminate`'s pivots, has the whole system's
+    row space, and :func:`_nullspace` reads from it the basis that it
+    reads from the whole system eliminated from empty: both reduce to
+    that row space's one reduced echelon form.
     """
-    nn = pk.n * pk.n
+    n, nn = pk.n, pk.n * pk.n
     if codes:
         state = _descend(state, codes, pk)
     pivots, rank, _, rows_rank, At, rows = state
     if rank < nn:
-        basis = list(filter(None, _eliminate(_columns(At, pk), pk, [0] * pk.n)[0]))
-        rank = _eliminate(_right_rows(basis, pk), pk, pivots, rank)[1]
-    return nn - rank, _rank_sequence(rows, pk, rows_rank)
+        width = n * pk.w
+        # A's columns from A^T packed: column j with entry k in lane k
+        cols = [(At >> (j * width)) & ((1 << width) - 1) for j in range(n)]
+        basis = list(filter(None, _eliminate(cols, pk, [0] * n)[0]))
+        # B -> BA: each basis column moved to lanes i*n + k, for each i
+        right = [col << (i * width) for i in range(n) for col in basis]
+        rank = _eliminate(right, pk, pivots, rank)[1]
+    return nn - rank, _rank_sequence(rows, pk, rows_rank), pivots
 
 
 @functools.lru_cache(maxsize=None)
@@ -538,8 +521,9 @@ def _census(n: int, p: int) -> _Census:
     Returns the aggregates of :class:`_Census` over every matrix, read from
     one matrix per orbit of G weighted by the orbit's size (see the module
     docstring).  The nilpotent list holds one entry per nilpotent orbit,
-    its first matrix with m^2 - d and the orbit's size, in walk order,
-    which is lexicographic order.  The elimination of each prefix of rows
+    its first matrix with m^2 - d, the orbit's size and the echelon of the
+    matrix's annihilator system as a tuple, in walk order, which is
+    lexicographic order.  The elimination of each prefix of rows
     is carried down the walk (:func:`_descend`) and finished per minimum
     (:func:`_minimum_record`).
     """
@@ -551,7 +535,7 @@ def _census(n: int, p: int) -> _Census:
     nilpotent = []
     walk = _orbit_minima(n, p, functools.partial(_descend, pk=pk), _empty_prefix(pk))
     for codes, weight, state in walk:
-        dim, ranks = _minimum_record(codes, state, pk)
+        dim, ranks, echelon = _minimum_record(codes, state, pk)
         pairs += weight * powers[dim]
         if lemma2 is None and dim != (n - ranks[1]) ** 2:
             lemma2 = (_entries(codes, pk), dim, (n - ranks[1]) ** 2)
@@ -559,7 +543,7 @@ def _census(n: int, p: int) -> _Census:
             cols = _zero_columns(ranks)
             types[cols] = types.get(cols, 0) + weight
             m, d = _zero_block_counts(cols)
-            nilpotent.append((codes, m * m - d, weight))
+            nilpotent.append((codes, m * m - d, weight, tuple(echelon)))
             inner += weight * powers[dim]
     return _Census(pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)
 
@@ -572,8 +556,10 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     ann(0) is all of Mat_n(F_p), so the zero matrix's count is the number
     of nilpotent matrices the census enumerated, the sum of its orbit
     sizes; the empty matrix of n = 0 is the zero matrix.  Every other
-    orbit's annihilator is enumerated from a nullspace basis, one member
-    per line {cB : c != 0} (:func:`_lines`), and B counts when the ranks
+    orbit's annihilator is enumerated from a nullspace basis, which
+    :func:`_nullspace` back-substitutes from a copy of the echelon that
+    the census stored (no system is built here), one member per line
+    {cB : c != 0} (:func:`_lines`), and B counts when the ranks
     of its powers reach 0 (:func:`_rank_sequence`, pass 1's test of A).
     (cB)^k = c^k B^k has the rank of B^k, so a nilpotent B stands for the
     p - 1 members of its line, and B = 0 for itself.  A's count,
@@ -586,15 +572,15 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     row_mask = (1 << width) - 1
     total = 0
     lemma3 = None
-    for codes, exponent, size in nilpotent:
+    for codes, exponent, size, echelon in nilpotent:
         if any(codes):
             lines = 0
-            for v in _lines(_annihilator_basis(codes, pk), pk):
+            for v in _lines(_nullspace(list(echelon), pk), pk):
                 rows = [(v >> (k * width)) & row_mask for k in range(n)]  # B's rows
                 lines += not _rank_sequence(rows, pk)[-1]
             found = 1 + (p - 1) * lines
         else:
-            found = sum(orbit_size for _, _, orbit_size in nilpotent)
+            found = sum(orbit_size for _, _, orbit_size, _ in nilpotent)
         total += size * found
         if lemma3 is None and found != p**exponent:
             lemma3 = (_entries(codes, pk), found, p**exponent)

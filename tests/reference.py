@@ -336,6 +336,15 @@ def annihilator_system(A):
     return ab + ba
 
 
+def packed_annihilator_system(A, w):
+    """``annihilator_system`` as packed rows: entry t of a row in bits [t*w, (t+1)*w).
+
+    Entry t is B's row-major entry t, so B[k][j] is in lane k*n + j, as
+    the oracle packs B.
+    """
+    return [sum(e << (t * w) for t, e in enumerate(row)) for row in annihilator_system(A)]
+
+
 def unshared_census(n, p):
     """The oracle's pass-1 census, one matrix at a time with nothing shared.
 

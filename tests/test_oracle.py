@@ -22,7 +22,13 @@ from clpartitions.oracle import (
     find_lemma3_counterexample,
 )
 from clpartitions.partitions import Partition
-from reference import PrimeFieldMatrix, enumerate_matrices, row_codes, unshared_census
+from reference import (
+    PrimeFieldMatrix,
+    enumerate_matrices,
+    packed_annihilator_system,
+    row_codes,
+    unshared_census,
+)
 
 
 def M(n, p, *rows):
@@ -92,7 +98,7 @@ def expanded_orbits(nilpotent, n, p):
     Asserts that each entry's orbit size is the reference orbit's size.
     """
     expanded = []
-    for first, exponent, size in nilpotent:
+    for first, exponent, size, _ in nilpotent:
         members = orbit(from_codes(first, n, p))
         assert size == len(members), first
         expanded += [(codes, exponent) for codes in members]
@@ -128,7 +134,7 @@ def minima(n, p):
 
 
 def census_record(A):
-    """The census kernel's (annihilator nullity, rank sequence) of A.
+    """The census kernel's (annihilator nullity, rank sequence, echelon) of A.
 
     A's first n - 1 rows are carried by ``_descend`` from the empty prefix,
     as the walk carries them, and ``_minimum_record`` finishes A.
@@ -141,13 +147,18 @@ def census_record(A):
     return oracle._minimum_record(codes, state, pk)
 
 
+def whole_system(codes, pk):
+    """The reference's packed 2n^2-row system of B -> (AB, BA), A with these row codes."""
+    return packed_annihilator_system(from_codes(codes, pk.n, pk.p), pk.w)
+
+
 def uncarried_record(codes, pk):
     """(nullity, rank sequence) of A by ``_eliminate`` from empty echelons.
 
-    The nullity is that of the whole 2n^2-row system of
-    ``_annihilator_rows``, and the rank sequence starts from all of A's rows.
+    The nullity is that of the whole system (``whole_system``), and the
+    rank sequence starts from all of A's rows.
     """
-    nullity = pk.n * pk.n - oracle._eliminate(oracle._annihilator_rows(codes, pk), pk)[1]
+    nullity = pk.n * pk.n - oracle._eliminate(whole_system(codes, pk), pk)[1]
     return nullity, oracle._rank_sequence([pk.row[c] for c in codes], pk)
 
 
@@ -156,12 +167,17 @@ def annihilator_dimension(A):
     return census_record(A)[0]
 
 
+def nullspace_basis(A):
+    """Packed basis of {B : AB = BA = 0}, back-substituted from A's census echelon."""
+    return oracle._nullspace(census_record(A)[2], oracle._packing(A.n, A.p))
+
+
 def annihilator_basis(A):
     """The back-substituted basis of {B : AB = BA = 0}, as row-major entries."""
     pk = oracle._packing(A.n, A.p)
     return [
         tuple((v >> (t * pk.w)) & pk.lane for t in range(A.n * A.n))
-        for v in oracle._annihilator_basis(row_codes(A), pk)
+        for v in nullspace_basis(A)
     ]
 
 
@@ -309,7 +325,7 @@ class TestAnnihilatorDimension:
         pk = oracle._packing(n, p)
         rng = random.Random(n * p)
         for A in rng.sample(list(enumerate_matrices(n, p)), 40):
-            lines = oracle._lines(oracle._annihilator_basis(row_codes(A), pk), pk)
+            lines = oracle._lines(nullspace_basis(A), pk)
             members = [
                 tuple(c * ((v >> (t * pk.w)) & pk.lane) % p for t in range(n * n))
                 for v in lines
@@ -537,7 +553,7 @@ class TestCounts:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_empty_matrix_through_the_census(self, p):
         # Mat_0(F_p) holds one matrix: nilpotent, annihilator of dimension 0
-        assert oracle._census(0, p) == (1, None, (((), 1),), (((), 0, 1),), 1)
+        assert oracle._census(0, p) == (1, None, (((), 1),), (((), 0, 1, ()),), 1)
         assert count_pairs(0, p) == 1
         assert count_nilpotent_pairs(0, p) == 1
         assert count_nilpotent_by_type(0, p) == {Partition(): 1}
@@ -613,20 +629,23 @@ class TestSharedPrefix:
         self, n, p, monkeypatch, fresh_census
     ):
         # one annihilator per nilpotent orbit but that of 0, which is every
-        # matrix and is not enumerated: the orbit's minimum, in walk order
+        # matrix and is not enumerated: the orbit's minimum, in walk order.
+        # Pass 2 back-substitutes the echelon that the census stored with it
         visited = []
-        real = oracle._annihilator_basis
+        real = oracle._nullspace
 
-        def recording(codes, packing):
-            visited.append(codes)
-            return real(codes, packing)
+        def recording(pivots, packing):
+            visited.append(tuple(pivots))
+            return real(pivots, packing)
 
-        monkeypatch.setattr(oracle, "_annihilator_basis", recording)
+        monkeypatch.setattr(oracle, "_nullspace", recording)
         oracle._nilpotent_annihilators(n, p)
         nilpotent = {
             row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
         }
-        assert visited == [
+        entries = [entry for entry in oracle._census(n, p).nilpotent if any(entry[0])]
+        assert visited == [echelon for _, _, _, echelon in entries]
+        assert [codes for codes, *_ in entries] == [
             c for c in orbit_representatives(n, p) if c in nilpotent and any(c)
         ]
 
@@ -645,7 +664,8 @@ class TestCarriedElimination:
         descend = functools.partial(oracle._descend, pk=pk)
         seen = 0
         for codes, _, state in oracle._orbit_minima(n, p, descend, oracle._empty_prefix(pk)):
-            assert oracle._minimum_record(codes, state, pk) == uncarried_record(codes, pk), codes
+            dim, ranks, _ = oracle._minimum_record(codes, state, pk)
+            assert (dim, ranks) == uncarried_record(codes, pk), codes
             seen += 1
         assert seen == len(orbit_representatives(n, p))
 
@@ -654,7 +674,8 @@ class TestCarriedElimination:
         # the carried rows need not be a minimum's
         pk = oracle._packing(n, p)
         for A in enumerate_matrices(n, p):
-            assert census_record(A) == uncarried_record(row_codes(A), pk), A.entries
+            dim, ranks, _ = census_record(A)
+            assert (dim, ranks) == uncarried_record(row_codes(A), pk), A.entries
 
     def test_minimum_record_leaves_the_shared_state(self):
         # every minimum below a prefix reads the same state
@@ -666,13 +687,49 @@ class TestCarriedElimination:
             oracle._minimum_record(codes, state, pk)
             assert state == before, codes
 
+    @pytest.mark.parametrize(
+        "n,p,every_matrix", [(2, 3, True), (2, 5, True), (3, 2, True), (3, 3, False)]
+    )
+    def test_echelon_back_substitutes_to_the_whole_systems_basis(self, n, p, every_matrix):
+        # the echelon of _minimum_record has the whole system's row space, and
+        # _nullspace reduces it to the one reduced echelon form of that space,
+        # so pass 2 reads the basis of the system eliminated from empty,
+        # vector for vector and in the same order
+        pk = oracle._packing(n, p)
+        if every_matrix:
+            records = ((row_codes(A), census_record(A)) for A in enumerate_matrices(n, p))
+        else:
+            descend = functools.partial(oracle._descend, pk=pk)
+            walk = oracle._orbit_minima(n, p, descend, oracle._empty_prefix(pk))
+            records = ((c, oracle._minimum_record(c, state, pk)) for c, _, state in walk)
+        for codes, (_, _, echelon) in records:
+            whole = oracle._eliminate(whole_system(codes, pk), pk)[0]
+            assert oracle._nullspace(echelon, pk) == oracle._nullspace(whole, pk), codes
+
+    @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (2, 5)])
+    def test_pass2_builds_no_annihilator_system(self, n, p, monkeypatch, fresh_census):
+        # pass 2 eliminates only B's powers, n rows each, and reads each
+        # annihilator from the echelon that the census stored
+        oracle._census(n, p)
+        sizes = []
+        real = oracle._eliminate
+
+        def recording(rows, packing, *state):
+            rows = list(rows)
+            sizes.append(len(rows))
+            return real(rows, packing, *state)
+
+        monkeypatch.setattr(oracle, "_eliminate", recording)
+        oracle._nilpotent_annihilators(n, p)
+        assert sizes and max(sizes) <= n
+
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (2, 5)])
     def test_eliminate_resumes_from_a_state(self, n, p):
         rng = random.Random(10 * n + p)
         pk = oracle._packing(n, p)
         for _ in range(40):
             codes = tuple(rng.randrange(p**n) for _ in range(n))
-            rows = oracle._annihilator_rows(codes, pk)
+            rows = whole_system(codes, pk)
             cut = rng.randrange(len(rows) + 1)
             pivots, rank = oracle._eliminate(rows[:cut], pk)
             assert oracle._eliminate(rows[cut:], pk, pivots, rank) == oracle._eliminate(rows, pk)
@@ -688,8 +745,8 @@ class TestFaultInjection:
         real = oracle._minimum_record
 
         def perturbed(codes, state, packing):
-            dim, ranks = real(codes, state, packing)
-            return dim + (codes in targets), ranks
+            dim, ranks, echelon = real(codes, state, packing)
+            return dim + (codes in targets), ranks, echelon
 
         monkeypatch.setattr(oracle, "_minimum_record", perturbed)
         report = verify.run_lemma2_check(2, 3)
@@ -706,8 +763,8 @@ class TestFaultInjection:
         real = oracle._minimum_record
 
         def perturbed(codes, state, packing):
-            dim, ranks = real(codes, state, packing)
-            return dim + (codes in targets), ranks
+            dim, ranks, echelon = real(codes, state, packing)
+            return dim + (codes in targets), ranks, echelon
 
         monkeypatch.setattr(oracle, "_minimum_record", perturbed)
         report = verify.run_lemma2_check(2, 3)
@@ -744,8 +801,8 @@ class TestFaultInjection:
         # The census's count of nilpotent matrices, which is ann(0)'s count,
         # is one short: the last nilpotent orbit's size is one too small
         census = oracle._census(2, 2)
-        *rest, (codes, exponent, size) = census.nilpotent
-        short = census._replace(nilpotent=(*rest, (codes, exponent, size - 1)))
+        *rest, (codes, exponent, size, echelon) = census.nilpotent
+        short = census._replace(nilpotent=(*rest, (codes, exponent, size - 1, echelon)))
         monkeypatch.setattr(oracle, "_census", lambda n, p: short)
         report = verify.run_lemma3_check(2, 2)
         assert not report.passed
@@ -801,16 +858,19 @@ class TestFaultInjection:
     def test_lemma3_names_first_matrix_of_perturbed_line(
         self, monkeypatch, fresh_census
     ):
-        # drop a basis vector of both matrices of one nilpotent line at odd p
+        # drop a basis vector of both matrices of one nilpotent line at odd p:
+        # ann(cA) = ann(A), so the line shares A's echelon
         A = M(2, 3, (0, 0), (1, 0))
-        targets = {row_codes(scaled(A, c)) for c in (1, 2)}
-        real = oracle._annihilator_basis
+        target = census_record(A)[2]
+        assert census_record(scaled(A, 2))[2] == target
+        real = oracle._nullspace
 
-        def perturbed(codes, packing):
-            basis = real(codes, packing)
-            return basis[1:] if codes in targets else basis
+        def perturbed(pivots, packing):
+            hit = (packing.n, packing.p) == (2, 3) and pivots == target
+            basis = real(pivots, packing)
+            return basis[1:] if hit else basis
 
-        monkeypatch.setattr(oracle, "_annihilator_basis", perturbed)
+        monkeypatch.setattr(oracle, "_nullspace", perturbed)
         report = verify.run_lemma3_check(2, 3)
         assert not report.passed
         # ann(A) has dimension 1, so only B = 0 is left; 3^(m^2 - d), m = 1, d = 0

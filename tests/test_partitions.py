@@ -269,7 +269,7 @@ class TestPartitionSum:
 
     @settings(max_examples=60, deadline=None)
     @given(ones_shifts())
-    def test_any_exponent_table_matches_per_term_fraction_sum(self, drawn):
+    def test_any_ones_shift_matches_per_term_fraction_sum(self, drawn):
         # the exponents e = L^2 - c(k) that the ones can be placed with once
         # per size: an offset error in the powers of a or b that eq1's and
         # eq2's shifts cancel shows for some c
