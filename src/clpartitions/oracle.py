@@ -12,15 +12,15 @@ enumerates the annihilator solution spaces of the nonzero nilpotent
 matrices only, each back-substituted (:func:`_nullspace`) from the echelon
 of B -> (AB, BA) that pass 1 finished and stored, so each system is
 eliminated once.  One routine decides nilpotency, the ranks of a matrix's
-powers (:func:`_rank_sequence`): in pass 1 for A, and in pass 2 for each
+powers (:func:`_rank_sequence`): in pass 1 for A^T, and in pass 2 for each
 member B of A's annihilator.  Both run on packed rows: a row of p-adic
 entries is one Python int, entry t in bits [t*w, (t+1)*w), and a single
 forward-elimination routine (:func:`_eliminate`) serves every rank and
-nullspace computation.  Pass 1 carries its eliminations down the walk,
+nullspace computation.  Pass 1 carries one elimination down the walk,
 which chooses A one row at a time: (AB)_{ij} reads only row i of A, so
-the rows of B -> AB that a prefix of A's rows gives, and the prefix's own
-rows, are eliminated once per prefix (:func:`_descend`), and each visited
-matrix adds only its last row and the rows of B -> BA
+the rows of B -> AB that a prefix of A's rows gives are eliminated once
+per prefix (:func:`_descend`), and each visited matrix adds its last
+row, then eliminates A's columns, for rank A and the rows of B -> BA
 (:func:`_minimum_record`).
 n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
 which is nilpotent with an annihilator of dimension 0.
@@ -250,10 +250,10 @@ def _matmul(X: list[int], Y: list[int], pk: _Packing) -> list[int]:
     if pk.p == 2:
         for x in X:
             acc = 0
-            for y in Y:
-                if x & 1:
-                    acc ^= y
-                x >>= 1
+            while x:  # only the set bits: row k of Y for each entry k of x that is 1
+                low = x & -x
+                acc ^= Y[low.bit_length() - 1]
+                x ^= low
             out.append(acc)
         return out
     w, lane = pk.w, pk.lane
@@ -460,27 +460,23 @@ def _orbit_minima(
 
 
 def _empty_prefix(pk: _Packing):
-    """:func:`_descend`'s state at the empty prefix: empty echelons and no rows."""
-    return [0] * (pk.n * pk.n), 0, [0] * pk.n, 0, 0, ()
+    """:func:`_descend`'s state at the empty prefix: an empty echelon and no rows of A^T."""
+    return [0] * (pk.n * pk.n), 0, 0
 
 
 def _descend(state, prefix: tuple[int, ...], pk: _Packing):
     """The census's state at a prefix of A's rows, from its parent's state.
 
     The state is (pivots, rank) of the rows of B -> AB that the prefix
-    gives, (pivots, rank) of the prefix's own packed rows, the prefix
-    packed as A^T (see :class:`_Packing`), and its packed rows.  (AB)_{ij}
-    reads only row i of A, so the prefix's last row adds its n rows to the
-    first echelon and its packed row to the second, each eliminated into a
-    copy of the parent's.
+    gives, and the prefix packed as A^T (see :class:`_Packing`).
+    (AB)_{ij} reads only row i of A, so the prefix's last row adds its n
+    rows, eliminated into a copy of the parent's echelon, and its column
+    of A^T.
     """
-    pivots, rank, rows_pivots, rows_rank, At, rows = state
-    code = prefix[-1]
-    ab = pk.products[code]
-    row = (pk.row[code],)
+    pivots, rank, At = state
+    ab = pk.products[prefix[-1]]
     pivots, rank = _eliminate(ab, pk, pivots[:], rank)
-    rows_pivots, rows_rank = _eliminate(row, pk, rows_pivots[:], rows_rank)
-    return pivots, rank, rows_pivots, rows_rank, At | ab[len(prefix) - 1], rows + row
+    return pivots, rank, At | ab[len(prefix) - 1]
 
 
 def _minimum_record(
@@ -489,29 +485,31 @@ def _minimum_record(
     """(annihilator nullity, rank sequence, echelon) of the orbit minimum A with these codes.
 
     ``state`` is :func:`_descend`'s at A's first n - 1 rows (at no rows
-    when n = 0).  :func:`_descend` adds the last row; then the rows of
-    B -> BA finish the annihilator system, unless its rank has reached
-    n^2.  They are built from an echelon basis of A's columns: every
-    column is a combination of the basis, so its n rows are the same
-    combinations of the basis's rows, and the span is that of all n^2.
-    So the echelon, :func:`_eliminate`'s pivots, has the whole system's
-    row space, and :func:`_nullspace` reads from it the basis that it
-    reads from the whole system eliminated from empty: both reduce to
-    that row space's one reduced echelon form.
+    when n = 0).  :func:`_descend` adds the last row; then A's columns,
+    cut from A^T, are eliminated to an echelon basis, whose size is rank
+    A.  Unless the system's rank has reached n^2, the rows of B -> BA
+    finish it, built from that basis: every column is a combination of
+    the basis, so its n rows are the same combinations of the basis's
+    rows, and the span is that of all n^2.  So the echelon,
+    :func:`_eliminate`'s pivots, has the whole system's row space, and
+    :func:`_nullspace` reads from it the basis that it reads from the
+    whole system eliminated from empty: both reduce to that row space's
+    one reduced echelon form.  The columns are the rows of A^T, and
+    (A^T)^k = (A^k)^T, so the rank sequence is A^T's.
     """
     n, nn = pk.n, pk.n * pk.n
     if codes:
         state = _descend(state, codes, pk)
-    pivots, rank, _, rows_rank, At, rows = state
+    pivots, rank, At = state
+    width = n * pk.w
+    # A's columns from A^T packed: column j with entry k in lane k
+    cols = [(At >> (j * width)) & ((1 << width) - 1) for j in range(n)]
+    basis = list(filter(None, _eliminate(cols, pk, [0] * n)[0]))
     if rank < nn:
-        width = n * pk.w
-        # A's columns from A^T packed: column j with entry k in lane k
-        cols = [(At >> (j * width)) & ((1 << width) - 1) for j in range(n)]
-        basis = list(filter(None, _eliminate(cols, pk, [0] * n)[0]))
         # B -> BA: each basis column moved to lanes i*n + k, for each i
         right = [col << (i * width) for i in range(n) for col in basis]
         rank = _eliminate(right, pk, pivots, rank)[1]
-    return nn - rank, _rank_sequence(rows, pk, rows_rank), pivots
+    return nn - rank, _rank_sequence(cols, pk, len(basis)), pivots
 
 
 @functools.lru_cache(maxsize=None)

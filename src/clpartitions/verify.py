@@ -393,31 +393,29 @@ def run_jordan_type_count_check(
     return VerificationReport("counter-nilpotent", params, "pass")
 
 
-def run_kernel_row_check(
-    q: int, u: Rational, a_max: int = 12
-) -> VerificationReport:
-    """Every finite kernel row up to a_max sums to exactly 1 (asserted on build)."""
+def run_kernel_row_check(q: int, u: Rational) -> VerificationReport:
+    """Every finite kernel row up to KERNEL_ROW_A_MAX sums to exactly 1 (asserted on build)."""
     u = Fraction(u)
-    params = {"q": q, "u": fmt_rat(u), "a_max": a_max}
+    params = {"q": q, "u": fmt_rat(u), "a_max": KERNEL_ROW_A_MAX}
     try:
-        for a in range(a_max + 1):
+        for a in range(KERNEL_ROW_A_MAX + 1):
             kernel_row(a, q, u)
     except sampler.KernelDomainError as exc:
         return VerificationReport("thm1-rows", params, "fail", detail=str(exc))
     return VerificationReport("thm1-rows", params, "pass")
 
 
-def run_corollary_consistency_check(
-    q: int, u: Rational, a_max: int = 10
-) -> VerificationReport:
+def run_corollary_consistency_check(q: int, u: Rational) -> VerificationReport:
     """sum_b joint(a, b) == marginal(a) exactly, plus near-unit total mass.
 
-    Each law is (u/q)_inf times an integer quotient: the sums compare the
-    quotients, and (u/q)_inf multiplies back in for the mass.  A failing
-    sum shows the two quotients exactly and the two laws as floats: the
-    laws' exact values run to thousands of digits.
+    Both run over a = 0..COROLLARY_A_MAX.  Each law is (u/q)_inf times an
+    integer quotient: the sums compare the quotients, and (u/q)_inf
+    multiplies back in for the mass.  A failing sum shows the two
+    quotients exactly and the two laws as floats: the laws' exact values
+    run to thousands of digits.
     """
     u = Fraction(u)
+    a_max = COROLLARY_A_MAX
     params = {"q": q, "u": fmt_rat(u), "a_max": a_max}
     uq_inf = sampler.u_over_q_infinite_value(q, u)
     total = Fraction(0)
@@ -487,6 +485,8 @@ def run_sampler_check(cfg: SamplerConfig) -> VerificationReport:
 
 
 Z_THRESHOLD = 4.0  # the Monte Carlo gate, in standard errors per bucket
+KERNEL_ROW_A_MAX = 12  # thm1-rows builds the kernel rows a = 0..12
+COROLLARY_A_MAX = 10  # cor1-part2 compares the laws at a = 0..10
 PRIMES = (2, 3)  # fields of the oracle checks, and q of the sampler checks
 RATIONAL_QS = (Fraction(2), Fraction(3), Fraction(5, 2), Fraction(10))
 WELLKNOWN_QS = (Fraction(2), Fraction(3), Fraction(5, 2))  # q of wellknown-identity

@@ -277,6 +277,20 @@ class TestRank:
         assert rank(M(2, 3, (1, 2), (2, 1))) == 1  # second row = 2 * first mod 3
 
 
+class TestMatmul:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_products_match_reference(self, p):
+        rng = random.Random(p)
+        for n in range(5):
+            for _ in range(30):
+                X, Y = (
+                    PrimeFieldMatrix(n, p, tuple(rng.randrange(p) for _ in range(n * n)))
+                    for _ in range(2)
+                )
+                (x, pk), (y, _) = packed_rows(X), packed_rows(Y)
+                assert oracle._matmul(x, y, pk) == packed_rows(X @ Y)[0], (X, Y)
+
+
 class TestAnnihilatorDimension:
     def test_zero_matrix(self):
         assert annihilator_dimension(PrimeFieldMatrix.zero(2, 3)) == 4
@@ -682,8 +696,8 @@ class TestCarriedElimination:
         pk = oracle._packing(3, 3)
         descend = functools.partial(oracle._descend, pk=pk)
         for codes, _, state in oracle._orbit_minima(3, 3, descend, oracle._empty_prefix(pk)):
-            pivots, rank, rows_pivots, rows_rank, At, rows = state
-            before = (pivots[:], rank, rows_pivots[:], rows_rank, At, rows)
+            pivots, rank, At = state
+            before = (pivots[:], rank, At)
             oracle._minimum_record(codes, state, pk)
             assert state == before, codes
 
@@ -795,6 +809,38 @@ class TestFaultInjection:
         report = verify.run_eq_check("eq1", 2, 3, 6)
         assert not report.passed
         assert report.detail == "coefficient of u^3: oracle 51/4, middle 171/14, rhs 171/14"
+
+    def test_forgotten_prefix_transpose_fails_lemma2_and_the_counts(
+        self, monkeypatch, fresh_census
+    ):
+        # the state carried at the rows (0, 0, 0), (0, 0, 1) of Mat_3(F_2)
+        # forgets A^T, so every minimum below it reads its columns, and its
+        # rank and nilpotency, from the last row alone; the first, with last
+        # row (0, 1, 0), has rank 1, not 2, and its orbit counts as nilpotent
+        real = oracle._descend
+
+        def forgetting(state, prefix, pk):
+            state = real(state, prefix, pk)
+            if (pk.n, prefix) == (3, (0, 1)):
+                pivots, rank, At = state
+                assert At
+                state = (pivots, rank, 0)
+            return state
+
+        monkeypatch.setattr(oracle, "_descend", forgetting)
+        report = verify.run_lemma2_check(3, 2)
+        assert not report.passed
+        assert report.detail == "A=(0, 0, 0, 0, 0, 1, 0, 1, 0): dimension 2 != 4"
+        report = verify.run_jordan_type_count_check(3, 2)
+        assert not report.passed
+        assert report.detail == "type (3): enumerated 36 != 42"
+        report = verify.run_eq_check("eq1", 2, 3, 6)
+        assert not report.passed
+        assert report.detail == "coefficient of u^3: oracle 51/4, middle 171/14, rhs 171/14"
+        # ann(0) counts every matrix that the census calls nilpotent: 79, not 2^6
+        report = verify.run_lemma3_check(3, 2)
+        assert not report.passed
+        assert report.detail == "A=(0, 0, 0, 0, 0, 0, 0, 0, 0): count 79 != 64"
 
     def test_lemma3_names_first_nilpotent_matrix(self, fresh_census, monkeypatch):
         # fresh_census comes first, so _census is restored before it is cleared.
