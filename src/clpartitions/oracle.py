@@ -13,15 +13,16 @@ matrices only, each back-substituted (:func:`_nullspace`) from the echelon
 of B -> (AB, BA) that pass 1 finished and stored, so each system is
 eliminated once.  One routine decides nilpotency, the ranks of a matrix's
 powers (:func:`_rank_sequence`): in pass 1 for A^T, and in pass 2 for each
-member B of A's annihilator.  Both run on packed rows: a row of p-adic
-entries is one Python int, entry t in bits [t*w, (t+1)*w), and a single
-forward-elimination routine (:func:`_eliminate`) serves every rank and
-nullspace computation.  Pass 1 carries one elimination down the walk,
-which chooses A one row at a time: (AB)_{ij} reads only row i of A, so
-the rows of B -> AB that a prefix of A's rows gives are eliminated once
-per prefix (:func:`_descend`), and each visited matrix adds its last
-row, then eliminates A's columns, for rank A and the rows of B -> BA
-(:func:`_minimum_record`).
+member B of A's annihilator.  Every rank is the size of an echelon basis
+(:func:`_basis`); a power's is its image's, the matrix applied to the last
+image's basis, so no power is built.  All run on packed rows (a row of
+p-adic entries is one Python int, entry t in bits [t*w, (t+1)*w)), and one
+routine (:func:`_eliminate`) serves every rank and nullspace.  Pass 1
+carries one elimination down the walk, which chooses A one row at a time:
+(AB)_{ij} reads only row i of A, so the rows of B -> AB that a prefix of
+A's rows gives are eliminated once per prefix (:func:`_descend`), and
+each visited matrix adds its last row, then A's columns' echelon basis,
+for rank A and the rows of B -> BA (:func:`_minimum_record`).
 n = 0 needs no special case: Mat_0(F_p) holds one matrix, the empty one,
 which is nilpotent with an annihilator of dimension 0.
 
@@ -173,24 +174,19 @@ def _reduce(x: int, pk: _Packing) -> int:
     return x - pk.p * (((x * pk.mul) >> pk.shift) & pk.quotient_mask)
 
 
-def _eliminate(
-    rows, pk: _Packing, pivots: Optional[list[int]] = None, rank: int = 0
-) -> tuple[list[int], int]:
+def _eliminate(rows, pk: _Packing, pivots: list[int], rank: int = 0) -> int:
     """Forward elimination of packed rows over F_p: the one elimination routine.
 
-    Returns (pivots, rank).  ``pivots[h]`` is 0 or the echelon row whose
-    leading (highest) nonzero lane is h, scaled so that lane holds 1.
-    Given a state (pivots, rank) that an earlier call returned, the rows
-    are eliminated into it, and ``pivots`` is updated in place; without
-    one, into an empty echelon.  Once all n^2 lanes have a pivot, every
-    row left would reduce to 0, so the rest are skipped.
+    Eliminates the rows into the echelon ``pivots`` of ``rank`` rows, in
+    place, and returns its new rank.  ``pivots[h]`` is 0 or the echelon
+    row whose leading (highest) nonzero lane is h, scaled so that lane
+    holds 1; n^2 lanes for the annihilator system, n for vectors of n
+    entries.  Once every lane has a pivot, the rows left are skipped.
     """
-    nn = pk.n * pk.n
-    if pivots is None:
-        pivots = [0] * nn
+    full = len(pivots)
     if pk.p == 2:
         for r in rows:
-            if rank == nn:
+            if rank == full:
                 break
             while r:
                 h = r.bit_length() - 1
@@ -200,10 +196,10 @@ def _eliminate(
                     rank += 1
                     break
                 r ^= piv
-        return pivots, rank
+        return rank
     p, w, lane, inverse = pk.p, pk.w, pk.lane, pk.inverse
     for r in rows:
-        if rank == nn:
+        if rank == full:
             break
         while r:
             h = (r.bit_length() - 1) // w
@@ -214,7 +210,14 @@ def _eliminate(
                 rank += 1
                 break
             r = _reduce(r + (p - c) * piv, pk)
-    return pivots, rank
+    return rank
+
+
+def _basis(vectors: list[int], pk: _Packing) -> list[int]:
+    """An echelon basis of the span of vectors of n entries: its size is their rank."""
+    pivots = [0] * pk.n
+    _eliminate(vectors, pk, pivots)
+    return list(filter(None, pivots))
 
 
 def _nullspace(pivots: list[int], pk: _Packing) -> list[int]:
@@ -266,29 +269,26 @@ def _matmul(X: list[int], Y: list[int], pk: _Packing) -> list[int]:
     return out
 
 
-def _rank_sequence(rows: list[int], pk: _Packing, rank: Optional[int] = None) -> list[int]:
-    """[n, rank A, rank A^2, ...] up to the first repeat or the first 0.
+def _rank_sequence(
+    vectors: list[int], pk: _Packing, basis: Optional[list[int]] = None
+) -> list[int]:
+    """[n, rank X, rank X^2, ...] up to the first repeat or the first 0.
 
-    ``rank``, when given, is rank A from an elimination of these rows.
+    X is the map v -> sum_k v_k vectors[k].  rank X^i is the size of an
+    echelon basis of image(X^i), and ``_matmul(basis, vectors)``, X applied
+    to it, spans image(X^(i+1)).  ``basis``, when given, is image(X)'s.
     """
-    n = pk.n
-    ranks = [n, _eliminate(rows, pk)[1] if rank is None else rank]
-    power = rows
-    while ranks[-1] and ranks[-1] != ranks[-2]:  # strictly falling: < n products
-        power = _matmul(power, rows, pk)
-        ranks.append(_eliminate(power, pk)[1])
+    basis = _basis(vectors, pk) if basis is None else basis
+    ranks = [pk.n, len(basis)]
+    while ranks[-1] and ranks[-1] != ranks[-2]:  # strictly falling: < n images
+        basis = _basis(_matmul(basis, vectors, pk), pk)
+        ranks.append(len(basis))
     return ranks
 
 
 def _zero_columns(ranks: list[int]) -> tuple[int, ...]:
-    """Conjugate eigenvalue-0 type: lambda'_i = rank(A^{i-1}) - rank(A^i) > 0."""
-    cols = []
-    for i in range(1, len(ranks)):
-        diff = ranks[i - 1] - ranks[i]
-        if diff == 0:
-            break
-        cols.append(diff)
-    return tuple(cols)
+    """Conjugate eigenvalue-0 type: lambda'_i = rank(A^{i-1}) - rank(A^i), while > 0."""
+    return tuple(a - b for a, b in zip(ranks, ranks[1:]) if a != b)
 
 
 def _zero_block_counts(cols: tuple[int, ...]) -> tuple[int, int]:
@@ -475,8 +475,8 @@ def _descend(state, prefix: tuple[int, ...], pk: _Packing):
     """
     pivots, rank, At = state
     ab = pk.products[prefix[-1]]
-    pivots, rank = _eliminate(ab, pk, pivots[:], rank)
-    return pivots, rank, At | ab[len(prefix) - 1]
+    pivots = pivots[:]
+    return pivots, _eliminate(ab, pk, pivots, rank), At | ab[len(prefix) - 1]
 
 
 def _minimum_record(
@@ -486,16 +486,16 @@ def _minimum_record(
 
     ``state`` is :func:`_descend`'s at A's first n - 1 rows (at no rows
     when n = 0).  :func:`_descend` adds the last row; then A's columns,
-    cut from A^T, are eliminated to an echelon basis, whose size is rank
-    A.  Unless the system's rank has reached n^2, the rows of B -> BA
+    cut from A^T, give an echelon basis (:func:`_basis`), whose size is
+    rank A.  Unless the system's rank has reached n^2, the rows of B -> BA
     finish it, built from that basis: every column is a combination of
     the basis, so its n rows are the same combinations of the basis's
-    rows, and the span is that of all n^2.  So the echelon,
-    :func:`_eliminate`'s pivots, has the whole system's row space, and
-    :func:`_nullspace` reads from it the basis that it reads from the
-    whole system eliminated from empty: both reduce to that row space's
-    one reduced echelon form.  The columns are the rows of A^T, and
-    (A^T)^k = (A^k)^T, so the rank sequence is A^T's.
+    rows, and the span is that of all n^2.  So the echelon has the whole
+    system's row space, and :func:`_nullspace` reads from it the basis
+    that it reads from the whole system eliminated from empty: both reduce
+    to that row space's one reduced echelon form.  The columns are the
+    rows of A^T, and (A^T)^k = (A^k)^T, so the rank sequence, which
+    starts from the same basis, is A^T's.
     """
     n, nn = pk.n, pk.n * pk.n
     if codes:
@@ -504,12 +504,12 @@ def _minimum_record(
     width = n * pk.w
     # A's columns from A^T packed: column j with entry k in lane k
     cols = [(At >> (j * width)) & ((1 << width) - 1) for j in range(n)]
-    basis = list(filter(None, _eliminate(cols, pk, [0] * n)[0]))
+    basis = _basis(cols, pk)
     if rank < nn:
         # B -> BA: each basis column moved to lanes i*n + k, for each i
         right = [col << (i * width) for i in range(n) for col in basis]
-        rank = _eliminate(right, pk, pivots, rank)[1]
-    return nn - rank, _rank_sequence(cols, pk, len(basis)), pivots
+        rank = _eliminate(right, pk, pivots, rank)
+    return nn - rank, _rank_sequence(cols, pk, basis), pivots
 
 
 @functools.lru_cache(maxsize=None)

@@ -350,9 +350,10 @@ def unshared_census(n, p):
 
     Walks ``enumerate_matrices`` and gives every A the nullity of its
     annihilator system written entry by entry (``annihilator_system``) and
-    the ranks of A^0, A, ..., A^n from ``@``, each by ``rank_mod_p``; none
-    of the oracle's packing or elimination is used.  Each nilpotent A is
-    named by its row codes.
+    the ranks of A^0, A, ..., A^n from ``@``, each by ``rank_mod_p``, from
+    which it reads the Jordan type and m and d itself; none of the oracle's
+    packing, elimination or type code is used.  Each nilpotent A is named
+    by its row codes.
     """
     pairs = inner = 0
     lemma2 = None
@@ -370,9 +371,13 @@ def unshared_census(n, p):
         if lemma2 is None and dim != want:
             lemma2 = (A.entries, dim, want)
         if not ranks[-1]:
-            cols = oracle._zero_columns(ranks)
+            # lambda'_i = rank A^(i-1) - rank A^i counts the blocks of size i or
+            # more; A^k = 0 for k >= n, so the ranks are padded with zeros
+            cols = tuple(ranks[i - 1] - ranks[i] for i in range(1, n + 1) if ranks[i - 1])
+            r = ranks + [0, 0]
+            m = r[0] - r[1]  # every zero block
+            d = m - (r[1] - r[2])  # less those of size 2 or more
             types[cols] = types.get(cols, 0) + 1
-            m, d = oracle._zero_block_counts(cols)
             nilpotent.append((row_codes(A), m * m - d))
             inner += p**dim
     return (pairs, lemma2, tuple(types.items()), tuple(nilpotent), inner)

@@ -26,6 +26,7 @@ from reference import (
     PrimeFieldMatrix,
     enumerate_matrices,
     packed_annihilator_system,
+    rank_mod_p,
     row_codes,
     unshared_census,
 )
@@ -124,7 +125,7 @@ def orbit_representatives(n, p):
 def rank(A):
     """rank(A) by the oracle's one elimination routine."""
     rows, pk = packed_rows(A)
-    return oracle._eliminate(rows, pk)[1]
+    return oracle._eliminate(rows, pk, [0] * A.n)
 
 
 def minima(n, p):
@@ -158,7 +159,8 @@ def uncarried_record(codes, pk):
     The nullity is that of the whole system (``whole_system``), and the
     rank sequence starts from all of A's rows.
     """
-    nullity = pk.n * pk.n - oracle._eliminate(whole_system(codes, pk), pk)[1]
+    nn = pk.n * pk.n
+    nullity = nn - oracle._eliminate(whole_system(codes, pk), pk, [0] * nn)
     return nullity, oracle._rank_sequence([pk.row[c] for c in codes], pk)
 
 
@@ -226,6 +228,17 @@ def is_nilpotent_reference(A):
     return power.is_zero()
 
 
+def drop_last_image_vector(monkeypatch):
+    """Make ``_matmul`` drop the last vector of every image basis of two or more."""
+    real = oracle._matmul
+
+    def dropping(X, Y, packing):
+        out = real(X, Y, packing)
+        return out[:-1] if len(X) > 1 else out
+
+    monkeypatch.setattr(oracle, "_matmul", dropping)
+
+
 @pytest.fixture
 def fresh_census():
     """Empty the oracle memos before and after a test that perturbs them."""
@@ -289,6 +302,40 @@ class TestMatmul:
                 )
                 (x, pk), (y, _) = packed_rows(X), packed_rows(Y)
                 assert oracle._matmul(x, y, pk) == packed_rows(X @ Y)[0], (X, Y)
+
+
+class TestRankSequence:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_reference_powers(self, p):
+        # the ranks of A^0, A, A^2, ... by reference products, cut at the
+        # first repeat or 0, from A's rows and from A's columns with their
+        # basis passed in, as the census passes it
+        rng = random.Random(p)
+        for n in range(6):
+            pk = oracle._packing(n, p)
+            for trial in range(30):
+                # every third A strictly upper triangular, so nilpotent
+                A = PrimeFieldMatrix(
+                    n,
+                    p,
+                    tuple(
+                        0 if trial % 3 == 0 and k <= i else rng.randrange(p)
+                        for i in range(n)
+                        for k in range(n)
+                    ),
+                )
+                want, power = [n], PrimeFieldMatrix.identity(n, p)
+                while len(want) < 2 or want[-1] and want[-1] != want[-2]:
+                    power = power @ A
+                    rows = [power.entries[i * n : (i + 1) * n] for i in range(n)]
+                    want.append(rank_mod_p(rows, p))
+                rows, _ = packed_rows(A)
+                # column j with entry k in lane k
+                cols = [
+                    sum(A.entries[k * n + j] << (k * pk.w) for k in range(n)) for j in range(n)
+                ]
+                assert oracle._rank_sequence(rows, pk) == want, A
+                assert oracle._rank_sequence(cols, pk, oracle._basis(cols, pk)) == want, A
 
 
 class TestAnnihilatorDimension:
@@ -594,16 +641,11 @@ class TestCounts:
         ]
 
 
-class TestSharedPrefix:
-    """The census and pass 2 visit one matrix per orbit of G, its minimum.
-
-    Each visit is weighted by its orbit's size, and the census equals the
-    reference census over every matrix.
-    """
+class TestOrbitWalk:
+    """The census visits one matrix per orbit of G, its lexicographic minimum."""
 
     @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
-    def test_walk_visits_line_representatives(self, n, p, monkeypatch, fresh_census):
-        # one matrix per orbit of G, its lexicographic minimum
+    def test_walk_visits_orbit_minima(self, n, p, monkeypatch, fresh_census):
         visited = []
         real = oracle._minimum_record
 
@@ -614,6 +656,14 @@ class TestSharedPrefix:
         monkeypatch.setattr(oracle, "_minimum_record", recording)
         oracle._census(n, p)
         assert visited == orbit_representatives(n, p)
+
+
+class TestSharedPrefix:
+    """The census and pass 2 visit one matrix per orbit of G, its minimum.
+
+    Each visit is weighted by its orbit's size, and the census equals the
+    reference census over every matrix.
+    """
 
     @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (3, 3)])
     def test_walk_weights_are_reference_orbit_sizes(self, n, p):
@@ -717,7 +767,8 @@ class TestCarriedElimination:
             walk = oracle._orbit_minima(n, p, descend, oracle._empty_prefix(pk))
             records = ((c, oracle._minimum_record(c, state, pk)) for c, _, state in walk)
         for codes, (_, _, echelon) in records:
-            whole = oracle._eliminate(whole_system(codes, pk), pk)[0]
+            whole = [0] * (n * n)
+            oracle._eliminate(whole_system(codes, pk), pk, whole)
             assert oracle._nullspace(echelon, pk) == oracle._nullspace(whole, pk), codes
 
     @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (2, 5)])
@@ -745,8 +796,11 @@ class TestCarriedElimination:
             codes = tuple(rng.randrange(p**n) for _ in range(n))
             rows = whole_system(codes, pk)
             cut = rng.randrange(len(rows) + 1)
-            pivots, rank = oracle._eliminate(rows[:cut], pk)
-            assert oracle._eliminate(rows[cut:], pk, pivots, rank) == oracle._eliminate(rows, pk)
+            pivots, whole = [0] * (n * n), [0] * (n * n)
+            rank = oracle._eliminate(rows[:cut], pk, pivots)
+            rank = oracle._eliminate(rows[cut:], pk, pivots, rank)
+            assert rank == oracle._eliminate(rows, pk, whole)
+            assert pivots == whole
 
 
 class TestFaultInjection:
@@ -921,3 +975,39 @@ class TestFaultInjection:
         assert not report.passed
         # ann(A) has dimension 1, so only B = 0 is left; 3^(m^2 - d), m = 1, d = 0
         assert report.detail == "A=(0, 0, 1, 0): count 1 != 3"
+
+    def test_dropped_image_vector_fails_counter_nilpotent_and_lemma3(
+        self, monkeypatch, fresh_census
+    ):
+        # X applied to an image basis of two or more vectors loses the last
+        # one, so the ranks of powers fall too fast.  rank A is the size of
+        # the column basis, which no image step builds, so lemma2 passes
+        drop_last_image_vector(monkeypatch)
+        assert verify.run_lemma2_check(3, 2).passed
+        # 42 matrices of rank 2 get the ranks [3, 2, 0], a conjugate type that
+        # is no partition, so the count by type cannot be built
+        assert ((1, 2), 42) in oracle._census(3, 2).types
+        with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)"):
+            verify.run_jordan_type_count_check(3, 2)
+        # ann(0) counts every matrix that the census calls nilpotent: 85, not 2^6
+        report = verify.run_lemma3_check(3, 2)
+        assert not report.passed
+        assert report.detail == "A=(0, 0, 0, 0, 0, 0, 0, 0, 0): count 85 != 64"
+
+    def test_dropped_image_vector_in_pass2_fails_lemma3_and_eq2(
+        self, monkeypatch, fresh_census
+    ):
+        # the same fault in pass 2 alone: the census, memoized first, keeps
+        # its counts, and pass 2 calls some B in ann(A) nilpotent that is not
+        for n in range(5):
+            oracle._census(n, 2)
+        drop_last_image_vector(monkeypatch)
+        assert verify.run_jordan_type_count_check(4, 2).passed
+        report = verify.run_lemma3_check(4, 2)
+        assert not report.passed
+        A = (0,) * 14 + (1, 0)
+        assert report.detail == f"A={A}: count 144 != 128"
+        report = verify.run_eq_check("eq2", 2, 4, 6)
+        assert not report.passed
+        want = "coefficient of u^4: oracle 613/315, middle 2251/1260, rhs 2251/1260"
+        assert report.detail == want
