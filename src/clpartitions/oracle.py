@@ -82,6 +82,10 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
+class CensusError(ArithmeticError):
+    """The census recorded a Jordan type that is no partition: a rank fault."""
+
+
 # -- packed rows ------------------------------------------------------------
 
 
@@ -658,9 +662,19 @@ def count_nilpotent_pairs(n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET) ->
 def count_nilpotent_by_type(
     n: int, p: int, budget: int = DEFAULT_OUTER_BUDGET
 ) -> dict[Partition, int]:
-    """Counts of nilpotent matrices in Mat_n(F_p) by Jordan type."""
-    census = _checked_census(n, p, budget)
-    return {Partition(cols).conjugate(): count for cols, count in census.types}
+    """Counts of nilpotent matrices in Mat_n(F_p) by Jordan type.
+
+    Raises CensusError on a census type that is no partition (a rank fault).
+    """
+    counts = {}
+    for cols, count in _checked_census(n, p, budget).types:
+        try:
+            counts[Partition(cols).conjugate()] = count
+        except ValueError:
+            raise CensusError(
+                f"conjugate type {cols} of {count} matrices is no partition"
+            ) from None
+    return counts
 
 
 def find_lemma2_counterexample(

@@ -14,19 +14,20 @@ are rational-function identities in q, so non-prime-power q is allowed).
 The partition sums place the parts one size at a time (`_cells`): for
 p = order down to 2, every (size, length) cell of the partitions with
 all parts > p gains m parts p for each m >= 1, and each cell keeps its
-sum as one integer times a power of a (q = a/b).  The ones come last.
-For eq1 and eq2 (`_ones_placed`) the power of a that a cell reaches
-with k ones depends on its length l only through l^2, so each size's
-cells are summed once and the ones are placed once per size.  The
-weight series, whose b^(L^2) ties l to k, fills one table R[n][L][k]
-of the sums of 1/|Aut(lambda)| per size n, length L and number k of
-parts 1 (`_refined_sums`) and reads each entry.  By the distributive
-law each is the sum over every partition, with no `Partition` built
-and no call to `aut_order`.  `aut_order` is the
-per-partition definition of the same weight, read by the checks that
-name single partitions, and `partitions_of(n)` lists the partitions of
-n for them.  The irreducible product groups the monic irreducibles over
-F_q by degree, so `irreducible_count` lives beside it.
+sum as one integer times a power of a (q = a/b).  The ones come last,
+read from the cells.  For eq1 and eq2 (`_ones_placed`) the power of a
+that a cell reaches with k ones depends on its length l only through
+l^2, so each size's cells are summed once and the ones are placed once
+per size.  The weight series, whose b^(L^2) ties l to k, fills one
+table R[n][L][k] of the sums of 1/|Aut(lambda)| per size n, length L
+and number k of parts 1 (`_refined_sums`) and reads each entry.
+`middle_series` reads all three from one build of the cells; each
+single series builds its own.  By the distributive law each is the sum
+over every partition, with no `Partition` built and no call to
+`aut_order`, the per-partition definition of the same weight, read by
+the checks that name single partitions; `partitions_of(n)` lists the
+partitions of n for them.  The irreducible product groups the monic
+irreducibles over F_q by degree, so `irreducible_count` lives beside it.
 """
 
 from __future__ import annotations
@@ -136,11 +137,10 @@ def _power_sums(
 # cells[s][l] = (t, x) or None, see _cells; R[n][L][k] = (t, x), see _refined_sums
 _Cells = list[list[tuple[int, int] | None]]
 _Table = list[list[dict[int, tuple[int, int]]]]
+_Built = tuple[list[int], Callable[[int, int], list[int]], _Cells]  # _cells's result
 
 
-def _cells(
-    q: Rational, order: int
-) -> tuple[list[int], Callable[[int, int], list[int]], _Cells]:
+def _cells(q: Rational, order: int) -> _Built:
     """(P_0..P_order, quotients, cells): the partitions with no part 1.
 
     With q = a/b in lowest terms, n = |lambda|, L = l(lambda),
@@ -228,7 +228,7 @@ def _cells(
     return commons, quotients, cells
 
 
-def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
+def _refined_sums(built: _Built) -> tuple[list[int], _Table]:
     """(P_0..P_order, R): the partition sums per size n, length L and m_1 = k.
 
     R[n][L] maps each k that occurs to (t, x), with t * a^x the sum of
@@ -241,8 +241,8 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
     power x_k = x + k(k+1)/2 - (2l+k) k of a, which falls by 2l + k from
     k ones to k + 1: the chain of ones, one entry of R per cell and k.
     """
-    commons, quotients, cells = _cells(q, order)
-    table = [[{} for _ in range(n + 1)] for n in range(order + 1)]
+    commons, quotients, cells = built
+    table = [[{} for _ in range(n + 1)] for n in range(len(cells))]
     for s, row in enumerate(cells):
         ones = quotients(s, 1)
         for length, cell in enumerate(row):
@@ -256,7 +256,7 @@ def _refined_sums(q: Rational, order: int) -> tuple[list[int], _Table]:
 
 
 def _ones_placed(
-    q: Rational, order: int, shift: Callable[[int], int]
+    q: Rational, built: _Built, shift: Callable[[int], int]
 ) -> list[Fraction]:
     """Coefficients of sum_lambda q^(L^2 - c(k)) u^{|lambda|} / |Aut(lambda)|.
 
@@ -276,12 +276,12 @@ def _ones_placed(
     c(k) = 0 and eq2 c(k) = k.  `_power_sums` folds each size into one
     Fraction over a^K P_n.
     """
-    commons, quotients, cells = _cells(q, order)
+    commons, quotients, cells = built
     a, b = Fraction(q).as_integer_ratio()
     a_power = cache(a.__pow__)  # a^k, each k computed once
     placed = [  # placed[k] = (the a-power k(k+1)/2 - c(k), b^c(k))
         (k * (k + 1) // 2 - c, b**c)
-        for k, c in enumerate(map(shift, range(order + 1)))
+        for k, c in enumerate(map(shift, range(len(cells))))
     ]
     sums = [{} for _ in cells]  # per size, per power of a
     for s, row in enumerate(cells):
@@ -300,38 +300,52 @@ def _ones_placed(
     return _power_sums(sums, a, commons)
 
 
-def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
-    """(1/(1-u)) * sum_lambda q^{(lambda'_1)^2} u^{|lambda|} / |Aut(lambda)|.
+def _weights(q: Rational, built: _Built) -> list[Fraction]:
+    """Coefficients of sum_lambda u^{|lambda|} / |Aut(lambda)|, from R.
 
-    The factor 1/(1-u) is the prefix sum of the coefficients.
+    Since q^0 = b^(L^2) / b^(L^2), each cell (t, x) of R
+    (`_refined_sums`) adds t * b^(L^2) at the power x of a to its size's
+    sums, which `_power_sums` folds into one Fraction over a^K P_n.
+    b^(L^2) ties L to k, so each entry of R is read, not each size.
     """
-    return list(accumulate(_ones_placed(q, order, lambda ones: 0)))
-
-
-def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
-    """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    return _ones_placed(q, order, lambda ones: ones)
-
-
-def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
-    """sum_lambda u^{|lambda|} / |Aut(lambda)| truncated at *order*.
-
-    Equals 1/(u/q)_inf coefficientwise; this is the statement that the
-    Cohen-Lenstra measure P_u has total mass 1.  Since
-    q^0 = b^(L^2) / b^(L^2), each cell (t, x) of R (`_refined_sums`)
-    adds t * b^(L^2) at the power x of a to its size's sums, which
-    `_power_sums` folds into one Fraction over a^K P_n.  b^(L^2) ties L
-    to k, so each entry of R is read, not each size.
-    """
-    commons, table = _refined_sums(q, order)
+    commons, table = _refined_sums(built)
     a, b = Fraction(q).as_integer_ratio()
-    weights = [b ** (L * L) for L in range(order + 1)]
+    weights = [b ** (L * L) for L in range(len(table))]
     sums = [{} for _ in table]  # per size, per power of a
     for target, row in zip(sums, table):
         for cell, weight in zip(row, weights):
             for t, x in cell.values():
                 target[x] = target.get(x, 0) + t * weight
     return _power_sums(sums, a, commons)
+
+
+def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
+    """(1/(1-u)) * sum_lambda q^{(lambda'_1)^2} u^{|lambda|} / |Aut(lambda)|.
+
+    The factor 1/(1-u) is the prefix sum of the coefficients.
+    """
+    return list(accumulate(_ones_placed(q, _cells(q, order), lambda ones: 0)))
+
+
+def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
+    """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
+    return _ones_placed(q, _cells(q, order), lambda ones: ones)
+
+
+def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
+    """sum_lambda u^{|lambda|} / |Aut(lambda)| truncated at *order*.
+
+    Equals 1/(u/q)_inf coefficientwise; this is the statement that the
+    Cohen-Lenstra measure P_u has total mass 1.
+    """
+    return _weights(q, _cells(q, order))
+
+
+def middle_series(q: Rational, order: int) -> tuple[list[Fraction], ...]:
+    """(eq1, eq2, weight series) as the functions above give them, from one `_cells`."""
+    built = _cells(q, order)
+    eq1 = list(accumulate(_ones_placed(q, built, lambda ones: 0)))
+    return eq1, _ones_placed(q, built, lambda ones: ones), _weights(q, built)
 
 
 def _mobius(n: int) -> int:

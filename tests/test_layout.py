@@ -142,9 +142,8 @@ FAULTS = {
     "rhs-helper-reads-the-weight-series": (
         "verify",
         "    euler = pochhammer_infinite_u_over_q(q, order)\n",
-        "    euler = unnormalized_weight_series(q, order)\n",
-        "verify._inverse_euler reads unnormalized_weight_series, "
-        "imported from partitions",
+        "    euler = middle_series(q, order)[2]\n",
+        "verify._inverse_euler reads middle_series, imported from partitions",
     ),
     "rhs-reads-a-route-module": (
         "verify",

@@ -642,7 +642,10 @@ class TestCounts:
 
 
 class TestOrbitWalk:
-    """The census visits one matrix per orbit of G, its lexicographic minimum."""
+    """The census visits one matrix per orbit of G, its lexicographic minimum.
+
+    Pass 2 visits the minima of the nilpotent orbits but that of 0.
+    """
 
     @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
     def test_walk_visits_orbit_minima(self, n, p, monkeypatch, fresh_census):
@@ -657,12 +660,36 @@ class TestOrbitWalk:
         oracle._census(n, p)
         assert visited == orbit_representatives(n, p)
 
+    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
+    def test_pass2_visits_nilpotent_orbit_minima(
+        self, n, p, monkeypatch, fresh_census
+    ):
+        # one annihilator per nilpotent orbit but that of 0, which is every
+        # matrix and is not enumerated: the orbit's minimum, in walk order.
+        # Pass 2 back-substitutes the echelon that the census stored with it
+        visited = []
+        real = oracle._nullspace
+
+        def recording(pivots, packing):
+            visited.append(tuple(pivots))
+            return real(pivots, packing)
+
+        monkeypatch.setattr(oracle, "_nullspace", recording)
+        oracle._nilpotent_annihilators(n, p)
+        nilpotent = {
+            row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
+        }
+        entries = [entry for entry in oracle._census(n, p).nilpotent if any(entry[0])]
+        assert visited == [echelon for _, _, _, echelon in entries]
+        assert [codes for codes, *_ in entries] == [
+            c for c in orbit_representatives(n, p) if c in nilpotent and any(c)
+        ]
+
 
 class TestSharedPrefix:
-    """The census and pass 2 visit one matrix per orbit of G, its minimum.
+    """The census weights each orbit minimum it visits by its orbit's size.
 
-    Each visit is weighted by its orbit's size, and the census equals the
-    reference census over every matrix.
+    It equals the reference census over every matrix.
     """
 
     @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (3, 3)])
@@ -687,31 +714,6 @@ class TestSharedPrefix:
         # the census keeps one entry per nilpotent orbit, the reference one per matrix
         assert expanded_orbits(got.pop("nilpotent"), n, p) == want.pop("nilpotent")
         assert got == want
-
-    @pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 3), (3, 2)])
-    def test_pass2_visits_nilpotent_line_representatives(
-        self, n, p, monkeypatch, fresh_census
-    ):
-        # one annihilator per nilpotent orbit but that of 0, which is every
-        # matrix and is not enumerated: the orbit's minimum, in walk order.
-        # Pass 2 back-substitutes the echelon that the census stored with it
-        visited = []
-        real = oracle._nullspace
-
-        def recording(pivots, packing):
-            visited.append(tuple(pivots))
-            return real(pivots, packing)
-
-        monkeypatch.setattr(oracle, "_nullspace", recording)
-        oracle._nilpotent_annihilators(n, p)
-        nilpotent = {
-            row_codes(A) for A in enumerate_matrices(n, p) if is_nilpotent_reference(A)
-        }
-        entries = [entry for entry in oracle._census(n, p).nilpotent if any(entry[0])]
-        assert visited == [echelon for _, _, _, echelon in entries]
-        assert [codes for codes, *_ in entries] == [
-            c for c in orbit_representatives(n, p) if c in nilpotent and any(c)
-        ]
 
 
 class TestCarriedElimination:
@@ -985,10 +987,11 @@ class TestFaultInjection:
         drop_last_image_vector(monkeypatch)
         assert verify.run_lemma2_check(3, 2).passed
         # 42 matrices of rank 2 get the ranks [3, 2, 0], a conjugate type that
-        # is no partition, so the count by type cannot be built
+        # is no partition, so the count by type fails
         assert ((1, 2), 42) in oracle._census(3, 2).types
-        with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)"):
-            verify.run_jordan_type_count_check(3, 2)
+        report = verify.run_jordan_type_count_check(3, 2)
+        assert not report.passed
+        assert report.detail == "conjugate type (1, 2) of 42 matrices is no partition"
         # ann(0) counts every matrix that the census calls nilpotent: 85, not 2^6
         report = verify.run_lemma3_check(3, 2)
         assert not report.passed

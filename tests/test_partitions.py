@@ -180,11 +180,15 @@ class TestAutOrder:
 # c(k) = 0 or k of e = L^2 - c(k), the weight series reads each entry of R
 EXPONENTS = {
     "eq1": (
-        lambda q, order: partitions._ones_placed(q, order, lambda m1: 0),
+        lambda q, order: partitions._ones_placed(
+            q, partitions._cells(q, order), lambda m1: 0
+        ),
         lambda lam: lam.length**2,
     ),
     "eq2": (
-        lambda q, order: partitions._ones_placed(q, order, lambda m1: m1),
+        lambda q, order: partitions._ones_placed(
+            q, partitions._cells(q, order), lambda m1: m1
+        ),
         lambda lam: lam.length**2 - reference.multiplicity(lam, 1),
     ),
     "weight": (partitions.unnormalized_weight_series, lambda lam: 0),
@@ -228,7 +232,7 @@ def ones_shifts(draw):
 def _cell_values(q, order):
     """R's cells (t, x) as t a^x b^(L^2) / P_n, keyed by (n, L, k)."""
     a, b = q.numerator, q.denominator
-    commons, table = partitions._refined_sums(q, order)
+    commons, table = partitions._refined_sums(partitions._cells(q, order))
     assert commons == [
         math.prod(a**i - b**i for i in range(1, n + 1)) for n in range(order + 1)
     ]
@@ -274,7 +278,9 @@ class TestPartitionSum:
         # per size: an offset error in the powers of a or b that eq1's and
         # eq2's shifts cancel shows for some c
         q, order, shifts = drawn
-        got = partitions._ones_placed(q, order, shifts.__getitem__)
+        got = partitions._ones_placed(
+            q, partitions._cells(q, order), shifts.__getitem__
+        )
         want = reference.partition_sum(
             q,
             order,
@@ -299,7 +305,7 @@ class TestPartitionSum:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            partitions._refined_sums(2, -1)
+            partitions._refined_sums(partitions._cells(2, -1))
 
     @pytest.mark.parametrize("division", ["q-binomial", "edge"])
     def test_a_corrupted_division_raises(self, division, monkeypatch):
@@ -314,7 +320,7 @@ class TestPartitionSum:
         corrupted = _corrupt_one_division(monkeypatch, dividend, divisor)
         # the ones are placed per cell into R, and per size for eq1 and eq2
         middles = [
-            partitions._refined_sums,
+            lambda q, order: partitions._refined_sums(partitions._cells(q, order)),
             partitions.eq1_middle_series,
             partitions.eq2_middle_series,
         ]
@@ -390,6 +396,17 @@ class TestMiddleSeries:
         assert s[0] == 1
         assert s[1] == 1
         assert s[2] == Fraction(5, 3)
+
+    @pytest.mark.parametrize("order", [0, 1, 8])
+    @pytest.mark.parametrize(
+        "q", [Fraction(2), Fraction(5, 2), Fraction(10), Fraction(7, 3)]
+    )
+    def test_middle_series_equals_the_three_singles(self, q, order):
+        assert partitions.middle_series(q, order) == (
+            eq1_middle_series(q, order),
+            eq2_middle_series(q, order),
+            unnormalized_weight_series(q, order),
+        )
 
 
 class TestProductOverIrreducibles:

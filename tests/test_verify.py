@@ -26,7 +26,6 @@ from clpartitions.verify import (
     pochhammer_infinite_u_over_q,
     run_eq_check,
     run_rational_q_check,
-    run_wellknown_identity_check,
 )
 
 # series-only check -> (middle series in partitions, rhs series (q, N) -> series)
@@ -69,6 +68,19 @@ def _mutated(function, old, new):
     namespace = dict(function.__globals__)
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]
+
+
+def _cells_orders(monkeypatch):
+    """The order of each ``partitions._cells`` build from here on, in call order."""
+    orders = []
+    real = partitions._cells
+
+    def counting(q, order):
+        orders.append(order)
+        return real(q, order)
+
+    monkeypatch.setattr(partitions, "_cells", counting)
+    return orders
 
 
 def _run_sampler_with_shrunk_marginal(monkeypatch):
@@ -142,7 +154,8 @@ class TestInverseEuler:
 
     @pytest.mark.parametrize(
         "route",
-        [eq2_rhs_series, verify.run_measure_normalization_check],
+        # run_rational_q_check inverts Euler's expansion for measure-normalization
+        [eq2_rhs_series, verify.run_rational_q_check],
         ids=["eq2-rhs", "measure-normalization"],
     )
     def test_a_corrupted_q_binomial_raises(self, route, monkeypatch):
@@ -241,6 +254,12 @@ class TestRouteIndependence:
                 {"series._exact"},
             ),
             (
+                partitions.middle_series,
+                Fraction(5, 2),
+                "partitions",
+                {"series._exact"},
+            ),
+            (
                 partitions.product_over_irreducibles_series,
                 3,
                 "partitions",
@@ -253,6 +272,7 @@ class TestRouteIndependence:
             "eq1-middle",
             "eq2-middle",
             "measure-normalization-middle",
+            "middle-series",
             "irreducible-product-middle",
             "eq1-rhs",
             "eq2-rhs",
@@ -297,8 +317,26 @@ class TestChecks:
     def test_rational_q(self, q):
         assert all(r.passed for r in run_rational_q_check(q, 8))
 
+    @pytest.mark.parametrize("q", verify.RATIONAL_QS)
+    def test_rational_q_builds_the_middles_once(self, q, monkeypatch):
+        orders = _cells_orders(monkeypatch)
+        reports = run_rational_q_check(q, 8)
+        assert orders == [8]
+        names = ["eq1-rational-q", "eq2-rational-q", "measure-normalization"]
+        if q in verify.WELLKNOWN_QS:
+            names.append("wellknown-identity")
+        assert [r.check_name for r in reports] == names
+
+    def test_verify_all_builds_the_middles_once_per_q_and_suite(self, monkeypatch):
+        orders = _cells_orders(monkeypatch)
+        verify.run_all(verify.VerifierConfig(order=9))
+        # eq1 and eq2 at q = 2 and 3, and run_rational_q_check at each of
+        # the four rational q; irreducible-product's builds stop at order 6
+        assert orders.count(9) == 8
+
     def test_wellknown(self):
-        assert run_wellknown_identity_check(Fraction(5, 2), 8).passed
+        reports = {r.check_name: r for r in run_rational_q_check(Fraction(5, 2), 8)}
+        assert reports["wellknown-identity"].passed
 
 
 class TestFaultInjection:
@@ -437,7 +475,6 @@ class TestFaultInjection:
         _double_ones_binomial(monkeypatch, 2, 1)
         reports = [
             *run_rational_q_check(2, 6),
-            verify.run_measure_normalization_check(2, 6),
             verify.run_irreducible_product_check(2, 6),
         ]
         (report,) = [r for r in reports if r.check_name == check]
@@ -479,7 +516,7 @@ class TestFaultInjection:
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
-        eq1, _ = run_rational_q_check(q, 6)
+        eq1 = {r.check_name: r for r in run_rational_q_check(q, 6)}["eq1-rational-q"]
         assert eq1.check_name == "eq1-rational-q" and not eq1.passed
         # (1,1) is the first partition with a repeated part
         assert middle[:2] == rhs[:2] and middle[2] != rhs[2]
@@ -497,7 +534,7 @@ class TestFaultInjection:
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
-        eq1, _ = run_rational_q_check(q, 6)
+        eq1 = {r.check_name: r for r in run_rational_q_check(q, 6)}["eq1-rational-q"]
         assert eq1.check_name == "eq1-rational-q" and not eq1.passed
         # (2,2) is the first partition with two twos
         assert middle[:4] == rhs[:4] and middle[4] != rhs[4]
@@ -516,7 +553,8 @@ class TestFaultInjection:
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
-        eq1, eq2 = run_rational_q_check(q, 6)
+        reports = {r.check_name: r for r in run_rational_q_check(q, 6)}
+        eq1, eq2 = reports["eq1-rational-q"], reports["eq2-rational-q"]
         assert eq1.check_name == "eq1-rational-q" and not eq1.passed
         assert eq2.check_name == "eq2-rational-q" and not eq2.passed
         # (3) is the first partition with a part above 2
@@ -538,7 +576,8 @@ class TestFaultInjection:
         middle = partitions.eq1_middle_series(q, 6)[3]
         rhs = perturbed(q, 6)[3]
         assert middle != rhs
-        eq1, eq2 = run_rational_q_check(q, 6)
+        reports = {r.check_name: r for r in run_rational_q_check(q, 6)}
+        eq1, eq2 = reports["eq1-rational-q"], reports["eq2-rational-q"]
         assert eq2.passed
         assert not eq1.passed and eq1.check_name == "eq1-rational-q"
         assert eq1.detail == "coefficient of u^3: middle 324878/36855, rhs 361733/36855"
@@ -554,14 +593,7 @@ class TestFaultInjection:
             lambda q, order: [2 * c for c in real(q, order)],
         )
         q = Fraction(5, 2)
-        reports = {
-            r.check_name: r
-            for r in [
-                *run_rational_q_check(q, 6),
-                run_wellknown_identity_check(q, 6),
-                verify.run_measure_normalization_check(q, 6),
-            ]
-        }
+        reports = {r.check_name: r for r in run_rational_q_check(q, 6)}
         assert reports["eq1-rational-q"].passed
         # every coefficient is off by a factor of 2, so u^0 already differs
         assert reports["wellknown-identity"].detail == "coefficient of u^0: lhs 2, rhs 1"
@@ -594,12 +626,7 @@ class TestFaultInjection:
 
         monkeypatch.setattr(verify, "sum_wellknown_identity_lhs", perturbed)
         q = Fraction(5, 2)
-        reports = [
-            *run_rational_q_check(q, 6),
-            run_wellknown_identity_check(q, 6),
-            verify.run_measure_normalization_check(q, 6),
-            run_eq_check("eq2", 2, 2, 6),
-        ]
+        reports = [*run_rational_q_check(q, 6), run_eq_check("eq2", 2, 2, 6)]
         failed = [r for r in reports if not r.passed]
         assert [r.check_name for r in failed] == ["wellknown-identity"]
         want = real(q, 6)[3]  # S * E = 1, so the extra S_3 * E_0 is all that is left
