@@ -21,8 +21,8 @@ l^2, so each size's cells are summed once and the ones are placed once
 per size.  The weight series, whose b^(L^2) ties l to k, fills one
 table R[n][L][k] of the sums of 1/|Aut(lambda)| per size n, length L
 and number k of parts 1 (`_refined_sums`) and reads each entry.
-`middle_series` reads all three from one build of the cells; each
-single series builds its own.  By the distributive law each is the sum
+`_cells` is memoized like `partitions_of`: the three share one build
+per (q, order) per process.  By the distributive law each is the sum
 over every partition, with no `Partition` built and no call to
 `aut_order`, the per-partition definition of the same weight, read by
 the checks that name single partitions; `partitions_of(n)` lists the
@@ -135,12 +135,12 @@ def _power_sums(
 
 
 # cells[s][l] = (t, x) or None, see _cells; R[n][L][k] = (t, x), see _refined_sums
-_Cells = list[list[tuple[int, int] | None]]
+_Cells = tuple[tuple[tuple[int, int] | None, ...], ...]
 _Table = list[list[dict[int, tuple[int, int]]]]
-_Built = tuple[list[int], Callable[[int, int], list[int]], _Cells]  # _cells's result
 
 
-def _cells(q: Rational, order: int) -> _Built:
+@lru_cache(maxsize=None)  # equal keys, such as 2 and Fraction(2), share one build
+def _cells(q: Rational, order: int) -> tuple[tuple[int, ...], Callable, _Cells]:
     """(P_0..P_order, quotients, cells): the partitions with no part 1.
 
     With q = a/b in lowest terms, n = |lambda|, L = l(lambda),
@@ -180,7 +180,8 @@ def _cells(q: Rational, order: int) -> _Built:
 
     By the distributive law this is the sum over every partition: no
     closed form sums a part size, and the rhs is not read.  No
-    Partition is built and aut_order is not called.
+    Partition is built and aut_order is not called.  Memoized: P and the
+    rows of cells are tuples, and quotients gives a new list per call.
     """
     q = Fraction(q)
     if q <= 1:
@@ -190,7 +191,7 @@ def _cells(q: Rational, order: int) -> _Built:
     a, b = q.numerator, q.denominator
     a_power = cache(a.__pow__)  # a^k, each k computed once
     factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
-    commons = list(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
+    commons = tuple(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
     rises = [  # rises[s][i] = P_(s+i) / P_s
         list(accumulate(factors[s + 1 :], operator.mul, initial=1))
         for s in range(order + 1)
@@ -201,7 +202,7 @@ def _cells(q: Rational, order: int) -> _Built:
         """[m] = P_(s+pm) / (P_s P_m) for s + pm <= order, each division checked."""
         return [_exact(rise, commons[m]) for m, rise in enumerate(rises[s][::p])]
 
-    cells: _Cells = [[None] * (s // 2 + 1) for s in range(order + 1)]
+    cells = [[None] * (s // 2 + 1) for s in range(order + 1)]
     cells[0][0] = (1, 0)
     for p in range(order, 1, -1):
         for s in range(order - p, -1, -1):
@@ -225,10 +226,10 @@ def _cells(q: Rational, order: int) -> _Built:
                             row[at] = (u + term * a_power(y - z), z)
                         else:
                             row[at] = (u * a_power(z - y) + term, y)
-    return commons, quotients, cells
+    return commons, quotients, tuple(map(tuple, cells))
 
 
-def _refined_sums(built: _Built) -> tuple[list[int], _Table]:
+def _refined_sums(q: Rational, order: int) -> tuple[tuple[int, ...], _Table]:
     """(P_0..P_order, R): the partition sums per size n, length L and m_1 = k.
 
     R[n][L] maps each k that occurs to (t, x), with t * a^x the sum of
@@ -241,7 +242,7 @@ def _refined_sums(built: _Built) -> tuple[list[int], _Table]:
     power x_k = x + k(k+1)/2 - (2l+k) k of a, which falls by 2l + k from
     k ones to k + 1: the chain of ones, one entry of R per cell and k.
     """
-    commons, quotients, cells = built
+    commons, quotients, cells = _cells(q, order)
     table = [[{} for _ in range(n + 1)] for n in range(len(cells))]
     for s, row in enumerate(cells):
         ones = quotients(s, 1)
@@ -256,7 +257,7 @@ def _refined_sums(built: _Built) -> tuple[list[int], _Table]:
 
 
 def _ones_placed(
-    q: Rational, built: _Built, shift: Callable[[int], int]
+    q: Rational, order: int, shift: Callable[[int], int]
 ) -> list[Fraction]:
     """Coefficients of sum_lambda q^(L^2 - c(k)) u^{|lambda|} / |Aut(lambda)|.
 
@@ -276,7 +277,7 @@ def _ones_placed(
     c(k) = 0 and eq2 c(k) = k.  `_power_sums` folds each size into one
     Fraction over a^K P_n.
     """
-    commons, quotients, cells = built
+    commons, quotients, cells = _cells(q, order)
     a, b = Fraction(q).as_integer_ratio()
     a_power = cache(a.__pow__)  # a^k, each k computed once
     placed = [  # placed[k] = (the a-power k(k+1)/2 - c(k), b^c(k))
@@ -300,7 +301,7 @@ def _ones_placed(
     return _power_sums(sums, a, commons)
 
 
-def _weights(q: Rational, built: _Built) -> list[Fraction]:
+def _weights(q: Rational, order: int) -> list[Fraction]:
     """Coefficients of sum_lambda u^{|lambda|} / |Aut(lambda)|, from R.
 
     Since q^0 = b^(L^2) / b^(L^2), each cell (t, x) of R
@@ -308,7 +309,7 @@ def _weights(q: Rational, built: _Built) -> list[Fraction]:
     sums, which `_power_sums` folds into one Fraction over a^K P_n.
     b^(L^2) ties L to k, so each entry of R is read, not each size.
     """
-    commons, table = _refined_sums(built)
+    commons, table = _refined_sums(q, order)
     a, b = Fraction(q).as_integer_ratio()
     weights = [b ** (L * L) for L in range(len(table))]
     sums = [{} for _ in table]  # per size, per power of a
@@ -324,12 +325,12 @@ def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
 
     The factor 1/(1-u) is the prefix sum of the coefficients.
     """
-    return list(accumulate(_ones_placed(q, _cells(q, order), lambda ones: 0)))
+    return list(accumulate(_ones_placed(q, order, lambda ones: 0)))
 
 
 def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    return _ones_placed(q, _cells(q, order), lambda ones: ones)
+    return _ones_placed(q, order, lambda ones: ones)
 
 
 def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
@@ -338,14 +339,13 @@ def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
     Equals 1/(u/q)_inf coefficientwise; this is the statement that the
     Cohen-Lenstra measure P_u has total mass 1.
     """
-    return _weights(q, _cells(q, order))
+    return _weights(q, order)
 
 
 def middle_series(q: Rational, order: int) -> tuple[list[Fraction], ...]:
-    """(eq1, eq2, weight series) as the functions above give them, from one `_cells`."""
-    built = _cells(q, order)
-    eq1 = list(accumulate(_ones_placed(q, built, lambda ones: 0)))
-    return eq1, _ones_placed(q, built, lambda ones: ones), _weights(q, built)
+    """(eq1, eq2, weight series) from the functions above, which share one `_cells`."""
+    singles = eq1_middle_series, eq2_middle_series, unnormalized_weight_series
+    return tuple(single(q, order) for single in singles)
 
 
 def _mobius(n: int) -> int:

@@ -10,8 +10,8 @@ two headline identities are verified three ways where feasible:
 
 The rhs code (``eq1_rhs_series``, ``eq2_rhs_series``, Euler's expansion,
 the b-sum and what they call) reads, of the package, only the leaf
-``series``: nothing this module imports from the other routes.  The
-series-only checks at one rational q read one build of its middles.
+``series``: nothing this module imports from the other routes.
+``_inverse_euler`` is memoized: one inverse per (q, N) per process.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ def _sum_over_u_pochhammer(
     return numerators, [-low for low in lows], rises[0]
 
 
-def _inverse_euler(q: Fraction, order: int) -> tuple[list[int], int, list[int], list]:
+@functools.lru_cache(maxsize=None)
+def _inverse_euler(q: Fraction, order: int) -> tuple[tuple, int, tuple, tuple]:
     """(H, D, P, B): [u^n] 1/(u/q)_inf = H_n / (D P_n), and B[n][i] = [n; i].
 
     Euler's expansion E (`pochhammer_infinite_u_over_q`) is read as the
@@ -165,6 +166,7 @@ def _inverse_euler(q: Fraction, order: int) -> tuple[list[int], int, list[int], 
     H_0 = e_0^N and H_n = -(sum_{i=1..n} e_i [n; i] H_(n-i)) / e_0 (checked).
     Euler's e_i = (-1)^i b^(i(i+1)/2) give e_0 = 1 = D; any other e_0 still
     inverts a wrong E exactly.  The b-sum, which equals 1/(u/q)_inf, is not read.
+    Memoized, of tuples: eq2's rhs and measure-normalization share it.
     """
     _, _, ps = _pochhammer_numerators(q, order)
     binomials = [
@@ -176,7 +178,7 @@ def _inverse_euler(q: Fraction, order: int) -> tuple[list[int], int, list[int], 
     for n, row in enumerate(binomials[1:], 1):
         total = sum(es[i] * row[i] * hs[n - i] for i in range(1, n + 1))
         hs.append(-_exact(total, es[0]))
-    return hs, es[0] * hs[0], ps, binomials
+    return tuple(hs), es[0] * hs[0], tuple(ps), tuple(map(tuple, binomials))
 
 
 def eq1_rhs_series(q: Rational, order: int) -> list[Fraction]:
@@ -200,10 +202,8 @@ def eq2_rhs_series(q: Rational, order: int) -> list[Fraction]:
     j, since a term at u^j reaches u^(j+1) over one more power of a.
     """
     q = Fraction(q)
-    if q <= 1:
-        raise ValueError("requires q > 1")
+    hs, common, ps, binomials = _inverse_euler(q, order)  # refuses q <= 1
     numerators, ks, _ = _sum_over_u_pochhammer(q, order, 2, lambda c: c * c)
-    hs, common, ps, binomials = _inverse_euler(q, order)
     a_power = functools.cache(q.numerator.__pow__)
     out = []
     for n, (row, k) in enumerate(zip(binomials, ks)):

@@ -1,0 +1,23 @@
+"""Fixtures shared by every test module."""
+
+import pytest
+
+from clpartitions import partitions, verify
+
+# the middle's cells and the rhs's inverse of Euler's expansion, one build per (q, N)
+SERIES_MEMOS = (partitions._cells, verify._inverse_euler)
+
+
+@pytest.fixture(autouse=True)
+def fresh_series_memos():
+    """Empty the series memos before and after each test.
+
+    A test that perturbs what a memoized build calls sees it rebuilt, and
+    leaves no perturbed build behind; ``fresh_census`` in
+    ``test_oracle.py`` does the same for the oracle's memos.
+    """
+    for memo in SERIES_MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in SERIES_MEMOS:
+        memo.cache_clear()

@@ -180,15 +180,11 @@ class TestAutOrder:
 # c(k) = 0 or k of e = L^2 - c(k), the weight series reads each entry of R
 EXPONENTS = {
     "eq1": (
-        lambda q, order: partitions._ones_placed(
-            q, partitions._cells(q, order), lambda m1: 0
-        ),
+        lambda q, order: partitions._ones_placed(q, order, lambda m1: 0),
         lambda lam: lam.length**2,
     ),
     "eq2": (
-        lambda q, order: partitions._ones_placed(
-            q, partitions._cells(q, order), lambda m1: m1
-        ),
+        lambda q, order: partitions._ones_placed(q, order, lambda m1: m1),
         lambda lam: lam.length**2 - reference.multiplicity(lam, 1),
     ),
     "weight": (partitions.unnormalized_weight_series, lambda lam: 0),
@@ -232,10 +228,10 @@ def ones_shifts(draw):
 def _cell_values(q, order):
     """R's cells (t, x) as t a^x b^(L^2) / P_n, keyed by (n, L, k)."""
     a, b = q.numerator, q.denominator
-    commons, table = partitions._refined_sums(partitions._cells(q, order))
-    assert commons == [
+    commons, table = partitions._refined_sums(q, order)
+    assert commons == tuple(
         math.prod(a**i - b**i for i in range(1, n + 1)) for n in range(order + 1)
-    ]
+    )
     return {
         (n, L, k): Fraction(t * b ** (L * L)) * Fraction(a) ** x / commons[n]
         for n, row in enumerate(table)
@@ -278,9 +274,7 @@ class TestPartitionSum:
         # per size: an offset error in the powers of a or b that eq1's and
         # eq2's shifts cancel shows for some c
         q, order, shifts = drawn
-        got = partitions._ones_placed(
-            q, partitions._cells(q, order), shifts.__getitem__
-        )
+        got = partitions._ones_placed(q, order, shifts.__getitem__)
         want = reference.partition_sum(
             q,
             order,
@@ -305,7 +299,7 @@ class TestPartitionSum:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            partitions._refined_sums(partitions._cells(2, -1))
+            partitions._refined_sums(2, -1)
 
     @pytest.mark.parametrize("division", ["q-binomial", "edge"])
     def test_a_corrupted_division_raises(self, division, monkeypatch):
@@ -320,7 +314,7 @@ class TestPartitionSum:
         corrupted = _corrupt_one_division(monkeypatch, dividend, divisor)
         # the ones are placed per cell into R, and per size for eq1 and eq2
         middles = [
-            lambda q, order: partitions._refined_sums(partitions._cells(q, order)),
+            partitions._refined_sums,
             partitions.eq1_middle_series,
             partitions.eq2_middle_series,
         ]
@@ -407,6 +401,19 @@ class TestMiddleSeries:
             eq2_middle_series(q, order),
             unnormalized_weight_series(q, order),
         )
+
+    @pytest.mark.parametrize("q", [Fraction(5, 2), Fraction(10)])
+    def test_a_second_build_is_the_same_tuples(self, q):
+        built = partitions._cells(q, 8)
+        assert partitions._cells(q, 8) is built
+        commons, quotients, cells = built
+        assert all(type(x) is tuple for x in (commons, cells, *cells))
+        # each call of quotients gives a new list, so no reader shares one
+        assert quotients(2, 1) == quotients(2, 1)
+        assert quotients(2, 1) is not quotients(2, 1)
+
+    def test_equal_q_share_one_build(self):
+        assert partitions._cells(2, 8) is partitions._cells(Fraction(2), 8)
 
 
 class TestProductOverIrreducibles:

@@ -62,24 +62,35 @@ def _double_ones_binomial(monkeypatch, size, ones):
 
 
 def _mutated(function, old, new):
-    """A copy of *function* from its source with *old* -> *new*, in its module."""
+    """A copy of *function* from its source with *old* -> *new*, in its module.
+
+    The source of a memoized function holds its decorator, so the copy
+    has a memo of its own.
+    """
     source = inspect.getsource(function)
     assert source.count(old) == 1
-    namespace = dict(function.__globals__)
+    namespace = dict(inspect.unwrap(function).__globals__)
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]
 
 
-def _cells_orders(monkeypatch):
-    """The order of each ``partitions._cells`` build from here on, in call order."""
+def _build_orders(monkeypatch, module, name):
+    """The order of each build of the memoized *module.name* from here on.
+
+    A build is a miss of the module's own memo, so a call that the memo
+    answers records nothing.
+    """
     orders = []
-    real = partitions._cells
+    real = getattr(module, name)
 
-    def counting(q, order):
-        orders.append(order)
-        return real(q, order)
+    def recording(q, order):
+        misses = real.cache_info().misses
+        built = real(q, order)
+        if real.cache_info().misses > misses:
+            orders.append(order)
+        return built
 
-    monkeypatch.setattr(partitions, "_cells", counting)
+    monkeypatch.setattr(module, name, recording)
     return orders
 
 
@@ -151,6 +162,13 @@ class TestInverseEuler:
         hs, common, ps, _ = verify._inverse_euler(q, order)
         got = [Fraction(h, common * p) for h, p in zip(hs, ps)]
         assert got == reference.inverse(reference.euler_expansion(q, order))
+
+    @pytest.mark.parametrize("q", [2, Fraction(5, 2)])
+    def test_a_second_call_reads_the_same_tuples(self, q):
+        built = verify._inverse_euler(Fraction(q), 8)
+        assert verify._inverse_euler(Fraction(q), 8) is built
+        hs, _, ps, binomials = built
+        assert all(type(x) is tuple for x in (built, hs, ps, binomials, *binomials))
 
     @pytest.mark.parametrize(
         "route",
@@ -319,7 +337,7 @@ class TestChecks:
 
     @pytest.mark.parametrize("q", verify.RATIONAL_QS)
     def test_rational_q_builds_the_middles_once(self, q, monkeypatch):
-        orders = _cells_orders(monkeypatch)
+        orders = _build_orders(monkeypatch, partitions, "_cells")
         reports = run_rational_q_check(q, 8)
         assert orders == [8]
         names = ["eq1-rational-q", "eq2-rational-q", "measure-normalization"]
@@ -328,11 +346,17 @@ class TestChecks:
         assert [r.check_name for r in reports] == names
 
     def test_verify_all_builds_the_middles_once_per_q_and_suite(self, monkeypatch):
-        orders = _cells_orders(monkeypatch)
+        orders = _build_orders(monkeypatch, partitions, "_cells")
         verify.run_all(verify.VerifierConfig(order=9))
-        # eq1 and eq2 at q = 2 and 3, and run_rational_q_check at each of
-        # the four rational q; irreducible-product's builds stop at order 6
-        assert orders.count(9) == 8
+        # one build at each of the four rational q, which eq1 and eq2 at
+        # q = 2 and 3 share; irreducible-product's builds stop at order 6
+        assert orders.count(9) == 4
+
+    def test_verify_all_inverts_euler_once_per_q(self, monkeypatch):
+        # eq2's rhs and measure-normalization share one inverse per q
+        orders = _build_orders(monkeypatch, verify, "_inverse_euler")
+        verify.run_all(verify.VerifierConfig(order=9))
+        assert orders == [9] * 4
 
     def test_wellknown(self):
         reports = {r.check_name: r for r in run_rational_q_check(Fraction(5, 2), 8)}
