@@ -11,19 +11,10 @@ q-group of type lambda,
 evaluated exactly at any rational q > 1 (the identities checked downstream
 are rational-function identities in q, so non-prime-power q is allowed).
 
-The partition sums place the parts one size at a time (`_cells`): for
-p = order down to 2, every (size, length) cell of the partitions with
-all parts > p gains m parts p for each m >= 1, and each cell keeps its
-sum as one integer times a power of a (q = a/b).  The ones come last,
-read from the cells.  For eq1 and eq2 (`_ones_placed`) the power of a
-that a cell reaches with k ones depends on its length l only through
-l^2, so each size's cells are summed once and the ones are placed once
-per size.  The weight series, whose b^(L^2) ties l to k, fills one
-table R[n][L][k] of the sums of 1/|Aut(lambda)| per size n, length L
-and number k of parts 1 (`_refined_sums`) and reads each entry.
-`_cells` is memoized like `partitions_of`: the three share one build
-per (q, order) per process.  By the distributive law each is the sum
-over every partition, with no `Partition` built and no call to
+The partition sums strip each partition's first column (`_columns`):
+one table per (q, order) of the sums W[n][L] of 1/|Aut(lambda)| over the
+partitions of n with L parts, filled from the smaller sizes, serves eq1,
+eq2 and the weight series, with no `Partition` built and no call to
 `aut_order`, the per-partition definition of the same weight, read by
 the checks that name single partitions; `partitions_of(n)` lists the
 partitions of n for them.  The irreducible product groups the monic
@@ -134,54 +125,42 @@ def _power_sums(
     return totals
 
 
-# cells[s][l] = (t, x) or None, see _cells; R[n][L][k] = (t, x), see _refined_sums
-_Cells = tuple[tuple[tuple[int, int] | None, ...], ...]
-_Table = list[list[dict[int, tuple[int, int]]]]
-
-
 @lru_cache(maxsize=None)  # equal keys, such as 2 and Fraction(2), share one build
-def _cells(q: Rational, order: int) -> tuple[tuple[int, ...], Callable, _Cells]:
-    """(P_0..P_order, quotients, cells): the partitions with no part 1.
+def _columns(q: Rational, order: int) -> tuple[tuple, tuple, tuple]:
+    """(P_0..P_order, cells, eq2's cells): the partition sums per size and length.
 
-    With q = a/b in lowest terms, n = |lambda|, L = l(lambda),
-    P_n = prod_{k=1..n} (a^k - b^k), D = prod_m P_m over the
-    multiplicities, r = P_n / D and aut_order's integer form,
+    Stripping the first column of lambda |- n, with L parts, k of them 1,
+    leaves mu = (lambda_1 - 1, ..., lambda_L - 1) |- n - L, zeros dropped,
+    with j = L - k parts.  lambda' = (L, mu'_1, mu'_2, ...) and
+    m_(i+1)(lambda) = m_i(mu), so |Aut(lambda)| = q^(L^2) (1/q)_k |Aut(mu)|,
+    and lambda <-> (L, mu) with l(mu) <= L reaches every partition once.
+    So the sum W[n][L] of 1/|Aut(lambda)| over lambda |- n with L parts is
 
-        1 / |Aut(lambda)| = a^(M - n2) * b^(n2 - L^2) * r * b^(L^2) / P_n.
+        W[n][L] = q^(-L^2) sum_j W[n-L][j] / (1/q)_(L-j),
 
-    r is an integer: with l = sum m_i <= s the number of parts,
-    P_l / prod_i P_(m_i) is the q-multinomial coefficient
-    [l; m_1, m_2, ...]_q in Z[q] homogenised to an integer in a and b,
-    and P_l divides P_s.  Every division below is checked all the same.
+    over j <= min(L, n - L), j >= 1 unless n = L, from W[0][0] = 1.
 
-    quotients(s, p)[m] = P_(s+pm) / (P_s P_m) for s + pm <= order: the
-    factor by which r grows when m parts p join a partition of s, each
-    division checked.  At p = 1 it is the homogenised q-binomial
-    [s+m; m], which places the ones (`_refined_sums`, `_ones_placed`).
+    With q = a/b in lowest terms, P_n = prod_{i=1..n} (a^i - b^i) and
+    (1/q)_k = P_k / a^(k(k+1)/2), cell (n, L) is the integer t with
 
-    The parts are placed one size at a time, p = order down to 2, each
-    size below every part already placed.  Cell (s, l) holds t * a^x,
-    the sum of a^(M - n2) b^(n2 - l^2) r over the partitions of s with
-    l parts, all of them > p; at first only () is a cell, (1, 0).  m
-    parts p, appended to a partition with l parts, add
-    p (2lm + m^2) = p ((l+m)^2 - l^2) to n2, so (p - 1)(2lm + m^2) to
-    n2 - l^2, m(m+1)/2 to M and P_m to D: r becomes
-    r * P_(s+pm) / (P_s P_m).  So cell (s, l) adds
-    t * quotients(s, p)[m] * b^((p-1)(2lm + m^2)) at the power
-    x + m(m+1)/2 - p (2lm + m^2) of a to cell (s + pm, l + m), for each
-    m >= 1.  The sizes s are visited downwards, so each cell gains parts
-    p from the cells as they stood before size p.  A cell keeps one
-    integer: a term at a higher power of a is scaled up to the cell's
-    power, and a term at a lower power scales the cell up to its own.
-    n2 - l^2 <= l (s - l) <= s^2 / 4, since every column after the
-    first is at most l long and they hold s - l boxes.  After p = 2 the
-    cells hold every partition with no part 1; a size with none (s = 1)
-    holds no cell.
+        W[n][L] = t a^(L(L+1)/2 - nL) b^(L^2) / P_n.
 
-    By the distributive law this is the sum over every partition: no
-    closed form sums a part size, and the rhs is not read.  No
-    Partition is built and aut_order is not called.  Memoized: P and the
-    rows of cells are tuples, and quotients gives a new list per call.
+    Write m = n - L.  P_n / (P_m P_k) = [n; L] P_L / P_k, where
+    [n; L] = P_n / (P_L P_m) is the q-binomial homogenised to an integer
+    in a and b, one checked division per (n, L), and P_L / P_k is the
+    product of a^i - b^i over k < i <= L.  So cell (m, j) = t' adds
+    t' [n; L] (P_L / P_k) b^(j^2) a^(k(m - j)) to cell (n, L): the powers
+    of a, j(j+1)/2 - mj + k(k+1)/2 - L^2 against L(L+1)/2 - nL, differ by
+    k(m - j) >= 0, the least power of a of the cell's terms is at
+    j = min(L, m), and no cell needs a power of a of its own.
+
+    eq2 weighs lambda by q^(L^2 - k) = a^(L^2 - k) b^(k - L^2), so its
+    cell (n, L) is the integer e with e a^(L(L+1)/2 - nL + L^2 - L) / P_n
+    its sum: each term of cell (n, L), times a^j b^k, adds to e.  eq1 and
+    the weight series read the cells.  By the distributive law each is
+    the sum over every partition: no closed form sums a length, and the
+    rhs is not read.  No Partition is built and aut_order is not called.
+    Memoized: P and every row are tuples.
     """
     q = Fraction(q)
     if q <= 1:
@@ -192,132 +171,44 @@ def _cells(q: Rational, order: int) -> tuple[tuple[int, ...], Callable, _Cells]:
     a_power = cache(a.__pow__)  # a^k, each k computed once
     factors = [a**k - b**k for k in range(order + 1)]  # factors[0] is never read
     commons = tuple(accumulate(factors[1:], operator.mul, initial=1))  # P_0..P_order
-    rises = [  # rises[s][i] = P_(s+i) / P_s
-        list(accumulate(factors[s + 1 :], operator.mul, initial=1))
-        for s in range(order + 1)
-    ]
-    b_powers = [b**k for k in range(order * order // 4 + 1)]  # <= order^2 / 4, above
-
-    def quotients(s: int, p: int) -> list[int]:
-        """[m] = P_(s+pm) / (P_s P_m) for s + pm <= order, each division checked."""
-        return [_exact(rise, commons[m]) for m, rise in enumerate(rises[s][::p])]
-
-    cells = [[None] * (s // 2 + 1) for s in range(order + 1)]
-    cells[0][0] = (1, 0)
-    for p in range(order, 1, -1):
-        for s in range(order - p, -1, -1):
-            if not any(cells[s]):
-                continue
-            quotient = quotients(s, p)
-            for length, cell in enumerate(cells[s]):
-                if cell is None:
-                    continue
-                t, x = cell
-                for m in range(1, len(quotient)):
-                    grown = (2 * length + m) * m
-                    term = t * quotient[m] * b_powers[(p - 1) * grown]
-                    y = x + m * (m + 1) // 2 - p * grown
-                    row, at = cells[s + p * m], length + m
-                    if row[at] is None:
-                        row[at] = (term, y)
-                    else:
-                        u, z = row[at]
-                        if y >= z:
-                            row[at] = (u + term * a_power(y - z), z)
-                        else:
-                            row[at] = (u * a_power(z - y) + term, y)
-    return commons, quotients, tuple(map(tuple, cells))
+    b_powers = [b**k for k in range(max(order, order * order // 4) + 1)]
+    steps = []  # steps[L][j] = P_L / P_(L-j) * b^(j^2) for j <= min(L, order - L)
+    for length in range(order + 1):
+        tops = factors[length : length - min(length, order - length) : -1]
+        falls = accumulate(tops, operator.mul, initial=1)
+        steps.append([fall * b_powers[j * j] for j, fall in enumerate(falls)])
+    cells, eq2 = [(1,)], [(1,)]
+    for n in range(1, order + 1):
+        row, weighed = [0], [0]
+        for length in range(1, n + 1):
+            rest = n - length
+            cell = ones = 0
+            for j in range(rest > 0, min(length, rest) + 1):
+                k = length - j
+                term = cells[rest][j] * steps[length][j] * a_power(k * (rest - j))
+                cell += term
+                ones += term * (a_power(j) * b_powers[k])
+            binomial = _exact(commons[n], commons[length] * commons[rest])
+            row.append(cell * binomial)
+            weighed.append(ones * binomial)
+        cells.append(tuple(row))
+        eq2.append(tuple(weighed))
+    return commons, tuple(cells), tuple(eq2)
 
 
-def _refined_sums(q: Rational, order: int) -> tuple[tuple[int, ...], _Table]:
-    """(P_0..P_order, R): the partition sums per size n, length L and m_1 = k.
-
-    R[n][L] maps each k that occurs to (t, x), with t * a^x the sum of
-    a^(M - n2) b^(n2 - L^2) r over the partitions of n with L parts, k
-    of them 1 (see `_cells` for the notation); so t a^x b^(L^2) / P_n is
-    their sum of 1 / |Aut(lambda)|.
-
-    The ones leave n2 - L^2 as it was, so each cell (s, l) of `_cells`
-    fills R[s+k][l+k][k] with t [s+k; k] (quotients(s, 1)[k]) at the
-    power x_k = x + k(k+1)/2 - (2l+k) k of a, which falls by 2l + k from
-    k ones to k + 1: the chain of ones, one entry of R per cell and k.
-    """
-    commons, quotients, cells = _cells(q, order)
-    table = [[{} for _ in range(n + 1)] for n in range(len(cells))]
-    for s, row in enumerate(cells):
-        ones = quotients(s, 1)
-        for length, cell in enumerate(row):
-            if cell is None:
-                continue
-            t, x = cell
-            for k, binomial in enumerate(ones):
-                table[s + k][length + k][k] = (t * binomial, x)
-                x -= 2 * length + k
-    return commons, table
-
-
-def _ones_placed(
-    q: Rational, order: int, shift: Callable[[int], int]
+def _column_sums(
+    q: Rational, commons: tuple, rows: tuple, weigh: Callable
 ) -> list[Fraction]:
-    """Coefficients of sum_lambda q^(L^2 - c(k)) u^{|lambda|} / |Aut(lambda)|.
-
-    L = l(lambda), k = m_1(lambda), c = shift and 0 <= c(k) <= k^2, so
-    0 <= L^2 - c(k) <= L^2.  Cell (s, l) of `_cells` with k ones
-    appended is R[s+k][l+k][k] = (t [s+k; k], x_k), with
-    x_k = x - 2lk - k(k-1)/2 (`_refined_sums`).  Since
-    q^e = a^e b^(L^2 - e) / b^(L^2), read at e = (l+k)^2 - c(k) it adds
-    t [s+k; k] b^c(k) at the power
-
-        x_k + (l+k)^2 - c(k) = (x + l^2) + k(k+1)/2 - c(k)
-
-    of a to size s + k.  Only x + l^2 depends on l, so each size's cells
-    fold (`_fold`) into one integer S_s a^(y_s) = sum_l t a^(x + l^2)
-    before any one is placed, and each (s, k) adds
-    S_s [s+k; k] b^c(k) at the power y_s + k(k+1)/2 - c(k).  eq1 takes
-    c(k) = 0 and eq2 c(k) = k.  `_power_sums` folds each size into one
-    Fraction over a^K P_n.
-    """
-    commons, quotients, cells = _cells(q, order)
-    a, b = Fraction(q).as_integer_ratio()
-    a_power = cache(a.__pow__)  # a^k, each k computed once
-    placed = [  # placed[k] = (the a-power k(k+1)/2 - c(k), b^c(k))
-        (k * (k + 1) // 2 - c, b**c)
-        for k, c in enumerate(map(shift, range(len(cells))))
-    ]
-    sums = [{} for _ in cells]  # per size, per power of a
-    for s, row in enumerate(cells):
-        powers = {}  # the size's cells, per power x + l^2 of a
-        for length, cell in enumerate(row):
-            if cell is not None:
-                t, x = cell
-                x += length * length
-                powers[x] = powers.get(x, 0) + t
-        if not powers:
-            continue
-        total, low = _fold(powers, a_power)
-        for k, (binomial, (offset, weight)) in enumerate(zip(quotients(s, 1), placed)):
-            y, target = low + offset, sums[s + k]
-            target[y] = target.get(y, 0) + total * binomial * weight
-    return _power_sums(sums, a, commons)
-
-
-def _weights(q: Rational, order: int) -> list[Fraction]:
-    """Coefficients of sum_lambda u^{|lambda|} / |Aut(lambda)|, from R.
-
-    Since q^0 = b^(L^2) / b^(L^2), each cell (t, x) of R
-    (`_refined_sums`) adds t * b^(L^2) at the power x of a to its size's
-    sums, which `_power_sums` folds into one Fraction over a^K P_n.
-    b^(L^2) ties L to k, so each entry of R is read, not each size.
-    """
-    commons, table = _refined_sums(q, order)
-    a, b = Fraction(q).as_integer_ratio()
-    weights = [b ** (L * L) for L in range(len(table))]
-    sums = [{} for _ in table]  # per size, per power of a
-    for target, row in zip(sums, table):
-        for cell, weight in zip(row, weights):
-            for t, x in cell.values():
-                target[x] = target.get(x, 0) + t * weight
-    return _power_sums(sums, a, commons)
+    """Per size n, sum_L rows[n][L] a^(L(L+1)/2 - nL + e) c / P_n, (e, c) = weigh(L)."""
+    sums = []
+    for n, row in enumerate(rows):
+        powers = {}  # the size's cells, per power of a
+        for length, t in enumerate(row):
+            shift, c = weigh(length)
+            x = length * (length + 1) // 2 - n * length + shift
+            powers[x] = powers.get(x, 0) + t * c
+        sums.append(powers)
+    return _power_sums(sums, Fraction(q).numerator, commons)
 
 
 def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
@@ -325,12 +216,15 @@ def eq1_middle_series(q: Rational, order: int) -> list[Fraction]:
 
     The factor 1/(1-u) is the prefix sum of the coefficients.
     """
-    return list(accumulate(_ones_placed(q, order, lambda ones: 0)))
+    commons, cells, _ = _columns(q, order)
+    sums = _column_sums(q, commons, cells, lambda length: (length * length, 1))
+    return list(accumulate(sums))
 
 
 def eq2_middle_series(q: Rational, order: int) -> list[Fraction]:
     """sum_lambda u^{|lambda|} / |Aut(lambda)| * q^{(lambda'_1)^2 - m_1(lambda)}."""
-    return _ones_placed(q, order, lambda ones: ones)
+    commons, _, eq2 = _columns(q, order)
+    return _column_sums(q, commons, eq2, lambda length: (length * length - length, 1))
 
 
 def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
@@ -339,11 +233,13 @@ def unnormalized_weight_series(q: Rational, order: int) -> list[Fraction]:
     Equals 1/(u/q)_inf coefficientwise; this is the statement that the
     Cohen-Lenstra measure P_u has total mass 1.
     """
-    return _weights(q, order)
+    commons, cells, _ = _columns(q, order)
+    b = Fraction(q).denominator
+    return _column_sums(q, commons, cells, lambda length: (0, b ** (length * length)))
 
 
 def middle_series(q: Rational, order: int) -> tuple[list[Fraction], ...]:
-    """(eq1, eq2, weight series) from the functions above, which share one `_cells`."""
+    """(eq1, eq2, weight series) from the functions above, which share one `_columns`."""
     singles = eq1_middle_series, eq2_middle_series, unnormalized_weight_series
     return tuple(single(q, order) for single in singles)
 

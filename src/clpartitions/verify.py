@@ -283,7 +283,7 @@ def run_eq_check(
 
 
 def run_rational_q_check(q: Rational, order: int) -> list[VerificationReport]:
-    """middle == rhs at rational q > 1, with the three middles from one ``_cells``.
+    """middle == rhs at rational q > 1, with the three middles from one ``_columns``.
 
     eq1 and eq2 compare with their q-series, and measure-normalization
     (total mass 1) the weight series with 1/(u/q)_inf inverted from

@@ -4,8 +4,8 @@ import pytest
 
 from clpartitions import partitions, verify
 
-# the middle's cells and the rhs's inverse of Euler's expansion, one build per (q, N)
-SERIES_MEMOS = (partitions._cells, verify._inverse_euler)
+# the middle's column table and the rhs's inverse of Euler's expansion, one build per (q, N)
+SERIES_MEMOS = (partitions._columns, verify._inverse_euler)
 
 
 @pytest.fixture(autouse=True)

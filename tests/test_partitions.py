@@ -174,17 +174,17 @@ class TestAutOrder:
                     assert aut_order(lam, q) == want
 
 
-# per middle, the sum of q^e u^|lambda| / |Aut(lambda)| as the package reads it
-# and the exponent e of q per partition as the reference reads it, from the
-# Partition: eq1 and eq2 place the ones once per size with the shift
-# c(k) = 0 or k of e = L^2 - c(k), the weight series reads each entry of R
+# per middle, the sum of q^e u^|lambda| / |Aut(lambda)| from the package's
+# table W and the exponent e of q per partition as the reference reads it,
+# from the Partition: eq1 and eq2 weigh the sums per (n, L, k) by q^e with
+# e = L^2 - c(k), c(k) = 0 or k, the weight series is the package's
 EXPONENTS = {
     "eq1": (
-        lambda q, order: partitions._ones_placed(q, order, lambda m1: 0),
+        lambda q, order: _weighed_sums(q, order, lambda L, k: L * L),
         lambda lam: lam.length**2,
     ),
     "eq2": (
-        lambda q, order: partitions._ones_placed(q, order, lambda m1: m1),
+        lambda q, order: _weighed_sums(q, order, lambda L, k: L * L - k),
         lambda lam: lam.length**2 - reference.multiplicity(lam, 1),
     ),
     "weight": (partitions.unnormalized_weight_series, lambda lam: 0),
@@ -225,19 +225,43 @@ def ones_shifts(draw):
     return q, order, shifts
 
 
-def _cell_values(q, order):
-    """R's cells (t, x) as t a^x b^(L^2) / P_n, keyed by (n, L, k)."""
+def _column_values(q, order):
+    """The package's W[n][L] = t a^(L(L+1)/2 - nL) b^(L^2) / P_n, where not 0."""
     a, b = q.numerator, q.denominator
-    commons, table = partitions._refined_sums(q, order)
+    commons, cells, _ = partitions._columns(q, order)
     assert commons == tuple(
         math.prod(a**i - b**i for i in range(1, n + 1)) for n in range(order + 1)
     )
     return {
-        (n, L, k): Fraction(t * b ** (L * L)) * Fraction(a) ** x / commons[n]
-        for n, row in enumerate(table)
-        for L, cell in enumerate(row)
-        for k, (t, x) in cell.items()
+        (n, L): Fraction(a) ** (L * (L + 1) // 2 - n * L) * t * b ** (L * L) / commons[n]
+        for n, row in enumerate(cells)
+        for L, t in enumerate(row)
+        if t
     }
+
+
+def _cell_values(q, order):
+    """Per (n, L, k), k = m_1, the sum of 1/|Aut(lambda)|, from the package's W.
+
+    Stripping the first column of the partitions of n with L parts, k of
+    them 1, leaves those of n - L with L - k parts, so the sum is
+    q^(-L^2) W[n-L][L-k] / (1/q)_k.
+    """
+    sums = {}
+    for (m, j), w in _column_values(q, order).items():
+        for L in range(j, order - m + 1):
+            k = L - j
+            pochhammer = math.prod(1 - q**-i for i in range(1, k + 1))
+            sums[m + L, L, k] = q ** -(L * L) * w / pochhammer
+    return sums
+
+
+def _weighed_sums(q, order, exponent):
+    """Per size n, the sum over (L, k) of q^exponent(L, k) times (n, L, k)'s sum."""
+    sums = [Fraction(0)] * (order + 1)
+    for (n, L, k), value in _cell_values(q, order).items():
+        sums[n] += q ** exponent(L, k) * value
+    return sums
 
 
 def _cell_sums(q, order):
@@ -270,11 +294,11 @@ class TestPartitionSum:
     @settings(max_examples=60, deadline=None)
     @given(ones_shifts())
     def test_any_ones_shift_matches_per_term_fraction_sum(self, drawn):
-        # the exponents e = L^2 - c(k) that the ones can be placed with once
-        # per size: an offset error in the powers of a or b that eq1's and
-        # eq2's shifts cancel shows for some c
+        # any exponent e = L^2 - c(k) of the sums per (n, L, k): an offset
+        # error in the powers of a or b that eq1's and eq2's shifts cancel
+        # shows for some c
         q, order, shifts = drawn
-        got = partitions._ones_placed(q, order, shifts.__getitem__)
+        got = _weighed_sums(q, order, lambda L, k: L * L - shifts[k])
         want = reference.partition_sum(
             q,
             order,
@@ -299,24 +323,25 @@ class TestPartitionSum:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            partitions._refined_sums(2, -1)
+            partitions._columns(2, -1)
 
     @pytest.mark.parametrize("division", ["q-binomial", "edge"])
     def test_a_corrupted_division_raises(self, division, monkeypatch):
         # at q = 7/3, a^k - b^k = 4, 40, 316, ...: neither division is by 1
         f = [7**k - 3**k for k in range(4)]
         dividend, divisor = {
-            # [2; 2] = (P_2 / P_0) / P_2, r of the two ones (1,1) appended to ()
-            "q-binomial": (f[1] * f[2], f[1] * f[2]),
-            # one part 3 placed on (): r = P_3 / (P_0 P_1)
-            "edge": (f[1] * f[2] * f[3], f[1]),
+            # [3; 1] = P_3 / (P_1 P_2), the same division as [3; 2]
+            "q-binomial": (f[1] * f[2] * f[3], f[1] * f[1] * f[2]),
+            # [2; 2] = P_2 / (P_2 P_0): the first column of (1,1), on ()
+            "edge": (f[1] * f[2], f[1] * f[2]),
         }[division]
         corrupted = _corrupt_one_division(monkeypatch, dividend, divisor)
-        # the ones are placed per cell into R, and per size for eq1 and eq2
+        # every middle builds the table again, since a build that raised
+        # is not kept
         middles = [
-            partitions._refined_sums,
             partitions.eq1_middle_series,
             partitions.eq2_middle_series,
+            partitions.unnormalized_weight_series,
         ]
         for middle in middles:
             with pytest.raises(ArithmeticError):
@@ -325,7 +350,7 @@ class TestPartitionSum:
 
 
 class TestRefinedSums:
-    """R[n][L][k]: the sums of 1/|Aut(lambda)| per size, length and m_1."""
+    """The sums of 1/|Aut(lambda)| per size, length and m_1, from the package's W."""
 
     @pytest.mark.parametrize(
         "q",
@@ -337,8 +362,8 @@ class TestRefinedSums:
 
     @pytest.mark.parametrize("q", [Fraction(2), Fraction(7, 3)])
     def test_cells_match_per_term_sums_at_order_20(self, q):
-        # every part size 2..20 gains up to 10 parts; the values are pinned,
-        # not R's (t, x), which a different fold may scale by a power of a
+        # the values are pinned, not the table's integers, which a
+        # different power of a per cell would scale
         assert _cell_values(q, 20) == _cell_sums(q, 20)
 
     @settings(max_examples=60, deadline=None)
@@ -362,6 +387,27 @@ class TestRefinedSums:
                     assert cells.get((n, a, b), 0) == law[n], (n, a, b)
                     compared += 1
         assert compared == 726  # 66 pairs (a, b) at 11 orders each
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(5, 2), Fraction(7, 3)])
+    def test_eq2_cells_match_per_term_sums(self, q):
+        # eq2's cell (n, L) is e a^(L(L+1)/2 - nL + L^2 - L) / P_n, the sum
+        # of q^(L^2 - m_1) / |Aut(lambda)| over lambda |- n with L parts
+        order = 12
+        commons, _, eq2 = partitions._columns(q, order)
+        a = Fraction(q.numerator)
+        got = {
+            (n, L): a ** (L * (L + 1) // 2 - n * L + L * L - L) * e / commons[n]
+            for n, row in enumerate(eq2)
+            for L, e in enumerate(row)
+            if e
+        }
+        want = {}
+        for n in range(order + 1):
+            for lam in reference.partitions(n):
+                L = lam.length
+                weight = q ** (L * L - reference.multiplicity(lam, 1))
+                want[n, L] = want.get((n, L), 0) + weight / reference.aut_order(lam, q)
+        assert got == want
 
 
 class TestClWeight:
@@ -404,16 +450,13 @@ class TestMiddleSeries:
 
     @pytest.mark.parametrize("q", [Fraction(5, 2), Fraction(10)])
     def test_a_second_build_is_the_same_tuples(self, q):
-        built = partitions._cells(q, 8)
-        assert partitions._cells(q, 8) is built
-        commons, quotients, cells = built
-        assert all(type(x) is tuple for x in (commons, cells, *cells))
-        # each call of quotients gives a new list, so no reader shares one
-        assert quotients(2, 1) == quotients(2, 1)
-        assert quotients(2, 1) is not quotients(2, 1)
+        built = partitions._columns(q, 8)
+        assert partitions._columns(q, 8) is built
+        commons, cells, eq2 = built
+        assert all(type(x) is tuple for x in (commons, cells, eq2, *cells, *eq2))
 
     def test_equal_q_share_one_build(self):
-        assert partitions._cells(2, 8) is partitions._cells(Fraction(2), 8)
+        assert partitions._columns(2, 8) is partitions._columns(Fraction(2), 8)
 
 
 class TestProductOverIrreducibles:

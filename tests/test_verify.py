@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -43,33 +44,61 @@ SERIES_ROUTES = {
 }
 
 
-def _double_ones_binomial(monkeypatch, size, ones):
-    """Double the q-binomial [size+ones; ones] that places the middle's ones.
+def _scale_binomial(monkeypatch, n, length, factor=lambda q: 2):
+    """Scale the q-binomial [n; length] of the middle's table by factor(q).
 
-    Every middle places the ones (p = 1) after every larger part, with
-    the quotients P_(s+m) / (P_s P_m) of size s that ``_cells`` builds:
-    eq1 and eq2 once per size (``_ones_placed``), the weight series once
-    per (size, length) cell (``_refined_sums``).  Entry m = *ones* of
-    the row of *size* places *ones* ones on every partition of *size*
-    with no part 1.  Size 0 holds only (), which gives (1,) for one 1.
-    Size 2 holds only (2,), which gives (2,1) for one 1.  So exactly one
-    partition's term doubles in every middle series, as if its |Aut|
-    were halved.
+    The middle's table (``partitions._columns``) divides P_n by
+    P_L P_(n-L) with ``partitions._exact`` once per size n and length L,
+    with P_n = prod_{i<=n} (a^i - b^i) at q = a/b, and the quotient
+    [n; L] scales every term of the partitions of n with L parts, in
+    every middle series.  The fault scales the quotient of that division
+    at every q the table is built at, so [n; n - length], the same
+    division, scales too; u^n is the first coefficient that moves.
     """
-    old = "_exact(rise, commons[m])"
-    new = f"{old} * (2 if (p, s, m) == {(1, size, ones)} else 1)"
-    monkeypatch.setattr(partitions, "_cells", _mutated(partitions._cells, old, new))
+    real_columns, real_exact = partitions._columns, partitions._exact
+    scaled = {}  # (P_n, P_length P_(n-length)) at each q built -> factor(q)
+
+    def columns(q, order):
+        a, b = Fraction(q).as_integer_ratio()
+        p = [math.prod(a**i - b**i for i in range(1, k + 1)) for k in range(n + 1)]
+        scaled[p[n], p[length] * p[n - length]] = factor(Fraction(q))
+        return real_columns(q, order)
+
+    def exact(dividend, divisor):
+        return real_exact(dividend, divisor) * scaled.get((dividend, divisor), 1)
+
+    monkeypatch.setattr(partitions, "_columns", columns)
+    monkeypatch.setattr(partitions, "_exact", exact)
+
+
+def _doubled(name, power, at=None):
+    """A fault: the middle series *name* with its u^power coefficient doubled.
+
+    At q = *at* only, or at every q if *at* is None, wherever the series
+    reaches u^power.  The series is replaced in ``partitions``, whose
+    other routes read it, and in ``verify``, which imports eq1's and eq2's.
+    """
+
+    def fault(monkeypatch):
+        real = getattr(partitions, name)
+
+        def doubled(q, order):
+            series = real(q, order)
+            if power <= order and at in (None, Fraction(q)):
+                series[power] *= 2
+            return series
+
+        monkeypatch.setattr(partitions, name, doubled)
+        monkeypatch.setattr(verify, name, doubled, raising=False)
+
+    return fault
 
 
 def _mutated(function, old, new):
-    """A copy of *function* from its source with *old* -> *new*, in its module.
-
-    The source of a memoized function holds its decorator, so the copy
-    has a memo of its own.
-    """
+    """A copy of *function* from its source with *old* -> *new*, in its module."""
     source = inspect.getsource(function)
     assert source.count(old) == 1
-    namespace = dict(inspect.unwrap(function).__globals__)
+    namespace = dict(function.__globals__)
     exec(source.replace(old, new), namespace)
     return namespace[function.__name__]
 
@@ -337,7 +366,7 @@ class TestChecks:
 
     @pytest.mark.parametrize("q", verify.RATIONAL_QS)
     def test_rational_q_builds_the_middles_once(self, q, monkeypatch):
-        orders = _build_orders(monkeypatch, partitions, "_cells")
+        orders = _build_orders(monkeypatch, partitions, "_columns")
         reports = run_rational_q_check(q, 8)
         assert orders == [8]
         names = ["eq1-rational-q", "eq2-rational-q", "measure-normalization"]
@@ -346,7 +375,7 @@ class TestChecks:
         assert [r.check_name for r in reports] == names
 
     def test_verify_all_builds_the_middles_once_per_q_and_suite(self, monkeypatch):
-        orders = _build_orders(monkeypatch, partitions, "_cells")
+        orders = _build_orders(monkeypatch, partitions, "_columns")
         verify.run_all(verify.VerifierConfig(order=9))
         # one build at each of the four rational q, which eq1 and eq2 at
         # q = 2 and 3 share; irreducible-product's builds stop at order 6
@@ -365,8 +394,9 @@ class TestChecks:
 
 class TestFaultInjection:
     def test_perturbed_aut_order_is_caught(self, monkeypatch):
-        # a wrong weight for one specific type: |Aut (2,1)| halved
-        _double_ones_binomial(monkeypatch, 2, 1)
+        # wrong weights for the types of [3; 1] and [3; 2]: |Aut (3)| and
+        # |Aut (2,1)| halved
+        _scale_binomial(monkeypatch, 3, 1)
         middle = partitions.eq1_middle_series(2, 6)[3]
         rhs = eq1_rhs_series(2, 6)[3]
         assert middle != rhs
@@ -495,15 +525,15 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("check", SERIES_ROUTES)
     def test_series_check_shows_both_routes(self, check, monkeypatch):
-        # |Aut (2,1)| halved, at each q^d of irreducible-product too
-        _double_ones_binomial(monkeypatch, 2, 1)
+        # |Aut (3)| and |Aut (2,1)| halved, at each q^d of irreducible-product too
+        _scale_binomial(monkeypatch, 3, 1)
         reports = [
             *run_rational_q_check(2, 6),
             verify.run_irreducible_product_check(2, 6),
         ]
         (report,) = [r for r in reports if r.check_name == check]
         assert not report.passed
-        # (2,1) is the only perturbed term and has size 3, so u^0..u^2 agree
+        # (3) and (2,1) are the perturbed terms and have size 3, so u^0..u^2 agree
         middle, rhs = SERIES_ROUTES[check]
         got, want = getattr(partitions, middle)(2, 6)[3], rhs(2, 6)[3]
         assert report.detail == (
@@ -511,32 +541,25 @@ class TestFaultInjection:
         )
 
     @pytest.mark.parametrize(
-        "name,old,new,detail",
+        "factor,detail",
         [
-            # the ones' a-power counts M's growth as k, not k(k+1)/2, for k
-            # ones: k(k+1)/2 - c(k) becomes k - c(k)
+            # (1,1)'s term, the only one of [2; 2], at a power of a one too
+            # high, as if M grew by one more for its repeated part
             (
-                "_ones_placed",
-                "k * (k + 1) // 2 - c",
-                "k - c",
-                "coefficient of u^2: middle 235/63, rhs 335/63",
+                lambda q: q.numerator,
+                "coefficient of u^2: middle 835/63, rhs 335/63",
             ),
-            # the ones' factor P_k of D is cut to a - b: the q-binomial
-            # [s+k; k] that places them loses the repeated part's factors
+            # (1,1)'s term times a^2 - b^2, as if its factor P_2 of D were
+            # cut to a - b: the repeated part's factor is dropped
             (
-                "_cells",
-                "commons[m])",
-                "commons[min(m, 1) if p == 1 else m])",
+                lambda q: q.numerator**2 - q.denominator**2,
                 "coefficient of u^2: middle 45, rhs 335/63",
             ),
         ],
         ids=["wrong-M-increment", "dropped-multiplicity-factor"],
     )
-    def test_mutated_walk_fails_eq1_rational_q(
-        self, name, old, new, detail, monkeypatch
-    ):
-        mutant = _mutated(getattr(partitions, name), old, new)
-        monkeypatch.setattr(partitions, name, mutant)
+    def test_mutated_walk_fails_eq1_rational_q(self, factor, detail, monkeypatch):
+        _scale_binomial(monkeypatch, 2, 2, factor)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
@@ -549,30 +572,26 @@ class TestFaultInjection:
         )
 
     def test_mutated_twos_chain_fails_eq1_rational_q(self, monkeypatch):
-        # the twos' factor P_m of D is cut to a - b: the quotient
-        # P_(s+2m) / (P_s P_m) loses the repeated two's factors
-        old = "commons[m])"
-        new = "commons[min(m, 1) if p == 2 else m])"
-        mutant = _mutated(partitions._cells, old, new)
-        monkeypatch.setattr(partitions, "_cells", mutant)
+        # |Aut (3,1)| and |Aut (2,2)| halved: [4; 2] is its own mirror
+        _scale_binomial(monkeypatch, 4, 2)
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
         rhs = eq1_rhs_series(q, 6)
         eq1 = {r.check_name: r for r in run_rational_q_check(q, 6)}["eq1-rational-q"]
         assert eq1.check_name == "eq1-rational-q" and not eq1.passed
-        # (2,2) is the first partition with two twos
+        # (3,1) and (2,2) are the perturbed terms and have size 4
         assert middle[:4] == rhs[:4] and middle[4] != rhs[4]
         assert eq1.detail == (
-            "coefficient of u^4: middle 1563390529/112223475, rhs 1449385729/112223475"
+            "coefficient of u^4: middle 1504963069/112223475, rhs 1449385729/112223475"
+        )
+        assert eq1.detail == (
+            f"coefficient of u^4: middle {fmt_rat(middle[4])}, rhs {fmt_rat(rhs[4])}"
         )
 
     def test_mutated_part_stage_fails_eq1_rational_q(self, monkeypatch):
-        # in every stage p >= 3, n2 - l^2 grows by 2lm + m^2, as for twos,
-        # not by (p - 1)(2lm + m^2): b's power is cut, which only b > 1 shows
-        old = "b_powers[(p - 1) * grown]"
-        new = "b_powers[min(p - 1, 1) * grown]"
-        mutant = _mutated(partitions._cells, old, new)
-        monkeypatch.setattr(partitions, "_cells", mutant)
+        # the terms of (3) and (2,1), those of [3; 1] and [3; 2], times b,
+        # as if a power of b were one too high: only b > 1 shows
+        _scale_binomial(monkeypatch, 3, 1, lambda q: q.denominator)
         assert all(r.passed for r in run_rational_q_check(2, 6))
         q = Fraction(5, 2)
         middle = partitions.eq1_middle_series(q, 6)
@@ -581,7 +600,7 @@ class TestFaultInjection:
         eq1, eq2 = reports["eq1-rational-q"], reports["eq2-rational-q"]
         assert eq1.check_name == "eq1-rational-q" and not eq1.passed
         assert eq2.check_name == "eq2-rational-q" and not eq2.passed
-        # (3) is the first partition with a part above 2
+        # (3) and (2,1) are the perturbed terms and have size 3
         assert middle[:3] == rhs[:3] and middle[3] != rhs[3]
         assert eq1.detail == (
             f"coefficient of u^3: middle {fmt_rat(middle[3])}, rhs {fmt_rat(rhs[3])}"
@@ -684,12 +703,76 @@ class TestFaultInjection:
         assert report.detail == "total 65 != 64"
 
     def test_cli_exit_one_on_failure(self, monkeypatch, capsys):
-        # |Aut (1)| halved
-        _double_ones_binomial(monkeypatch, 0, 1)
+        # |Aut (1)| halved, the only type of [1; 1]
+        _scale_binomial(monkeypatch, 1, 1)
         code = cli.main(["verify", "eq1", "--n-max", "1", "--order", "4"])
         assert code == cli.EXIT_FAIL
         out = capsys.readouterr().out
         assert "FAIL" in out and "eq1" in out
+
+
+# every check ID of the default `verify all`
+DEFAULT_CHECKS = sorted({r.check_name for r in verify.run_all(verify.VerifierConfig())})
+
+# the check IDs that read no middle series
+NON_MIDDLE_CHECKS = {
+    "cor1-part1",
+    "cor1-part2",
+    "counter-nilpotent",
+    "lemma2",
+    "lemma3",
+    "thm1-rows",
+    "wellknown-identity",
+}
+
+# check ID that reads the middle -> (a fault at the middle's boundary, the
+# first power of u it moves, the IDs of the default `verify all` it fails)
+MIDDLE_FAULTS = {
+    "eq1": (_doubled("eq1_middle_series", 1), 1, {"eq1", "eq1-rational-q"}),
+    "eq2": (_doubled("eq2_middle_series", 1), 1, {"eq2", "eq2-rational-q"}),
+    # [2; 1] at q = 5/2: every middle series at one rational q
+    "eq1-rational-q": (
+        lambda mp: _scale_binomial(mp, 2, 1, lambda q: 2 if q == Fraction(5, 2) else 1),
+        2,
+        {"eq1-rational-q", "eq2-rational-q", "measure-normalization"},
+    ),
+    "eq2-rational-q": (
+        _doubled("eq2_middle_series", 2, at=Fraction(10)),
+        2,
+        {"eq2-rational-q"},
+    ),
+    # irreducible-product reads the weight series at q^d
+    "measure-normalization": (
+        _doubled("unnormalized_weight_series", 2),
+        2,
+        {"measure-normalization", "irreducible-product"},
+    ),
+    # [1; 1] at q = 4 = 2^2, which only irreducible-product reads
+    "irreducible-product": (
+        lambda mp: _scale_binomial(mp, 1, 1, lambda q: 2 if q == 4 else 1),
+        2,
+        {"irreducible-product"},
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(set(DEFAULT_CHECKS) - NON_MIDDLE_CHECKS))
+def test_middle_fault_fails_its_row(check, monkeypatch):
+    # a check that reads the middle and has no row fails here
+    assert set(MIDDLE_FAULTS) == set(DEFAULT_CHECKS) - NON_MIDDLE_CHECKS
+    fault, power, failing = MIDDLE_FAULTS[check]
+    assert check in failing
+    fault(monkeypatch)
+    failed = [r for r in verify.run_all(verify.VerifierConfig()) if not r.passed]
+    assert {r.check_name for r in failed} == failing
+    for report in failed:
+        assert report.detail.startswith(f"coefficient of u^{power}: "), report
+
+
+def test_readme_lists_every_check_name():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"Check names: (.*?)\.\s", readme, re.DOTALL).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == DEFAULT_CHECKS
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
