@@ -378,6 +378,11 @@ def _parse_command(name: str, tokens: list[str], args: dict) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # a deep series' coefficients can pass Python's int-to-str digit limit
+    # (3.11+), so the limit is lifted while the command runs and then restored
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = _main(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
@@ -386,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
         # exit, go to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -16,8 +16,8 @@ powers (:func:`_rank_sequence`): in pass 1 for A^T, and in pass 2 for each
 member B of A's annihilator.  Every rank is the size of an echelon basis
 (:func:`_basis`); a power's is its image's, the matrix applied to the last
 image's basis, so no power is built.  All run on packed rows (a row of
-p-adic entries is one Python int, entry t in bits [t*w, (t+1)*w)), and one
-routine (:func:`_eliminate`) serves every rank and nullspace.  Pass 1
+p-adic entries is one Python int, entry t in bits [t*w, (t+1)*w)), and the
+field's elimination (:func:`_packing`) serves every rank and nullspace.  Pass 1
 carries one elimination down the walk, which chooses A one row at a time:
 (AB)_{ij} reads only row i of A, so the rows of B -> AB that a prefix of
 A's rows gives are eliminated once per prefix (:func:`_descend`), and
@@ -56,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .series import Partition
 
@@ -90,17 +90,23 @@ class CensusError(ArithmeticError):
 
 
 class _Packing(NamedTuple):
-    """Packed-row arithmetic for n x n matrices over F_p.
+    """Packed rows of n x n matrices over F_p, and the field's lane arithmetic.
 
     A vector over F_p is one int with entry t in lane t, bits [t*w, (t+1)*w).
-    Over F_2 lanes are single bits and addition is XOR.  Otherwise lanes are
-    wide enough that a lane value up to bound = max(p(p-1), n(p-1)^2), the
-    most that an elimination step or a row of a matrix product makes, does
-    not carry into the next lane, and :func:`_reduce` brings every lane back
-    into [0, p) at once, using floor(x / p) == (x * mul) >> shift for
-    x <= bound.  That holds once bound * e < 2^shift, e = mul * p - 2^shift
-    in [0, p): x * mul / 2^shift is x / p plus x * e / (p * 2^shift), less
-    than 1/p, and the fractional part of x / p is at most (p - 1) / p.
+    :func:`_packing` chooses the field once per (n, p): F_2's one-bit lanes
+    (:func:`_bits`) or odd p's wide lanes (:func:`_lanes`).  Each provides
+    whole functions, so a hot loop dispatches once per call:
+
+    - ``eliminate(rows, pivots, rank=0)``, the one elimination routine:
+      the rows go into the echelon ``pivots`` of ``rank`` rows, in place,
+      and it returns the new rank.  ``pivots[h]`` is 0 or the echelon row
+      whose leading (highest) nonzero lane is h, scaled so that lane holds
+      1; n^2 lanes for the annihilator system, n for vectors of n entries.
+      Once every lane has a pivot, the rows left are skipped.
+    - ``subtract(row, c, piv)``: row - c * piv, for back-substitution.
+    - ``matmul(X, Y)``: the packed rows of XY from those of X and Y.
+    - ``lines(vectors)``: one member per line {cB : c != 0} of the span of
+      independent vectors, the one whose last nonzero coefficient is 1.
 
     A matrix is identified by its *row codes*: row i has code
     sum_k A[i][k] * p^(n-1-k), so lexicographic order of entry vectors is
@@ -114,40 +120,23 @@ class _Packing(NamedTuple):
     p: int
     w: int
     lane: int  # mask of one lane
-    mul: int
-    shift: int
-    quotient_mask: int  # the low (w - shift) bits of each of n^2 lanes
-    inverse: tuple[int, ...]  # inverse[c] * c == 1 mod p, c in [1, p)
     row: tuple[int, ...]  # code -> packed row, entry k in lane k
     products: tuple[tuple[int, ...], ...]  # [code][j] -> entry k in lane k*n + j
+    eliminate: Callable[..., int]
+    subtract: Callable[[int, int, int], int]
+    matmul: Callable[[list[int], list[int]], list[int]]
+    lines: Callable[[list[int]], list[int]]
 
 
 @functools.lru_cache(maxsize=None)
 def _packing(n: int, p: int) -> _Packing:
-    """Built on first use, so importing the module builds no tables."""
-    if p == 2:
-        w, mul, shift, quotient_mask = 1, 0, 0, 0
-    else:
-        bound = max(p * (p - 1), n * (p - 1) ** 2)
-        shift = 0
-        while True:
-            mul = -(-(1 << shift) // p)
-            if bound * (mul * p - (1 << shift)) < 1 << shift:
-                break
-            shift += 1
-        w = (bound * mul).bit_length()
-        quotient_mask = sum(
-            ((1 << (w - shift)) - 1) << (t * w) for t in range(n * n)
-        )
+    """The one place the field is chosen.  Built on first use, so importing builds no tables."""
+    arithmetic = _bits() if p == 2 else _lanes(n, p)
+    w = arithmetic["w"]
     return _Packing(
         n=n,
         p=p,
-        w=w,
         lane=(1 << w) - 1,
-        mul=mul,
-        shift=shift,
-        quotient_mask=quotient_mask,
-        inverse=(0,) + tuple(pow(c, p - 2, p) for c in range(1, p)),
         row=_row_table([[e << (k * w) for e in range(p)] for k in range(n)]),
         products=tuple(
             zip(
@@ -157,6 +146,7 @@ def _packing(n: int, p: int) -> _Packing:
                 )
             )
         ),
+        **arithmetic,
     )
 
 
@@ -173,22 +163,11 @@ def _entries(codes: tuple[int, ...], pk: _Packing) -> tuple[int, ...]:
     return tuple((pk.row[c] >> (k * pk.w)) & pk.lane for c in codes for k in range(pk.n))
 
 
-def _reduce(x: int, pk: _Packing) -> int:
-    """Every lane of x mod p, for lane values up to the packing's bound."""
-    return x - pk.p * (((x * pk.mul) >> pk.shift) & pk.quotient_mask)
+def _bits() -> dict:
+    """F_2's arithmetic (see :class:`_Packing`): one-bit lanes, and addition is XOR."""
 
-
-def _eliminate(rows, pk: _Packing, pivots: list[int], rank: int = 0) -> int:
-    """Forward elimination of packed rows over F_p: the one elimination routine.
-
-    Eliminates the rows into the echelon ``pivots`` of ``rank`` rows, in
-    place, and returns its new rank.  ``pivots[h]`` is 0 or the echelon
-    row whose leading (highest) nonzero lane is h, scaled so that lane
-    holds 1; n^2 lanes for the annihilator system, n for vectors of n
-    entries.  Once every lane has a pivot, the rows left are skipped.
-    """
-    full = len(pivots)
-    if pk.p == 2:
+    def eliminate(rows, pivots: list[int], rank: int = 0) -> int:
+        full = len(pivots)
         for r in rows:
             if rank == full:
                 break
@@ -201,26 +180,101 @@ def _eliminate(rows, pk: _Packing, pivots: list[int], rank: int = 0) -> int:
                     break
                 r ^= piv
         return rank
-    p, w, lane, inverse = pk.p, pk.w, pk.lane, pk.inverse
-    for r in rows:
-        if rank == full:
+
+    def matmul(X: list[int], Y: list[int]) -> list[int]:
+        out = []
+        for x in X:
+            acc = 0
+            while x:  # only the set bits: row k of Y for each entry k of x that is 1
+                low = x & -x
+                acc ^= Y[low.bit_length() - 1]
+                x ^= low
+            out.append(acc)
+        return out
+
+    def lines(vectors: list[int]) -> list[int]:  # every line is one member: the span but 0
+        span = [0]
+        for v in vectors:
+            span += [x ^ v for x in span]
+        return span[1:]
+
+    def subtract(row: int, c: int, piv: int) -> int:  # c is 1
+        return row ^ piv
+
+    return dict(w=1, eliminate=eliminate, subtract=subtract, matmul=matmul, lines=lines)
+
+
+def _lanes(n: int, p: int) -> dict:
+    """Odd p's arithmetic (see :class:`_Packing`): wide lanes, reduced mod p all at once.
+
+    A lane value up to bound = max(p(p-1), n(p-1)^2), the most that an
+    elimination step or a row of a matrix product makes, does not carry into
+    the next lane, and ``mod_p`` brings every lane back into [0, p) at once,
+    using floor(x / p) == (x * mul) >> shift for x <= bound.  That holds
+    once bound * e < 2^shift, e = mul * p - 2^shift in [0, p): x * mul /
+    2^shift is x / p plus x * e / (p * 2^shift), less than 1/p, and the
+    fractional part of x / p is at most (p - 1) / p.
+    """
+    bound = max(p * (p - 1), n * (p - 1) ** 2)
+    shift = 0
+    while True:
+        mul = -(-(1 << shift) // p)
+        if bound * (mul * p - (1 << shift)) < 1 << shift:
             break
-        while r:
-            h = (r.bit_length() - 1) // w
-            c = (r >> (h * w)) & lane
-            piv = pivots[h]
-            if not piv:
-                pivots[h] = r if c == 1 else _reduce(r * inverse[c], pk)
-                rank += 1
+        shift += 1
+    w = (bound * mul).bit_length()
+    lane = (1 << w) - 1
+    quotient_mask = sum(((1 << (w - shift)) - 1) << (t * w) for t in range(n * n))
+    inverse = (0,) + tuple(pow(c, p - 2, p) for c in range(1, p))  # inverse[c] * c == 1
+
+    def mod_p(x: int) -> int:  # every lane of x mod p, for lane values up to bound
+        return x - p * (((x * mul) >> shift) & quotient_mask)
+
+    def eliminate(rows, pivots: list[int], rank: int = 0) -> int:
+        full = len(pivots)
+        for r in rows:
+            if rank == full:
                 break
-            r = _reduce(r + (p - c) * piv, pk)
-    return rank
+            while r:
+                h = (r.bit_length() - 1) // w
+                c = (r >> (h * w)) & lane
+                piv = pivots[h]
+                if not piv:
+                    pivots[h] = r if c == 1 else mod_p(r * inverse[c])
+                    rank += 1
+                    break
+                r = mod_p(r + (p - c) * piv)
+        return rank
+
+    def matmul(X: list[int], Y: list[int]) -> list[int]:
+        out = []
+        for x in X:
+            acc = 0
+            for y in Y:
+                acc += (x & lane) * y
+                x >>= w
+            out.append(mod_p(acc))
+        return out
+
+    def lines(vectors: list[int]) -> list[int]:
+        members, span = [], [0]
+        for v in vectors:
+            led = [mod_p(x + v) for x in span]
+            multiples = [mod_p(c * v) for c in range(2, p)]
+            span += led + [mod_p(x + m) for m in multiples for x in span]
+            members += led
+        return members
+
+    def subtract(row: int, c: int, piv: int) -> int:
+        return mod_p(row + (p - c) * piv)
+
+    return dict(w=w, eliminate=eliminate, subtract=subtract, matmul=matmul, lines=lines)
 
 
 def _basis(vectors: list[int], pk: _Packing) -> list[int]:
     """An echelon basis of the span of vectors of n entries: its size is their rank."""
     pivots = [0] * pk.n
-    _eliminate(vectors, pk, pivots)
+    pk.eliminate(vectors, pivots)
     return list(filter(None, pivots))
 
 
@@ -230,13 +284,13 @@ def _nullspace(pivots: list[int], pk: _Packing) -> list[int]:
     Reduces ``pivots`` in place first, so each pivot row is zero at every
     other pivot lane.
     """
-    w, p, lane, ncols = pk.w, pk.p, pk.lane, len(pivots)
+    w, lane, ncols, subtract = pk.w, pk.lane, len(pivots), pk.subtract
     for h in range(ncols):  # clear each pivot row at the lower pivot lanes
         row = pivots[h]
         for g in range(h):
             c = (row >> (g * w)) & lane
             if c and pivots[g]:
-                row = row ^ pivots[g] if p == 2 else _reduce(row + (p - c) * pivots[g], pk)
+                row = subtract(row, c, pivots[g])
         pivots[h] = row
     basis = []
     for j in range(ncols):
@@ -246,31 +300,9 @@ def _nullspace(pivots: list[int], pk: _Packing) -> list[int]:
         for h in range(j + 1, ncols):
             c = (pivots[h] >> (j * w)) & lane
             if c:
-                v |= (p - c) << (h * w)
+                v = subtract(v, c, 1 << (h * w))
         basis.append(v)
     return basis
-
-
-def _matmul(X: list[int], Y: list[int], pk: _Packing) -> list[int]:
-    """Packed rows of XY from the packed rows of X and Y."""
-    out = []
-    if pk.p == 2:
-        for x in X:
-            acc = 0
-            while x:  # only the set bits: row k of Y for each entry k of x that is 1
-                low = x & -x
-                acc ^= Y[low.bit_length() - 1]
-                x ^= low
-            out.append(acc)
-        return out
-    w, lane = pk.w, pk.lane
-    for x in X:
-        acc = 0
-        for y in Y:
-            acc += (x & lane) * y
-            x >>= w
-        out.append(_reduce(acc, pk))
-    return out
 
 
 def _rank_sequence(
@@ -279,13 +311,13 @@ def _rank_sequence(
     """[n, rank X, rank X^2, ...] up to the first repeat or the first 0.
 
     X is the map v -> sum_k v_k vectors[k].  rank X^i is the size of an
-    echelon basis of image(X^i), and ``_matmul(basis, vectors)``, X applied
+    echelon basis of image(X^i), and ``pk.matmul(basis, vectors)``, X applied
     to it, spans image(X^(i+1)).  ``basis``, when given, is image(X)'s.
     """
     basis = _basis(vectors, pk) if basis is None else basis
     ranks = [pk.n, len(basis)]
     while ranks[-1] and ranks[-1] != ranks[-2]:  # strictly falling: < n images
-        basis = _basis(_matmul(basis, vectors, pk), pk)
+        basis = _basis(pk.matmul(basis, vectors), pk)
         ranks.append(len(basis))
     return ranks
 
@@ -300,27 +332,6 @@ def _zero_block_counts(cols: tuple[int, ...]) -> tuple[int, int]:
     m = cols[0] if cols else 0
     d = (cols[0] - cols[1]) if len(cols) >= 2 else m
     return m, d
-
-
-def _lines(vectors: list[int], pk: _Packing) -> list[int]:
-    """One member of each line {cB : c != 0} of the span of independent vectors.
-
-    The members whose last nonzero coefficient is 1: each vector plus
-    every combination of the vectors before it.  cB runs over the line
-    as c runs over F_p^x, so the span is 0 and (p - 1) members per line.
-    Over F_2 each line is one member, and the lines are the span but 0.
-    """
-    lines, span = [], [0]
-    for v in vectors:
-        if pk.p == 2:
-            led = [x ^ v for x in span]
-            span += led
-        else:
-            led = [_reduce(x + v, pk) for x in span]
-            multiples = [_reduce(c * v, pk) for c in range(2, pk.p)]
-            span += led + [_reduce(x + m, pk) for m in multiples for x in span]
-        lines += led
-    return lines
 
 
 # -- the census ---------------------------------------------------------------
@@ -351,7 +362,6 @@ def _group(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     follow the identity, then the other D, then the other P, and then the
     maps with A^T.  Read only by :func:`_orbit_maps`, which keeps its tables.
     """
-    inverse = _packing(n, p).inverse
     maps = []
     for transposed in (False, True):
         for s in itertools.permutations(range(n)):
@@ -360,9 +370,9 @@ def _group(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                 for c in range(1, p):
                     maps.append(
                         tuple(
-                            (s[k] * n + s[i], c * d[k] * inverse[d[i]] % p)
+                            (s[k] * n + s[i], c * d[k] * pow(d[i], -1, p) % p)
                             if transposed
-                            else (s[i] * n + s[k], c * d[i] * inverse[d[k]] % p)
+                            else (s[i] * n + s[k], c * d[i] * pow(d[k], -1, p) % p)
                             for i in range(n)
                             for k in range(n)
                         )
@@ -480,7 +490,7 @@ def _descend(state, prefix: tuple[int, ...], pk: _Packing):
     pivots, rank, At = state
     ab = pk.products[prefix[-1]]
     pivots = pivots[:]
-    return pivots, _eliminate(ab, pk, pivots, rank), At | ab[len(prefix) - 1]
+    return pivots, pk.eliminate(ab, pivots, rank), At | ab[len(prefix) - 1]
 
 
 def _minimum_record(
@@ -512,7 +522,7 @@ def _minimum_record(
     if rank < nn:
         # B -> BA: each basis column moved to lanes i*n + k, for each i
         right = [col << (i * width) for i in range(n) for col in basis]
-        rank = _eliminate(right, pk, pivots, rank)
+        rank = pk.eliminate(right, pivots, rank)
     return nn - rank, _rank_sequence(cols, pk, basis), pivots
 
 
@@ -561,7 +571,7 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     orbit's annihilator is enumerated from a nullspace basis, which
     :func:`_nullspace` back-substitutes from a copy of the echelon that
     the census stored (no system is built here), one member per line
-    {cB : c != 0} (:func:`_lines`), and B counts when the ranks
+    {cB : c != 0} (``pk.lines``), and B counts when the ranks
     of its powers reach 0 (:func:`_rank_sequence`, pass 1's test of A).
     (cB)^k = c^k B^k has the rank of B^k, so a nilpotent B stands for the
     p - 1 members of its line, and B = 0 for itself.  A's count,
@@ -577,7 +587,7 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     for codes, exponent, size, echelon in nilpotent:
         if any(codes):
             lines = 0
-            for v in _lines(_nullspace(list(echelon), pk), pk):
+            for v in pk.lines(_nullspace(list(echelon), pk)):
                 rows = [(v >> (k * width)) & row_mask for k in range(n)]  # B's rows
                 lines += not _rank_sequence(rows, pk)[-1]
             found = 1 + (p - 1) * lines
@@ -595,9 +605,9 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
 def _table_entries(n: int, p: int) -> int:
     """Entries of the tables a census of Mat_n(F_p) builds, p >= 2.
 
-    The p inverses of :func:`_packing`, and n tables of p^n codes for each
-    of the |G| = 2(p - 1)^n n! maps of :func:`_orbit_maps` (none when
-    n = 0); the rest are smaller.
+    p for the inverses that :func:`_lanes` keeps, and n tables of p^n codes
+    for each of the |G| = 2(p - 1)^n n! maps of :func:`_orbit_maps` (none
+    when n = 0); the rest are smaller.
     """
     return p + 2 * (p - 1) ** n * math.factorial(n) * n * p**n
 

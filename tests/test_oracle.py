@@ -159,9 +159,9 @@ def orbit_count(n, p):
 
 
 def rank(A):
-    """rank(A) by the oracle's one elimination routine."""
+    """rank(A) by the field's one elimination routine."""
     rows, pk = packed_rows(A)
-    return oracle._eliminate(rows, pk, [0] * A.n)
+    return pk.eliminate(rows, [0] * A.n)
 
 
 def minima(n, p):
@@ -190,13 +190,13 @@ def whole_system(codes, pk):
 
 
 def uncarried_record(codes, pk):
-    """(nullity, rank sequence) of A by ``_eliminate`` from empty echelons.
+    """(nullity, rank sequence) of A by ``pk.eliminate`` from empty echelons.
 
     The nullity is that of the whole system (``whole_system``), and the
     rank sequence starts from all of A's rows.
     """
     nn = pk.n * pk.n
-    nullity = nn - oracle._eliminate(whole_system(codes, pk), pk, [0] * nn)
+    nullity = nn - pk.eliminate(whole_system(codes, pk), [0] * nn)
     return nullity, oracle._rank_sequence([pk.row[c] for c in codes], pk)
 
 
@@ -264,25 +264,28 @@ def is_nilpotent_reference(A):
     return power.is_zero()
 
 
+def patch_arithmetic(monkeypatch, name, wrap):
+    """Make ``_packing`` hand out packings whose ``name`` function is wrap(the real one)."""
+    real = oracle._packing
+
+    def patched(n, p):
+        pk = real(n, p)
+        return pk._replace(**{name: wrap(getattr(pk, name))})
+
+    monkeypatch.setattr(oracle, "_packing", patched)
+
+
 def drop_last_image_vector(monkeypatch):
-    """Make ``_matmul`` drop the last vector of every image basis of two or more."""
-    real = oracle._matmul
+    """Make ``matmul`` drop the last vector of every image basis of two or more."""
 
-    def dropping(X, Y, packing):
-        out = real(X, Y, packing)
-        return out[:-1] if len(X) > 1 else out
+    def wrap(real):
+        def dropping(X, Y):
+            out = real(X, Y)
+            return out[:-1] if len(X) > 1 else out
 
-    monkeypatch.setattr(oracle, "_matmul", dropping)
+        return dropping
 
-
-@pytest.fixture
-def fresh_census():
-    """Empty the oracle memos before and after a test that perturbs them."""
-    oracle._census.cache_clear()
-    oracle._nilpotent_annihilators.cache_clear()
-    yield
-    oracle._census.cache_clear()
-    oracle._nilpotent_annihilators.cache_clear()
+    patch_arithmetic(monkeypatch, "matmul", wrap)
 
 
 class TestPackingTables:
@@ -312,6 +315,31 @@ class TestPackingTables:
 
 
 class TestRank:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_ranks_and_bases_match_reference(self, p):
+        # rank(A) and _basis of A's rows, checked against the reference's
+        # Gaussian elimination: the basis is an echelon of that many vectors,
+        # each with a leading lane of its own that holds 1, inside A's row space
+        rng = random.Random(p)
+        for n in range(6):
+            pk = oracle._packing(n, p)
+            for trial in range(30):
+                # every third A has rank at most n - 1: its last row is the sum of the others
+                entries = [rng.randrange(p) for _ in range(n * n)]
+                if n and trial % 3 == 0:
+                    entries[-n:] = [sum(entries[k::n][:-1]) % p for k in range(n)]
+                A = PrimeFieldMatrix(n, p, tuple(entries))
+                rows = [A.entries[i * n : (i + 1) * n] for i in range(n)]
+                want = rank_mod_p(rows, p)
+                assert rank(A) == want, A
+                basis = oracle._basis(packed_rows(A)[0], pk)
+                assert len(basis) == want, A
+                leads = [(v.bit_length() - 1) // pk.w for v in basis]
+                assert len(set(leads)) == len(basis), A
+                assert all((v >> (h * pk.w)) & pk.lane == 1 for v, h in zip(basis, leads)), A
+                vectors = [[(v >> (k * pk.w)) & pk.lane for k in range(n)] for v in basis]
+                assert rank_mod_p(rows + vectors, p) == want, A
+
     def test_zero(self):
         assert rank(PrimeFieldMatrix.zero(3, 2)) == 0
 
@@ -327,7 +355,7 @@ class TestRank:
 
 
 class TestMatmul:
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_products_match_reference(self, p):
         rng = random.Random(p)
         for n in range(5):
@@ -337,7 +365,7 @@ class TestMatmul:
                     for _ in range(2)
                 )
                 (x, pk), (y, _) = packed_rows(X), packed_rows(Y)
-                assert oracle._matmul(x, y, pk) == packed_rows(X @ Y)[0], (X, Y)
+                assert pk.matmul(x, y) == packed_rows(X @ Y)[0], (X, Y)
 
 
 class TestRankSequence:
@@ -422,7 +450,7 @@ class TestAnnihilatorDimension:
         pk = oracle._packing(n, p)
         rng = random.Random(n * p)
         for A in rng.sample(list(enumerate_matrices(n, p)), 40):
-            lines = oracle._lines(nullspace_basis(A), pk)
+            lines = pk.lines(nullspace_basis(A))
             members = [
                 tuple(c * ((v >> (t * pk.w)) & pk.lane) % p for t in range(n * n))
                 for v in lines
@@ -546,19 +574,22 @@ class TestCounts:
         assert exc.value.required == oracle._table_entries(n, p) > oracle.TABLE_BUDGET
 
     def test_table_entries_count_what_the_census_builds(self):
-        # the inverses, and n tables of p^n codes per map of G but the identity
+        # the p inverses, and n tables of p^n codes per map of G but the identity
         for n, p in [(1, 3), (2, 3), (3, 2), (2, 5)]:
-            pk = oracle._packing(n, p)
             maps = oracle._orbit_maps(n, p)
-            built = len(pk.inverse) + sum(len(t) for lead, _, _ in maps for t in lead)
+            built = p + sum(len(t) for lead, _, _ in maps for t in lead)
             assert oracle._table_entries(n, p) == built + n * p**n
 
     @pytest.mark.parametrize("n,p", [(1, 7), (2, 7), (3, 5), (5, 3), (2, 101)])
     def test_packing_reduces_every_lane_value_up_to_its_bound(self, n, p):
+        # X = (1) applied to Y = (x) is x mod p, reduced in the lowest lane
+        # and in the highest of the n^2 lanes
         pk = oracle._packing(n, p)
         bound = max(p * (p - 1), n * (p - 1) ** 2)
+        top = (n * n - 1) * pk.w
         for x in range(bound + 1):
-            assert (x * pk.mul) >> pk.shift == x // p, x
+            assert pk.matmul([1], [x]) == [x % p], x
+            assert pk.matmul([1], [x << top]) == [x % p << top], x
             assert x < 1 << pk.w
 
     def test_by_type_n2_p2(self):
@@ -680,9 +711,26 @@ class TestCounts:
 class TestOrbitWalk:
     """The census visits one matrix per orbit of G, its lexicographic minimum.
 
-    It weights each by its orbit's size.  Pass 2 visits the minima of the
-    nilpotent orbits but that of 0.
+    It weights each by its orbit's size, and the weights cover every matrix
+    once; the census equals the reference census over every matrix.  Pass 2
+    visits the minima of the nilpotent orbits but that of 0.
     """
+
+    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
+    def test_walk_weights_sum_to_every_matrix(self, n, p):
+        # the orbits of the visited matrices cover Mat_n(F_p) exactly once
+        weights = [w for _, w in minima(n, p)]
+        assert sum(weights) == p ** (n * n)
+
+    @pytest.mark.parametrize(
+        "n,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
+    )
+    def test_census_matches_unshared_reference(self, n, p):
+        want = dict(zip(oracle._Census._fields, unshared_census(n, p)))
+        got = oracle._census(n, p)._asdict()
+        # the census keeps one entry per nilpotent orbit, the reference one per matrix
+        assert expanded_orbits(got.pop("nilpotent"), n, p) == want.pop("nilpotent")
+        assert got == want
 
     @pytest.mark.parametrize("n,p", [(2, 5), (3, 2), (3, 3)])
     def test_walk_weights_are_orbit_sizes(self, n, p):
@@ -730,34 +778,11 @@ class TestOrbitWalk:
         ]
 
 
-class TestSharedPrefix:
-    """The weights of the visited orbit minima cover every matrix once.
-
-    The census equals the reference census over every matrix.
-    """
-
-    @pytest.mark.parametrize("n,p", [(4, 2), (3, 3)])
-    def test_walk_weights_sum_to_every_matrix(self, n, p):
-        # the orbits of the visited matrices cover Mat_n(F_p) exactly once
-        weights = [w for _, w in minima(n, p)]
-        assert sum(weights) == p ** (n * n)
-
-    @pytest.mark.parametrize(
-        "n,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]
-    )
-    def test_census_matches_unshared_reference(self, n, p):
-        want = dict(zip(oracle._Census._fields, unshared_census(n, p)))
-        got = oracle._census(n, p)._asdict()
-        # the census keeps one entry per nilpotent orbit, the reference one per matrix
-        assert expanded_orbits(got.pop("nilpotent"), n, p) == want.pop("nilpotent")
-        assert got == want
-
-
 class TestCarriedElimination:
     """Each prefix of A's rows is eliminated once, down the walk.
 
     ``_descend`` carries the prefix and ``_minimum_record`` finishes each
-    minimum; the records equal those of ``_eliminate`` run from empty
+    minimum; the records equal those of ``pk.eliminate`` run from empty
     echelons on the whole system.
     """
 
@@ -807,7 +832,7 @@ class TestCarriedElimination:
             records = ((c, oracle._minimum_record(c, state, pk)) for c, _, state in walk)
         for codes, (_, _, echelon) in records:
             whole = [0] * (n * n)
-            oracle._eliminate(whole_system(codes, pk), pk, whole)
+            pk.eliminate(whole_system(codes, pk), whole)
             assert oracle._nullspace(echelon, pk) == oracle._nullspace(whole, pk), codes
 
     @pytest.mark.parametrize("n,p", [(3, 3), (4, 2), (2, 5)])
@@ -816,14 +841,16 @@ class TestCarriedElimination:
         # annihilator from the echelon that the census stored
         oracle._census(n, p)
         sizes = []
-        real = oracle._eliminate
 
-        def recording(rows, packing, *state):
-            rows = list(rows)
-            sizes.append(len(rows))
-            return real(rows, packing, *state)
+        def wrap(real):
+            def recording(rows, *state):
+                rows = list(rows)
+                sizes.append(len(rows))
+                return real(rows, *state)
 
-        monkeypatch.setattr(oracle, "_eliminate", recording)
+            return recording
+
+        patch_arithmetic(monkeypatch, "eliminate", wrap)
         oracle._nilpotent_annihilators(n, p)
         assert sizes and max(sizes) <= n
 
@@ -836,9 +863,9 @@ class TestCarriedElimination:
             rows = whole_system(codes, pk)
             cut = rng.randrange(len(rows) + 1)
             pivots, whole = [0] * (n * n), [0] * (n * n)
-            rank = oracle._eliminate(rows[:cut], pk, pivots)
-            rank = oracle._eliminate(rows[cut:], pk, pivots, rank)
-            assert rank == oracle._eliminate(rows, pk, whole)
+            rank = pk.eliminate(rows[:cut], pivots)
+            rank = pk.eliminate(rows[cut:], pivots, rank)
+            assert rank == pk.eliminate(rows, whole)
             assert pivots == whole
 
 

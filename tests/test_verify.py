@@ -769,6 +769,46 @@ def test_middle_fault_fails_its_row(check, monkeypatch):
         assert report.detail.startswith(f"coefficient of u^{power}: "), report
 
 
+# the check IDs that read the oracle, each at a field named by its p or q
+ORACLE_CHECKS = {"counter-nilpotent", "eq1", "eq2", "lemma2", "lemma3"}
+
+
+def _dropping_one_pivot(arithmetic):
+    """The field's arithmetic, but each eliminate call forgets the lowest pivot it adds."""
+
+    def broken(*args):
+        functions = arithmetic(*args)
+        real = functions["eliminate"]
+
+        def eliminate(rows, pivots, rank=0):
+            before = pivots[:]
+            rank = real(rows, pivots, rank)
+            added = [h for h, piv in enumerate(pivots) if piv and not before[h]]
+            if added:
+                pivots[added[0]] = 0
+                rank -= 1
+            return rank
+
+        return {**functions, "eliminate": eliminate}
+
+    return broken
+
+
+@pytest.mark.parametrize("arithmetic,p", [("_lanes", 3), ("_bits", 2)])
+def test_dropped_pivot_fails_only_its_fields_oracle_checks(
+    arithmetic, p, fresh_census, monkeypatch
+):
+    # the field is chosen in one place, so a fault in one field's elimination
+    # fails oracle checks at that field and nothing at the other
+    assert ORACLE_CHECKS < set(DEFAULT_CHECKS)
+    monkeypatch.setattr(oracle, arithmetic, _dropping_one_pivot(getattr(oracle, arithmetic)))
+    failed = [r for r in verify.run_all(verify.VerifierConfig()) if not r.passed]
+    assert failed
+    for report in failed:
+        assert report.check_name in ORACLE_CHECKS, report
+        assert report.parameters.get("p", report.parameters.get("q")) == p, report
+
+
 def test_readme_lists_every_check_name():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     sentence = re.search(r"Check names: (.*?)\.\s", readme, re.DOTALL).group(1)
@@ -865,6 +905,24 @@ class TestCli:
 
     def test_series_rational_q(self, capsys):
         assert cli.main(["series", "eq1-middle", "--q", "5/2", "--order", "1"]) == 0
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_series_prints_past_the_digit_limit(self, capsys):
+        # eq2's middle at q = 10 has coefficients of more than 640 digits by
+        # u^40; main lifts the limit while it runs and restores the caller's
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = cli.main(["--json", "series", "eq2-middle", "--q", "10", "--order", "40"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == cli.EXIT_OK
+        want = [fmt_rat(c) for c in partitions.eq2_middle_series(10, 40)]
+        assert max(map(len, want)) > 640
+        assert json.loads(capsys.readouterr().out)["coefficients"] == want
 
     def test_oracle_subcommand(self, capsys):
         assert cli.main(["oracle", "count-pairs", "--n", "2", "--p", "2"]) == 0
