@@ -130,7 +130,10 @@ class _Packing(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _packing(n: int, p: int) -> _Packing:
-    """The one place the field is chosen.  Built on first use, so importing builds no tables."""
+    """The one place the field is chosen.  Built on first use, so importing builds no tables.
+
+    Another field, such as F_4, would be one more arithmetic here.
+    """
     arithmetic = _bits() if p == 2 else _lanes(n, p)
     w = arithmetic["w"]
     return _Packing(
@@ -534,8 +537,9 @@ def _census(n: int, p: int) -> _Census:
     one matrix per orbit of G weighted by the orbit's size (see the module
     docstring).  The nilpotent list holds one entry per nilpotent orbit,
     its first matrix with m^2 - d, the orbit's size and the echelon of the
-    matrix's annihilator system as a tuple, in walk order, which is
-    lexicographic order.  The elimination of each prefix of rows
+    matrix's annihilator system, in walk order, which is lexicographic
+    order.  The echelon is kept as a tuple, so the memo is never mutated.
+    The elimination of each prefix of rows
     is carried down the walk (:func:`_descend`) and finished per minimum
     (:func:`_minimum_record`).
     """
@@ -576,7 +580,13 @@ def _nilpotent_annihilators(n: int, p: int) -> tuple[int, _Counterexample]:
     (cB)^k = c^k B^k has the rank of B^k, so a nilpotent B stands for the
     p - 1 members of its line, and B = 0 for itself.  A's count,
     weighted by the orbit's size, stands for the orbit's (see the module
-    docstring).
+    docstring).  Pass 2 reads no table built from G: only the walk does.
+
+    Pass 2 enumerates each space because the census sees an annihilator
+    only through its dimension.  A wrong system of the same nullity, such
+    as AB = BA^T = 0, whose solutions also form a space of dimension
+    (n - rank A)^2, would pass every comparison of the census; the
+    members counted here are those of the space itself, and catch it.
     """
     pk = _packing(n, p)
     nilpotent = _census(n, p).nilpotent
@@ -613,7 +623,11 @@ def _table_entries(n: int, p: int) -> int:
 
 
 def _check_outer_budget(n: int, p: int, budget: int) -> None:
-    """Refuse p^(n^2) matrices over *budget*, or tables over TABLE_BUDGET."""
+    """Refuse p^(n^2) matrices over *budget*, or tables over TABLE_BUDGET.
+
+    p^(n^2) >= 1, so a budget of 0 refuses even Mat_0(F_p), which holds one
+    matrix.
+    """
     required = p ** (n * n)
     if required > budget:
         raise BudgetExceededError("outer enumeration too large", required, budget)

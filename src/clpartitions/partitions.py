@@ -138,7 +138,8 @@ def _columns(q: Rational, order: int) -> tuple[tuple, tuple, tuple]:
 
         W[n][L] = q^(-L^2) sum_j W[n-L][j] / (1/q)_(L-j),
 
-    over j <= min(L, n - L), j >= 1 unless n = L, from W[0][0] = 1.
+    over j <= min(L, n - L), j >= 1 unless n = L, from W[0][0] = 1: about
+    N^3/12 terms up to order N.
 
     With q = a/b in lowest terms, P_n = prod_{i=1..n} (a^i - b^i) and
     (1/q)_k = P_k / a^(k(k+1)/2), cell (n, L) is the integer t with

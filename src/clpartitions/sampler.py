@@ -384,8 +384,9 @@ def empirical_vs_corollary(cfg: SamplerConfig) -> list[BucketComparison]:
 
     Buckets are the values a of the first conjugate column size and the
     pairs (a, b) of it with the number of parts equal to 1, b = a - second;
-    every a the chain can draw is looked at, and only buckets with exact
-    probability >= MIN_PROBABILITY are returned.  The a = 0 bucket has
+    every a the chain can draw is looked at, so a gated bucket that the
+    chain never draws is compared too, as a count of 0.  Only buckets with
+    exact probability >= MIN_PROBABILITY are returned.  The a = 0 bucket has
     probability (u/q)_inf > 0.28, so the list is never empty.
     """
     counts = _bucket_counts(cfg)

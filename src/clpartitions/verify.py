@@ -289,6 +289,10 @@ def run_rational_q_check(q: Rational, order: int) -> list[VerificationReport]:
     (total mass 1) the weight series with 1/(u/q)_inf inverted from
     Euler's expansion.  At q in WELLKNOWN_QS, wellknown-identity checks
     that the b-sum times Euler's expansion is 1, each computed on its own.
+    So a wrong coefficient of Euler's expansion fails wellknown-identity,
+    eq2-rational-q, measure-normalization and eq2 as ordinary reports,
+    and a wrong b-sum fails wellknown-identity alone: no other check
+    reads it.
     """
     q = Fraction(q)
     params = {"q": fmt_rat(q), "N": order}
@@ -439,8 +443,10 @@ def run_sampler_check(cfg: SamplerConfig) -> VerificationReport:
     Gates only on buckets with exact probability >= sampler.MIN_PROBABILITY;
     with that many buckets a global 4-sigma threshold is conservative even
     before any multiple-comparison (Bonferroni) adjustment.  A failure
-    names the worst gated bucket; a law the chain cannot be built from
-    (see ``kernel_row_infinite``) fails with its message.
+    names the worst gated bucket, with its exact probability to 6
+    significant digits: as a fraction it carries the truncated (u/q)_inf
+    and runs to thousands of digits.  A law the chain cannot be built
+    from (see ``kernel_row_infinite``) fails with its message.
     """
     params = {
         "q": cfg.q,

@@ -221,6 +221,14 @@ def test_help_lists_every_command_and_flag(name, flag, capsys):
     assert all(f"\n  {word}" in out for word in listed)
 
 
+def test_readme_shows_each_usage_line():
+    # the README's CLI section shows each command's usage line as -h prints
+    # it, so its flags, choices and required markers follow COMMANDS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    shown = [line for line in readme.splitlines() if line.startswith("usage: clpartitions ")]
+    assert shown == [cli._usage(name) for name in cli.COMMANDS]
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -15,11 +15,13 @@ imports is also read in it, or listed in ``__all__`` of ``__init__.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clpartitions"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "clpartitions"
 LEAF = "series"
 ROUTES = ("oracle", "partitions", "sampler")
 RHS_ROOTS = (
@@ -208,3 +210,18 @@ def test_every_import_is_read(name):
 )
 def test_dead_import_is_named(name, source, dead):
     assert dead_imports(name, source) == dead
+
+
+def test_readme_citations_name_its_headings():
+    # a README section cited by CI or by a test, as README followed by its
+    # heading in double quotes, is a ## or ### heading of README.md
+    readme = (ROOT / "README.md").read_text().splitlines()
+    headings = {line.lstrip("#").strip() for line in readme if re.match("#{2,3} ", line)}
+    citing = [ROOT / ".github" / "workflows" / "tests.yml", *(ROOT / "tests").glob("*.py")]
+    cited = [
+        (path.name, heading)
+        for path in citing
+        for heading in re.findall(r'README\s"([^"]+)"', path.read_text())
+    ]
+    assert cited
+    assert [(name, heading) for name, heading in cited if heading not in headings] == []
